@@ -31,6 +31,7 @@ from .games import (
 )
 from .solvers import (
     ApproximationBoundsReport,
+    InvariantError,
     SolveReport,
     UnconvergedError,
     approximation_threshold,

@@ -29,6 +29,7 @@ from .io import (
 from .metric import check_metric_axioms, dist, sample_ball
 from .sensitivity import fit_hoelder, sweep
 from .solvers import (
+    InvariantError,
     UnconvergedError,
     approximation_threshold,
     check_approximation_bounds,
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except UnconvergedError as exc:
         _emit_error("unconverged", str(exc))
         return EXIT_UNCONVERGED
+    except InvariantError as exc:
+        _emit_error("invariant", str(exc))
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

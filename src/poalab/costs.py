@@ -7,6 +7,12 @@ from 0, an interval Lipschitz constant that is never an underestimate, a
 lower bound on the derivative, and marginal costs for social-optimum
 gradients.  ``sup_distance`` computes certified sup-norm distances between
 two costs on a compact interval.
+
+For evaluation over many arcs at once, each family names a vectorized kernel
+through ``kernel_key``: ``PolynomialKernel`` (constant, affine, polynomial and
+linear BPR costs), ``BPRKernel`` (one per other BPR exponent) and
+``CallKernel`` (every other cost, called per object).  A kernel's values and marginals equal the
+per-object ``cost(x)`` and ``MarginalCost(cost)(x)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ __all__ = [
     "TruncatedCost",
     "TangentCost",
     "MarginalCost",
+    "PolynomialKernel",
+    "BPRKernel",
+    "CallKernel",
     "IntervalBound",
     "interval_bound",
     "sup_distance",
@@ -40,9 +49,19 @@ _TINY = 1e-300
 def _domain(x):
     """Common argument handling: costs are defined for x >= 0."""
     xs = np.asarray(x, dtype=float)
-    if xs.size and float(np.min(xs)) < 0.0:
+    if xs.size and xs.min() < 0.0:
         raise ValueError("cost functions are defined for x >= 0")
     return xs
+
+
+def _marginal(x, value, slope):
+    """x * f'(x) + f(x), taking its right limit f(0) at x = 0.
+
+    x * f'(x) -> 0 as x -> 0+ for every family, also where f'(0) is infinite
+    (BPR and MonomialLog with exponents below 1) and the product is nan.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where(x > 0.0, x * slope, 0.0) + value
 
 
 def _require_nonneg(name: str, value: float) -> float:
@@ -93,6 +112,10 @@ class CostFunction:
     def marginal(self) -> "MarginalCost":
         return MarginalCost(self)
 
+    def kernel_key(self) -> tuple:
+        """Costs with equal keys share one kernel, built as ``key[0](costs)``."""
+        return (CallKernel,)
+
 
 @dataclass(frozen=True)
 class Constant(CostFunction):
@@ -120,6 +143,9 @@ class Constant(CostFunction):
 
     def as_polynomial(self):
         return np.array([self.c])
+
+    def kernel_key(self):
+        return (PolynomialKernel,)
 
     def scaled_by(self, factor):
         return Constant(self.c * factor)
@@ -158,6 +184,9 @@ class Affine(CostFunction):
 
     def as_polynomial(self):
         return np.array([self.intercept, self.slope])
+
+    def kernel_key(self):
+        return (PolynomialKernel,)
 
     def scaled_by(self, factor):
         return Affine(self.slope * factor, self.intercept * factor)
@@ -209,11 +238,45 @@ class Polynomial(CostFunction):
     def as_polynomial(self):
         return self._c().copy()
 
+    def kernel_key(self):
+        return (PolynomialKernel,)
+
     def scaled_by(self, factor):
         return Polynomial(tuple(c * factor for c in self.coefficients))
 
     def with_argument_scale(self, factor):
         return Polynomial(tuple(c * factor**n for n, c in enumerate(self.coefficients)))
+
+
+def _horner(coeffs, x):
+    """Row i of `coeffs` (descending powers) evaluated at x[i], as np.polyval does."""
+    y = coeffs[:, 0]
+    for j in range(1, coeffs.shape[1]):
+        y = y * x + coeffs[:, j]
+    return y
+
+
+class PolynomialKernel:
+    """Constant, Affine, Polynomial and linear BPR costs as rows of one zero-padded coefficient matrix.
+
+    Leading zero coefficients keep Horner's recurrence at exactly 0, so each
+    row gives the same bits as ``np.polyval`` on its own coefficients.
+    """
+
+    def __init__(self, costs):
+        rows = [c.as_polynomial() for c in costs]
+        width = max(2, max(len(r) for r in rows))
+        coeffs = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            coeffs[i, width - len(row):] = row[::-1]
+        self.coeffs = coeffs
+        self.slopes = coeffs[:, :-1] * np.arange(width - 1, 0, -1)
+
+    def values(self, x):
+        return _horner(self.coeffs, x)
+
+    def marginals(self, x):
+        return x * _horner(self.slopes, x) + self.values(x)
 
 
 @dataclass(frozen=True)
@@ -283,6 +346,36 @@ class BPR(CostFunction):
 
     def with_argument_scale(self, factor):
         return BPR(self.q * factor**self.beta, self.beta, self.p)
+
+    def kernel_key(self):
+        if self.beta == 1.0:
+            return (PolynomialKernel,)  # Horner's q * x + p is this cost's arithmetic
+        return (BPRKernel, self.beta)
+
+
+class BPRKernel:
+    """BPR costs with one shared exponent, over arrays of q and p.
+
+    The exponent stays a Python float: numpy raises an array to a scalar
+    power on the same path as the scalar call, but to an array of powers on
+    another one, which differs in the last bit for some exponents (2 is one).
+    """
+
+    def __init__(self, costs):
+        self.beta = costs[0].beta
+        self.q = np.array([c.q for c in costs])
+        self.p = np.array([c.p for c in costs])
+        self.qb = self.q * self.beta
+
+    def values(self, x):
+        return self.q * x**self.beta + self.p
+
+    def marginals(self, x):
+        b = self.beta
+        if b >= 1.0:
+            return x * (self.qb * x ** (b - 1.0)) + self.values(x)
+        # beta < 1: f'(0) is infinite; for x > 0 this is BPR.derivative's slope
+        return _marginal(x, self.values(x), self.qb * np.maximum(x, _TINY) ** (b - 1.0))
 
 
 @dataclass(frozen=True)
@@ -573,7 +666,7 @@ class MarginalCost:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-        return xs * self.cost.derivative(xs) + self.cost(xs)
+        return _marginal(xs, self.cost(xs), self.cost.derivative(xs))
 
     def is_nondecreasing_on(self, hi: float, samples: int = 512, slack: float = 1e-12) -> bool:
         """Convexity probe for x * f(x): samples the marginal on [0, hi]."""
@@ -585,6 +678,20 @@ class MarginalCost:
         vals = self(xs)
         return bool(np.all(np.diff(vals) >= -slack * max(1.0, float(np.max(np.abs(vals)))))) \
             if samples > 1 else True
+
+
+class CallKernel:
+    """Costs without a vectorized kernel (MonomialLog, PiecewiseLinear, wrappers), called per object."""
+
+    def __init__(self, costs):
+        self.costs = tuple(costs)
+
+    def values(self, x):
+        return np.array([c(xi) for c, xi in zip(self.costs, x)])
+
+    def marginals(self, x):
+        slopes = np.array([c.derivative(xi) for c, xi in zip(self.costs, x)])
+        return _marginal(x, self.values(x), slopes)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ A game couples a fixed structure (arcs, O/D pairs, explicit path sets) with
 per-arc cost functions and per-O/D demands.  Structures must satisfy: every
 arc lies on some path and every O/D pair has at least two paths.  Games must
 have positive total demand and costs that are strictly positive away from 0
-(probed at T/(4|S|) and propagated by monotonicity).
+(probed at T/(4|S|) and propagated by monotonicity).  A game's arc costs
+are compiled once, at first use, into an ``ArcCostTable`` that evaluates all
+of them per call.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .costs import CostFunction
+from .costs import CostFunction, _domain
 
 __all__ = [
     "GameValidationError",
@@ -22,6 +24,7 @@ __all__ = [
     "InfeasibleFlowError",
     "Structure",
     "Game",
+    "ArcCostTable",
     "PathFlow",
     "arc_flows",
     "path_cost",
@@ -132,6 +135,38 @@ class Structure:
         return inc
 
 
+class ArcCostTable:
+    """Arc costs grouped by ``kernel_key``, each group evaluated by one vectorized kernel.
+
+    ``values(x)`` and ``marginals(x)`` equal ``[c(x_a)]`` and
+    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit.
+    """
+
+    def __init__(self, costs):
+        groups: dict[tuple, list[int]] = {}
+        for i, cost in enumerate(costs):
+            groups.setdefault(cost.kernel_key(), []).append(i)
+        self.groups = tuple((np.array(idx), key[0]([costs[i] for i in idx]))
+                            for key, idx in groups.items())
+
+    def values(self, x) -> np.ndarray:
+        """Cost of every arc at the arc flows x."""
+        return self._evaluate("values", x)
+
+    def marginals(self, x) -> np.ndarray:
+        """Marginal cost x c'(x) + c(x) of every arc at the arc flows x."""
+        return self._evaluate("marginals", x)
+
+    def _evaluate(self, name: str, x) -> np.ndarray:
+        x = _domain(x)
+        if len(self.groups) == 1:
+            return getattr(self.groups[0][1], name)(x)
+        out = np.empty_like(x)
+        for idx, kernel in self.groups:
+            out[idx] = getattr(kernel, name)(x[idx])
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Game:
     """A game (tau, d) on a fixed structure."""
@@ -171,8 +206,13 @@ class Game:
     def with_costs(self, costs) -> "Game":
         return Game(self.structure, tuple(costs), self.demands.copy())
 
+    @cached_property
+    def cost_table(self) -> ArcCostTable:
+        """The arc costs compiled for vectorized evaluation, built at first use."""
+        return ArcCostTable(self.costs)
+
     def arc_cost_values(self, arc_flow: np.ndarray) -> np.ndarray:
-        return np.array([c(x) for c, x in zip(self.costs, arc_flow)])
+        return self.cost_table.values(arc_flow)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,11 @@ certificate.  Descent steps swap mass between each O/D pair's most expensive
 used path and its cheapest path with an exact line search on the directional
 derivative, which converges far faster than 2/(i+2) averaging on desk-scale
 instances; 2/(i+2) remains as a fallback when the line search fails.
+
+Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
+through the game's compiled ``ArcCostTable``.  The arc costs at the current
+flow serve the gap, every O/D pair's swap choice and the line search's slope
+at step 0, until a step moves the flow.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .games import (
 
 __all__ = [
     "UnconvergedError",
+    "InvariantError",
     "SolveReport",
     "solve_we",
     "solve_so",
@@ -49,6 +55,10 @@ class UnconvergedError(RuntimeError):
             f"solver stopped at duality gap {report.duality_gap:.3e} "
             f"after {report.iterations} iterations")
         self.report = report
+
+
+class InvariantError(RuntimeError):
+    """A solved result broke a property that holds for every valid game."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,20 +109,25 @@ def _gap_and_targets(game: Game, path_costs: np.ndarray, f: np.ndarray):
     return max(gap, 0.0), targets
 
 
-def _line_search(arc_eval, arc_f, h, fallback, lo=0.0, hi=1.0):
-    """Step choice for a convex 1-D slice: root of the directional derivative."""
+def _line_search(arc_eval, arc_f, h, tau, fallback):
+    """Step in [0, 1] for a convex 1-D slice: root of the directional derivative.
+
+    tau = arc_eval(arc_f) is the gradient at step 0; brentq's own calls at
+    the two ends of the bracket reuse the values computed here.
+    """
+    ends = {0.0: float(h @ tau)}
 
     def dphi(alpha):
-        return float(h @ arc_eval(arc_f + alpha * h))
+        d = ends.get(alpha)
+        return float(h @ arc_eval(arc_f + alpha * h)) if d is None else d
 
-    d_hi = dphi(hi)
-    if d_hi <= 0.0:
-        return hi
-    d_lo = dphi(lo)
-    if d_lo >= 0.0:
-        return lo
+    ends[1.0] = dphi(1.0)
+    if ends[1.0] <= 0.0:
+        return 1.0
+    if ends[0.0] >= 0.0:
+        return 0.0
     try:
-        return float(optimize.brentq(dphi, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200))
+        return float(optimize.brentq(dphi, 0.0, 1.0, xtol=1e-16, rtol=8.9e-16, maxiter=200))
     except (ValueError, RuntimeError):
         return fallback
 
@@ -132,9 +147,10 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
     inc = st.incidence
     f = _initial_flow(game, start)
     arc_f = inc @ f
+    tau = arc_eval(arc_f)  # kept until a move changes arc_f
+    path_costs = inc.T @ tau
     it = 0
     for it in range(1, max_iter + 1):
-        path_costs = inc.T @ arc_eval(arc_f)
         gap, _targets = _gap_and_targets(game, path_costs, f)
         if gap <= tol:
             return f, gap, it, True
@@ -142,7 +158,7 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
         for k, (lo, hi) in enumerate(st.path_slices):
             if game.demands[k] <= 0.0:
                 continue
-            seg = (inc.T @ arc_eval(arc_f))[lo:hi]
+            seg = path_costs[lo:hi]
             dst = lo + int(np.argmin(seg))
             used = np.where(f[lo:hi] > _USED_EPS * max(1.0, game.total_demand))[0]
             if used.size == 0:
@@ -154,7 +170,7 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
             h = mass * (inc[:, dst] - inc[:, src])
             if not np.any(h):
                 continue
-            alpha = _line_search(arc_eval, arc_f, h, fallback=2.0 / (it + 2.0))
+            alpha = _line_search(arc_eval, arc_f, h, tau, fallback=2.0 / (it + 2.0))
             if objective is not None and alpha > 0.0:
                 # nonconvex slice: accept the best of a few candidates, or nothing
                 cands = [a for a in (alpha, 1.0, 0.5, 2.0 / (it + 2.0)) if 0.0 < a <= 1.0]
@@ -170,10 +186,11 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
             if f[src] < 0.0:
                 f[src] = 0.0
             arc_f = inc @ f
+            tau = arc_eval(arc_f)
+            path_costs = inc.T @ tau
             progressed = True
         if not progressed:
             break
-    path_costs = inc.T @ arc_eval(arc_f)
     gap, _ = _gap_and_targets(game, path_costs, f)
     return f, gap, it, gap <= tol
 
@@ -205,10 +222,7 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if tol <= 0:
         raise ValueError("tol must be > 0")
 
-    def arc_eval(arc_f):
-        return game.arc_cost_values(arc_f)
-
-    f, gap, iters, conv = _descend(game, arc_eval, tol, max_iter, start)
+    f, gap, iters, conv = _descend(game, game.arc_cost_values, tol, max_iter, start)
     return _report(game, f, gap, iters, conv, certified=True)
 
 
@@ -223,11 +237,8 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if tol <= 0:
         raise ValueError("tol must be > 0")
     T = game.total_demand
-    marginals = [MarginalCost(c) for c in game.costs]
-    certified = all(m.is_nondecreasing_on(T) for m in marginals)
-
-    def arc_eval(arc_f):
-        return np.array([m(x) for m, x in zip(marginals, arc_f)])
+    certified = all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
+    arc_eval = game.cost_table.marginals
 
     def objective(arc_f):
         return float(arc_f @ game.arc_cost_values(arc_f))
@@ -294,7 +305,11 @@ def total_cost_sandwich(game: Game, so_cost: float, we_cost: float,
 
 
 def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
-    """PoA = WE total cost over SO total cost; raises on unconverged solves."""
+    """PoA = WE total cost over SO total cost.
+
+    Raises UnconvergedError on an unconverged solve, and InvariantError when
+    the ratio falls below 1 or above ``poa_upper_bound``.
+    """
     we = solve_we(game, tol=tol, max_iter=max_iter)
     if not we.converged:
         raise UnconvergedError(we)
@@ -302,8 +317,10 @@ def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
     if not so.converged:
         raise UnconvergedError(so)
     rho = we.total_cost / so.total_cost
-    assert rho >= 1.0 - 10.0 * tol, f"PoA {rho} fell below 1"
-    assert rho <= poa_upper_bound(game) * (1.0 + 1e-9), "PoA exceeds its a priori bound"
+    if not rho >= 1.0 - 10.0 * tol:
+        raise InvariantError(f"PoA {rho} fell below 1")
+    if not rho <= poa_upper_bound(game) * (1.0 + 1e-9):
+        raise InvariantError(f"PoA {rho} exceeds its a priori bound")
     return rho
 
 

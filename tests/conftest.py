@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import poalab
 from poalab import (
     BPR,
     Affine,
@@ -86,3 +89,11 @@ def random_game(structure, rng, families=None):
                   for i in range(n_arcs))
     demands = rng.uniform(0.4, 1.6, size=len(structure.od_pairs))
     return Game(structure, costs, demands)
+
+
+def child_env():
+    """Environment for a child python that imports this poalab from any working directory."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(poalab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -113,6 +113,13 @@ class TestMarginal:
         m = Affine(2.0, 0.5).marginal()
         assert m(1.0) == pytest.approx(2 * 2.0 * 1.0 + 0.5)
 
+    def test_marginal_at_zero_is_the_cost_there(self):
+        # x f'(x) -> 0 at 0 even where f'(0) is infinite: no 0 * inf = nan
+        for cost in (BPR(1.0, 0.5, 0.2), MonomialLog(1.0, 0.2, 0.3), BPR(2.0, 2.0, 0.3)):
+            m = cost.marginal()
+            assert m(0.0) == cost(0.0)
+            assert np.array_equal(m(np.array([0.0, 0.0])), cost(np.array([0.0, 0.0])))
+
     def test_nonconvex_pwl_flagged(self):
         # slope drops 3 -> 0.1, the marginal jumps down at the kink
         f = PiecewiseLinear((0.0, 1.0, 3.0), (0.0, 3.0, 3.2))

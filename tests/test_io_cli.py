@@ -21,7 +21,7 @@ from poalab.io import (
 )
 from poalab.convergence import RatePoint
 
-from conftest import random_game
+from conftest import child_env, random_game
 
 
 def pigou_doc():
@@ -125,7 +125,7 @@ class TestCsv:
 
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "poalab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=child_env())
 
 
 @pytest.fixture()
@@ -215,3 +215,14 @@ class TestCli:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert doc["ok"]
+
+    def test_invariant_error_exit_code(self, game_files, monkeypatch, capsys):
+        from poalab import InvariantError, cli
+
+        def broken_poa(game, tol):
+            raise InvariantError("PoA 0.5 fell below 1")
+
+        monkeypatch.setattr(cli, "poa", broken_poa)
+        assert cli.main(["check", "--game", str(game_files["pigou"])]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "invariant"

@@ -1,6 +1,8 @@
 """Equilibrium and optimum solvers against oracles and approximation bounds."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from poalab import (
     total_cost,
 )
 
-from conftest import make_two_link_affine, random_game
+from conftest import child_env, make_two_link_affine, random_game
 
 TOL = 1e-12
 
@@ -126,6 +128,35 @@ class TestPoA:
         for _ in range(5):
             g = random_game(shared_arc, rng)
             assert poa(g, tol=1e-11) <= poa_upper_bound(g) + 1e-9
+
+    def test_sqrt_arc_from_zero_flow(self, two_link):
+        # the SO solve starts with no flow on the BPR arc, where f'(0) is infinite;
+        # SO routes 4/9 there, C* = 23/27 against a WE cost of 1
+        g = Game(two_link, (Constant(1.0), BPR(1.0, 0.5, 0.0)), np.array([1.0]))
+        so = solve_so(g, tol=TOL)
+        assert so.flow.values[1] == pytest.approx(4.0 / 9.0, abs=1e-6)
+        assert poa(g, tol=TOL) == pytest.approx(27.0 / 23.0, abs=1e-9)
+
+    def test_invariant_checked_under_optimize(self):
+        # python -O strips assert statements; the PoA range check must survive it
+        script = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from poalab import BPR, Constant, Game, InvariantError, Structure, solvers\n"
+            "st = Structure(('u', 'l'), ('od0',), ((('u',), ('l',)),))\n"
+            "g = Game(st, (BPR(1.0, 1.0, 0.0), Constant(1.0)), np.array([1.0]))\n"
+            "real = solvers.solve_we\n"
+            "solvers.solve_we = lambda game, **kw: dataclasses.replace(\n"
+            "    real(game, **kw), total_cost=0.5)\n"
+            "try:\n"
+            "    solvers.poa(g)\n"
+            "except InvariantError as exc:\n"
+            "    print('raised', sys.flags.optimize, exc)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("raised 1 PoA ")
 
 
 class TestApproximationThreshold:
