@@ -13,11 +13,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .convergence import DemandSchedule, converge_down, converge_up
-from .games import GameValidationError, StructureMismatchError
+from .games import GameValidationError, PathFlow, StructureMismatchError
 from .io import (
     InputError,
     RunManifest,
@@ -31,6 +29,7 @@ from .sensitivity import fit_hoelder, sweep
 from .solvers import (
     InvariantError,
     UnconvergedError,
+    _solve_poa,
     approximation_threshold,
     check_approximation_bounds,
     total_cost_sandwich,
@@ -66,12 +65,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_poa(args) -> int:
     game = load_game(args.game)
-    we = solve_we(game, tol=args.tol)
-    so = solve_so(game, tol=args.tol)
-    if not (we.converged and so.converged):
+    try:
+        value, we, so = _solve_poa(game, tol=args.tol)
+    except UnconvergedError:
         _emit_error("unconverged", "equilibrium or optimum solve did not converge")
         return EXIT_UNCONVERGED
-    value = we.total_cost / so.total_cost
     json.dump({"poa": value, "we": we.to_dict(), "so": so.to_dict()},
               sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -135,9 +133,9 @@ def _cmd_check(args) -> int:
     tol = args.tol
     failures: list[str] = []
 
-    we = solve_we(game, tol=tol)
-    so = solve_so(game, tol=tol)
-    if not (we.converged and so.converged):
+    try:
+        base, we, so = _solve_poa(game, tol=tol)
+    except UnconvergedError:
         _emit_error("unconverged", "solves did not converge during check")
         return EXIT_UNCONVERGED
     ok, lower, upper = total_cost_sandwich(game, so.total_cost, we.total_cost)
@@ -155,7 +153,6 @@ def _cmd_check(args) -> int:
             shift = min(0.01 * t, 0.5 * nudged[lo])
             nudged[lo] -= shift
             nudged[lo + 1] += shift
-        from .games import PathFlow
         flow = PathFlow(nudged)
         eps = approximation_threshold(game, flow) + max(10.0 * tol, 1e-12)
         report = check_approximation_bounds(game, flow, we.flow, eps, lip)
@@ -169,7 +166,6 @@ def _cmd_check(args) -> int:
         if not axioms.all_ok:
             failures.append(f"metric axioms failed for sampled triple (seed {seed})")
 
-    base = we.total_cost / so.total_cost
     for factor in (0.5, 2.0, 10.0):
         if abs(poa(cost_normalize(game, factor), tol=tol) - base) > 1e-6:
             failures.append(f"PoA not invariant under cost normalization {factor}")
@@ -241,10 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        _emit_error(exc.code, str(exc))
-        return EXIT_INPUT
-    except (GameValidationError,) as exc:
+    except (InputError, GameValidationError) as exc:
         _emit_error(exc.code, str(exc))
         return EXIT_INPUT
     except (StructureMismatchError, ValueError) as exc:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import BPR, Affine, Constant, MonomialLog, Polynomial
+from .costs import BPR, Constant
 from .games import Game
 from .metric import dist
 from .regression import loglog_fit
-from .solvers import poa, solve_so
+from .solvers import _solve_poa, poa
 from .transforms import cost_normalize, demand_normalize
 
 __all__ = [
@@ -80,10 +80,6 @@ class RatePoint:
     w_closed_form: float | None = None
 
 
-def _schedule_game(game: Game, demands: np.ndarray) -> Game:
-    return Game(game.structure, game.costs, demands)
-
-
 def converge_down(game: Game, schedule: DemandSchedule,
                   tol: float = 1e-13) -> list[RatePoint]:
     """PoA against its linear light-traffic bound along decreasing totals.
@@ -104,12 +100,10 @@ def converge_down(game: Game, schedule: DemandSchedule,
 
     points = []
     for i, total in enumerate(schedule.totals):
-        scaled = _schedule_game(game, schedule.demands_at(i))
+        scaled = game.with_demands(schedule.demands_at(i))
         unit = demand_normalize(scaled, scaled.total_demand)  # unit total demand
         rho = poa(unit, tol=tol)
-        gap = rho - 1.0
-        assert gap >= -10.0 * tol
-        points.append(RatePoint(total, gap, coeff * total))
+        points.append(RatePoint(total, rho - 1.0, coeff * total))
     return points
 
 
@@ -119,7 +113,7 @@ def light_traffic_reduction_gap(game: Game, total: float) -> tuple[float, float]
     Returns (distance, lipschitz * total); the first never exceeds the second.
     """
     demands = game.demands * (total / game.total_demand)
-    scaled = _schedule_game(game, demands)
+    scaled = game.with_demands(demands)
     unit = demand_normalize(scaled, total)
     frozen = Game(game.structure,
                   tuple(Constant(float(c(0.0))) for c in game.costs),
@@ -137,20 +131,12 @@ def regular_variation_params(game: Game) -> tuple[float, float, np.ndarray]:
     """
     shapes = []
     for arc, cost in zip(game.structure.arcs, game.costs):
-        if isinstance(cost, BPR):
-            beta, alpha, coeff = cost.beta, 0.0, cost.q
-        elif isinstance(cost, Affine):
-            beta, alpha, coeff = 1.0, 0.0, cost.slope
-        elif isinstance(cost, Polynomial):
-            arr = np.trim_zeros(np.asarray(cost.coefficients), "b")
-            beta, alpha = float(arr.size - 1), 0.0
-            coeff = float(arr[-1]) if arr.size else 0.0
-        elif isinstance(cost, MonomialLog):
-            beta, alpha, coeff = cost.beta, cost.alpha, cost.zeta
-        else:
+        shape = cost.regular_variation()
+        if shape is None:
             raise ValueError(
                 f"arc {arc!r}: cost family {type(cost).__name__} has no "
                 "regular-variation form")
+        beta, alpha, coeff = shape
         if beta <= 0 or coeff <= 0:
             raise ValueError(f"arc {arc!r}: needs a positive-index leading term")
         shapes.append((beta, alpha, coeff))
@@ -213,12 +199,11 @@ def converge_up(game: Game, schedule: DemandSchedule,
 
     points = []
     for i, total in enumerate(schedule.totals):
-        scaled = _schedule_game(game, schedule.demands_at(i))
+        scaled = game.with_demands(schedule.demands_at(i))
         t = scaled.total_demand
         hat = cost_normalize(demand_normalize(scaled, t), float(game.costs[0](t)))
         rho = poa(hat, tol=tol)
         gap = rho - 1.0
-        assert gap >= -10.0 * tol
 
         w_est, w_err = normalized_monomial_gap(scaled, t, grid_n)
         w_closed = monomial_log_gap_bound(scaled, t) if alpha > 0 else None
@@ -228,9 +213,8 @@ def converge_up(game: Game, schedule: DemandSchedule,
             monomial = Game(game.structure,
                             tuple(BPR(l, beta, 0.0) for l in lam),
                             hat.demands.copy())
-            so = solve_so(monomial, tol=tol)
+            rho_mono, _we, so = _solve_poa(monomial, tol=tol)
             c_star = so.total_cost
-            rho_mono = poa(monomial, tol=tol)
             w_hi = w_est + w_err
             if w_hi <= c_star / (2.0 * n_a):
                 m_sigma = beta * lam_max

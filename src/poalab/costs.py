@@ -8,6 +8,11 @@ lower bound on the derivative, and marginal costs for social-optimum
 gradients.  ``sup_distance`` computes certified sup-norm distances between
 two costs on a compact interval.
 
+Each family's rules live in its class, and other modules ask the cost rather
+than test its type: its JSON name (``family``; the dataclass fields are the
+params), its move inside a metric ball (``perturbed``), ``regular_variation``,
+``has_nondecreasing_marginal`` and ``has_kinks``.
+
 For evaluation over many arcs at once, each family names a vectorized kernel
 through ``kernel_key``: ``PolynomialKernel`` (constant, affine, polynomial and
 linear BPR costs), ``BPRKernel`` (one per other BPR exponent) and
@@ -19,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate
 
 __all__ = [
     "CostFunction",
+    "FAMILIES",
     "Constant",
     "Affine",
     "Polynomial",
@@ -71,8 +78,23 @@ def _require_nonneg(name: str, value: float) -> float:
     return value
 
 
+FAMILIES: dict[str, type] = {}  # JSON family name -> class
+
+
 class CostFunction:
-    """Base class for arc cost functions."""
+    """Base class for arc cost functions.
+
+    A family class names itself in its header, ``class Affine(CostFunction,
+    family="affine")``; its dataclass fields are its JSON params.
+    """
+
+    family: ClassVar[str | None] = None
+
+    def __init_subclass__(cls, family: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if family is not None:
+            cls.family = family
+            FAMILIES[family] = cls
 
     def __call__(self, x):
         raise NotImplementedError
@@ -116,9 +138,30 @@ class CostFunction:
         """Costs with equal keys share one kernel, built as ``key[0](costs)``."""
         return (CallKernel,)
 
+    def perturbed(self, shift: float, stretch: float, horizon: float) -> "CostFunction":
+        """A cost at sup distance <= |shift| + |stretch| on [0, horizon].
+
+        `shift` moves the intercept-like parameter, `stretch` scales the flow-
+        dependent part so that its value change at the horizon is |stretch|.
+        Monotonicity is preserved by construction.
+        """
+        raise TypeError(f"cannot perturb cost family {type(self).__name__}")
+
+    def regular_variation(self) -> tuple[float, float, float] | None:
+        """(beta, alpha, coefficient) of the growth x**beta ln(x+1)**alpha, or None."""
+        return None
+
+    def has_nondecreasing_marginal(self) -> bool:
+        """True when a closed-form rule shows x f'(x) + f(x) is non-decreasing."""
+        return False
+
+    def has_kinks(self) -> bool:
+        """True when the cost may fail to be continuously differentiable."""
+        return False
+
 
 @dataclass(frozen=True)
-class Constant(CostFunction):
+class Constant(CostFunction, family="constant"):
     c: float
 
     def __post_init__(self):
@@ -153,9 +196,20 @@ class Constant(CostFunction):
     def with_argument_scale(self, factor):
         return Constant(self.c)
 
+    def perturbed(self, shift, stretch, horizon):
+        # grows an affine term, so cost-side balls around constants are not degenerate
+        slope = abs(stretch) / max(horizon, 1e-12)
+        new_c = max(self.c + shift, self.c * 0.5)
+        if slope == 0.0:
+            return Constant(new_c)
+        return Affine(slope, new_c)
+
+    def has_nondecreasing_marginal(self):
+        return True
+
 
 @dataclass(frozen=True)
-class Affine(CostFunction):
+class Affine(CostFunction, family="affine"):
     slope: float
     intercept: float
 
@@ -194,9 +248,19 @@ class Affine(CostFunction):
     def with_argument_scale(self, factor):
         return Affine(self.slope * factor, self.intercept)
 
+    def perturbed(self, shift, stretch, horizon):
+        slope = max(self.slope + stretch / max(horizon, 1e-12), 0.0)
+        return Affine(slope, max(self.intercept + shift, 0.0))
+
+    def regular_variation(self):
+        return 1.0, 0.0, self.slope
+
+    def has_nondecreasing_marginal(self):
+        return True
+
 
 @dataclass(frozen=True)
-class Polynomial(CostFunction):
+class Polynomial(CostFunction, family="polynomial"):
     """Polynomial with non-negative ascending coefficients (monotone on [0, inf))."""
 
     coefficients: tuple[float, ...]
@@ -247,6 +311,23 @@ class Polynomial(CostFunction):
     def with_argument_scale(self, factor):
         return Polynomial(tuple(c * factor**n for n, c in enumerate(self.coefficients)))
 
+    def perturbed(self, shift, stretch, horizon):
+        coeffs = np.asarray(self.coefficients, dtype=float)
+        rest = coeffs.copy()
+        rest[0] = 0.0
+        denom = float(np.polyval(rest[::-1], horizon))
+        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
+        new = coeffs * scale
+        new[0] = max(coeffs[0] + shift, 0.0)
+        return Polynomial(tuple(new))
+
+    def regular_variation(self):
+        arr = np.trim_zeros(np.asarray(self.coefficients), "b")
+        return float(arr.size - 1), 0.0, float(arr[-1]) if arr.size else 0.0
+
+    def has_nondecreasing_marginal(self):
+        return True
+
 
 def _horner(coeffs, x):
     """Row i of `coeffs` (descending powers) evaluated at x[i], as np.polyval does."""
@@ -280,7 +361,7 @@ class PolynomialKernel:
 
 
 @dataclass(frozen=True)
-class BPR(CostFunction):
+class BPR(CostFunction, family="bpr"):
     """q * x**beta + p, the standard traffic latency family."""
 
     q: float
@@ -352,6 +433,17 @@ class BPR(CostFunction):
             return (PolynomialKernel,)  # Horner's q * x + p is this cost's arithmetic
         return (BPRKernel, self.beta)
 
+    def perturbed(self, shift, stretch, horizon):
+        denom = self.q * horizon**self.beta
+        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
+        return BPR(self.q * scale, self.beta, max(self.p + shift, 0.0))
+
+    def regular_variation(self):
+        return self.beta, 0.0, self.q
+
+    def has_nondecreasing_marginal(self):
+        return True  # (beta+1) q x**beta + p
+
 
 class BPRKernel:
     """BPR costs with one shared exponent, over arrays of q and p.
@@ -379,7 +471,7 @@ class BPRKernel:
 
 
 @dataclass(frozen=True)
-class MonomialLog(CostFunction):
+class MonomialLog(CostFunction, family="monomial_log"):
     """zeta * x**beta * ln(x+1)**alpha, a regularly varying non-polynomial."""
 
     zeta: float
@@ -447,9 +539,17 @@ class MonomialLog(CostFunction):
     def scaled_by(self, factor):
         return MonomialLog(self.zeta * factor, self.beta, self.alpha)
 
+    def perturbed(self, shift, stretch, horizon):
+        denom = float(self(horizon))
+        scale = max(1.0 + (shift + stretch) / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
+        return MonomialLog(self.zeta * scale, self.beta, self.alpha)
+
+    def regular_variation(self):
+        return self.beta, self.alpha, self.zeta
+
 
 @dataclass(frozen=True)
-class PiecewiseLinear(CostFunction):
+class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     """Linear interpolation through (breakpoints, values), constant beyond the last one."""
 
     breakpoints: tuple[float, ...]
@@ -521,9 +621,20 @@ class PiecewiseLinear(CostFunction):
     def with_argument_scale(self, factor):
         return PiecewiseLinear(tuple(b / factor for b in self.breakpoints), self.values)
 
+    def perturbed(self, shift, stretch, horizon):
+        vals = np.asarray(self.values, dtype=float)
+        spread = float(vals[-1] - vals[0])
+        scale = max(1.0 + stretch / max(spread, 1e-12), 0.0) if spread > 0 else 1.0
+        base = max(vals[0] + shift, 0.0)
+        new = base + (vals - vals[0]) * scale
+        return PiecewiseLinear(self.breakpoints, tuple(new))
+
+    def has_kinks(self):
+        return True
+
 
 @dataclass(frozen=True)
-class ScaledCost(CostFunction):
+class ScaledCost(CostFunction, family="scaled"):
     """Argument-scaled wrapper x -> inner(factor * x) for families not closed under it."""
 
     inner: CostFunction
@@ -563,10 +674,17 @@ class ScaledCost(CostFunction):
     def with_argument_scale(self, factor):
         return ScaledCost(self.inner, self.factor * factor)
 
+    def perturbed(self, shift, stretch, horizon):
+        return ScaledCost(self.inner.perturbed(shift, stretch, horizon * self.factor),
+                          self.factor)
+
+    def has_kinks(self):
+        return self.inner.has_kinks()
+
 
 @dataclass(frozen=True)
-class TruncatedCost(CostFunction):
-    """inner on [0, anchor], frozen at inner(anchor) beyond."""
+class _Extension(CostFunction):
+    """inner on [0, anchor], continued beyond the anchor by the subclass."""
 
     inner: CostFunction
     anchor: float
@@ -574,6 +692,20 @@ class TruncatedCost(CostFunction):
     def __post_init__(self):
         if self.anchor <= 0:
             raise ValueError("anchor must be > 0")
+
+    def lipschitz_on(self, hi):
+        return self.inner.lipschitz_on(min(hi, self.anchor))
+
+    def scaled_by(self, factor):
+        return type(self)(self.inner.scaled_by(factor), self.anchor)
+
+    def with_argument_scale(self, factor):
+        return type(self)(self.inner.with_argument_scale(factor), self.anchor / factor)
+
+
+@dataclass(frozen=True)
+class TruncatedCost(_Extension, family="truncated"):
+    """inner on [0, anchor], frozen at inner(anchor) beyond."""
 
     def __call__(self, x):
         xs = np.minimum(np.asarray(x, dtype=float), self.anchor)
@@ -594,31 +726,18 @@ class TruncatedCost(CostFunction):
         out = base + tail
         return float(out[0]) if scalar else out
 
-    def lipschitz_on(self, hi):
-        return self.inner.lipschitz_on(min(hi, self.anchor))
-
     def deriv_min_on(self, hi):
         if hi > self.anchor:
             return 0.0
         return self.inner.deriv_min_on(hi)
 
-    def scaled_by(self, factor):
-        return TruncatedCost(self.inner.scaled_by(factor), self.anchor)
-
-    def with_argument_scale(self, factor):
-        return TruncatedCost(self.inner.with_argument_scale(factor), self.anchor / factor)
+    def has_kinks(self):
+        return True  # the slope drops to 0 at the anchor
 
 
 @dataclass(frozen=True)
-class TangentCost(CostFunction):
+class TangentCost(_Extension, family="tangent"):
     """inner on [0, anchor], extended by its tangent line at the anchor beyond."""
-
-    inner: CostFunction
-    anchor: float
-
-    def __post_init__(self):
-        if self.anchor <= 0:
-            raise ValueError("anchor must be > 0")
 
     def _slope(self):
         return float(self.inner.derivative(self.anchor))
@@ -645,17 +764,11 @@ class TangentCost(CostFunction):
         out = base + dx * self.inner(self.anchor) + 0.5 * self._slope() * dx * dx
         return float(out[0]) if scalar else out
 
-    def lipschitz_on(self, hi):
-        return self.inner.lipschitz_on(min(hi, self.anchor))
-
     def deriv_min_on(self, hi):
         return self.inner.deriv_min_on(min(hi, self.anchor))
 
-    def scaled_by(self, factor):
-        return TangentCost(self.inner.scaled_by(factor), self.anchor)
-
-    def with_argument_scale(self, factor):
-        return TangentCost(self.inner.with_argument_scale(factor), self.anchor / factor)
+    def has_kinks(self):
+        return self.inner.has_kinks()
 
 
 class MarginalCost:
@@ -670,10 +783,8 @@ class MarginalCost:
 
     def is_nondecreasing_on(self, hi: float, samples: int = 512, slack: float = 1e-12) -> bool:
         """Convexity probe for x * f(x): samples the marginal on [0, hi]."""
-        if isinstance(self.cost, (Constant, Affine, Polynomial)):
+        if self.cost.has_nondecreasing_marginal():
             return True
-        if isinstance(self.cost, BPR):
-            return True  # (beta+1) q x**beta + p is non-decreasing
         xs = np.linspace(0.0, hi, samples)
         vals = self(xs)
         return bool(np.all(np.diff(vals) >= -slack * max(1.0, float(np.max(np.abs(vals)))))) \

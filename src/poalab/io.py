@@ -2,10 +2,11 @@
 
 Games travel as versioned JSON documents (``"schema": 1``): a structure block
 with arcs and per-O/D entries (id, demand, explicit paths as arc lists) and a
-costs block mapping each arc to a cost family plus parameters.  Sweep and
-rate results are written as plain CSV with fixed column contracts so that any
-plotting tool can consume them; rows are sorted and floats use shortest
-round-trip formatting, which makes repeated runs byte-identical.
+costs block mapping each arc to its cost's ``family`` name and dataclass
+fields as params.  Sweep and rate results are written as plain CSV with fixed
+column contracts so that any plotting tool can consume them; rows are sorted
+and floats use shortest round-trip formatting, which makes repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,24 +15,13 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .costs import (
-    BPR,
-    Affine,
-    Constant,
-    CostFunction,
-    MonomialLog,
-    PiecewiseLinear,
-    Polynomial,
-    ScaledCost,
-    TangentCost,
-    TruncatedCost,
-)
+from .costs import FAMILIES, CostFunction
 from .games import Game, GameValidationError, Structure
 
 __all__ = [
@@ -62,57 +52,28 @@ class InputError(ValueError):
 
 
 def cost_to_dict(cost: CostFunction) -> dict:
-    if isinstance(cost, Constant):
-        return {"family": "constant", "params": {"c": cost.c}}
-    if isinstance(cost, Affine):
-        return {"family": "affine",
-                "params": {"slope": cost.slope, "intercept": cost.intercept}}
-    if isinstance(cost, Polynomial):
-        return {"family": "polynomial",
-                "params": {"coefficients": list(cost.coefficients)}}
-    if isinstance(cost, BPR):
-        return {"family": "bpr", "params": {"q": cost.q, "beta": cost.beta, "p": cost.p}}
-    if isinstance(cost, MonomialLog):
-        return {"family": "monomial_log",
-                "params": {"zeta": cost.zeta, "beta": cost.beta, "alpha": cost.alpha}}
-    if isinstance(cost, PiecewiseLinear):
-        return {"family": "piecewise_linear",
-                "params": {"breakpoints": list(cost.breakpoints),
-                           "values": list(cost.values)}}
-    if isinstance(cost, ScaledCost):
-        return {"family": "scaled",
-                "params": {"factor": cost.factor, "inner": cost_to_dict(cost.inner)}}
-    if isinstance(cost, TruncatedCost):
-        return {"family": "truncated",
-                "params": {"anchor": cost.anchor, "inner": cost_to_dict(cost.inner)}}
-    if isinstance(cost, TangentCost):
-        return {"family": "tangent",
-                "params": {"anchor": cost.anchor, "inner": cost_to_dict(cost.inner)}}
-    raise InputError("schema", f"unsupported cost family {type(cost).__name__}")
+    if cost.family is None:
+        raise InputError("schema", f"unsupported cost family {type(cost).__name__}")
+    return {"family": cost.family,
+            "params": {f.name: _param_to_json(getattr(cost, f.name)) for f in fields(cost)}}
+
+
+def _param_to_json(value):
+    if isinstance(value, CostFunction):
+        return cost_to_dict(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def cost_from_dict(doc: dict, where: str = "costs") -> CostFunction:
+    """A cost from its JSON document; a param typed CostFunction is a nested document."""
     try:
         family = doc["family"]
         params = doc.get("params", {})
-        if family == "constant":
-            return Constant(params["c"])
-        if family == "affine":
-            return Affine(params["slope"], params["intercept"])
-        if family == "polynomial":
-            return Polynomial(tuple(params["coefficients"]))
-        if family == "bpr":
-            return BPR(params["q"], params["beta"], params["p"])
-        if family == "monomial_log":
-            return MonomialLog(params["zeta"], params["beta"], params["alpha"])
-        if family == "piecewise_linear":
-            return PiecewiseLinear(tuple(params["breakpoints"]), tuple(params["values"]))
-        if family == "scaled":
-            return ScaledCost(cost_from_dict(params["inner"], where), params["factor"])
-        if family == "truncated":
-            return TruncatedCost(cost_from_dict(params["inner"], where), params["anchor"])
-        if family == "tangent":
-            return TangentCost(cost_from_dict(params["inner"], where), params["anchor"])
+        cls = FAMILIES.get(family)
+        if cls is not None:
+            return cls(**{f.name: cost_from_dict(params[f.name], where)
+                          if f.type == "CostFunction" else params[f.name]
+                          for f in fields(cls)})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("schema", f"{where}: bad cost definition: {exc}") from exc
     raise InputError("schema", f"{where}: unknown cost family {family!r}")
@@ -304,14 +265,6 @@ class RunManifest:
         )
 
     def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "input_hash": self.input_hash,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
+            json.dump(asdict(self), handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -16,17 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import (
-    BPR,
-    Affine,
-    Constant,
-    CostFunction,
-    MonomialLog,
-    PiecewiseLinear,
-    Polynomial,
-    ScaledCost,
-    sup_distance,
-)
+from .costs import sup_distance
 from .games import Game, GameValidationError, StructureMismatchError, games_equivalent
 
 __all__ = [
@@ -154,55 +144,6 @@ class Perturbation:
     shrunk: bool
 
 
-def _perturb_cost(cost: CostFunction, shift: float, stretch: float,
-                  horizon: float) -> CostFunction:
-    """Family-parameter perturbation with sup change <= |shift| + |stretch| on [0, horizon].
-
-    `shift` moves the intercept-like parameter, `stretch` scales the flow-
-    dependent part so that its value change at the horizon is |stretch|.
-    Monotonicity is preserved by construction; constants grow an affine term
-    so that cost-side balls are not degenerate around constant-cost games.
-    """
-    if isinstance(cost, Constant):
-        slope = abs(stretch) / max(horizon, 1e-12)
-        new_c = max(cost.c + shift, cost.c * 0.5)
-        if slope == 0.0:
-            return Constant(new_c)
-        return Affine(slope, new_c)
-    if isinstance(cost, Affine):
-        slope = max(cost.slope + stretch / max(horizon, 1e-12), 0.0)
-        return Affine(slope, max(cost.intercept + shift, 0.0))
-    if isinstance(cost, Polynomial):
-        coeffs = np.asarray(cost.coefficients, dtype=float)
-        rest = coeffs.copy()
-        rest[0] = 0.0
-        denom = float(np.polyval(rest[::-1], horizon))
-        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
-        new = coeffs * scale
-        new[0] = max(coeffs[0] + shift, 0.0)
-        return Polynomial(tuple(new))
-    if isinstance(cost, BPR):
-        denom = cost.q * horizon**cost.beta
-        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
-        return BPR(cost.q * scale, cost.beta, max(cost.p + shift, 0.0))
-    if isinstance(cost, MonomialLog):
-        denom = float(cost(horizon))
-        scale = max(1.0 + (shift + stretch) / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
-        return MonomialLog(cost.zeta * scale, cost.beta, cost.alpha)
-    if isinstance(cost, PiecewiseLinear):
-        vals = np.asarray(cost.values, dtype=float)
-        spread = float(vals[-1] - vals[0])
-        scale = max(1.0 + stretch / max(spread, 1e-12), 0.0) if spread > 0 else 1.0
-        base = max(vals[0] + shift, 0.0)
-        new = base + (vals - vals[0]) * scale
-        return PiecewiseLinear(cost.breakpoints, tuple(new))
-    if isinstance(cost, ScaledCost):
-        return ScaledCost(
-            _perturb_cost(cost.inner, shift, stretch, horizon * cost.factor),
-            cost.factor)
-    raise TypeError(f"cannot perturb cost family {type(cost).__name__}")
-
-
 # relative weights of the (demand, intercept, stretch) components per kind;
 # joint leans on the cost side so the PoA response cannot cancel between the
 # demand and cost contributions, which would poison log-log exponent fits
@@ -217,11 +158,12 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
                 seed: int = 0, grid_n: int = DEFAULT_GRID) -> Perturbation:
     """Sample a game at certified metric distance in [radius/2, radius].
 
-    Demand draws are symmetric uniforms; cost draws use per-arc alternating
-    signs with magnitudes bounded away from zero so the realized distance
-    responds linearly to the scaling knob.  The knob is set by bisection so
-    the recomputed distance (including its grid error) lands inside the
-    target band; if clipping prevents that, the sample is flagged shrunk.
+    Demand draws are symmetric uniforms; cost draws, applied by each cost's
+    ``perturbed`` rule, use per-arc alternating signs with magnitudes bounded
+    away from zero so the realized distance responds linearly to the scaling
+    knob.  The knob is set by bisection so the recomputed distance (including
+    its grid error) lands inside the target band; if clipping prevents that,
+    the sample is flagged shrunk.
     """
     if kind not in _WEIGHTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -249,8 +191,8 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
         costs = base.costs
         if w_int or w_str:
             costs = tuple(
-                _perturb_cost(c, t * w_int * sign_int[i] * mag_int[i],
-                              t * w_str * mag_str[i], horizon)
+                c.perturbed(t * w_int * sign_int[i] * mag_int[i],
+                            t * w_str * mag_str[i], horizon)
                 for i, c in enumerate(base.costs))
         try:
             return Game(base.structure, costs, demands)

@@ -11,11 +11,11 @@ H * max(dist**gamma, dist) inside a validity radius around the base game:
   all costs are constant, or when all are continuously differentiable with
   derivative bounded away from zero.
 
-``sweep`` samples metric balls around a base game, solves every sample, and
-attaches the applicable certificate bound; ``fit_hoelder`` estimates the
-empirical exponent from the records.  Fitted exponents are lower-confidence
-estimates: the certificates are upper bounds, so a larger fitted exponent is
-consistent.
+``sweep`` solves its base game once, samples metric balls around it, solves
+every sample, and attaches the applicable certificate bound; ``fit_hoelder``
+estimates the empirical exponent from the records.  Fitted exponents are
+lower-confidence estimates: the certificates are upper bounds, so a larger
+fitted exponent is consistent.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 from .games import Game
 from .metric import MetricValue, sample_ball
 from .regression import loglog_fit
-from .costs import PiecewiseLinear
-from .solvers import poa, solve_so, solve_we, UnconvergedError
+from .solvers import _solve_poa, poa, UnconvergedError
 
 __all__ = [
     "HoelderCertificate",
@@ -69,26 +68,14 @@ class HoelderCertificate:
                                    self.linear_factor * distance)
 
 
-def _base_quantities(game: Game, tol: float):
-    we = solve_we(game, tol=tol)
-    so = solve_so(game, tol=tol)
-    if not (we.converged and so.converged):
-        raise UnconvergedError(we if not we.converged else so)
-    rho = we.total_cost / so.total_cost
+def _base_quantities(game: Game, tol: float, max_iter: int = 100_000):
+    rho, _we, so = _solve_poa(game, tol, max_iter)
     return rho, so.total_cost
 
 
 def certificate_demand_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
     """Exponent-1/2 certificate for same-demand comparisons (Lipschitz costs)."""
-    T = game.total_demand
-    m = max(c.lipschitz_on(T) for c in game.costs)
-    if not math.isfinite(m):
-        return None
-    rho, c_star = _base_quantities(game, tol)
-    n_a = len(game.structure.arcs)
-    constant = 2.0 * (rho + math.sqrt(m * n_a * T) + 2.0) / c_star * n_a * T
-    radius = c_star / (2.0 * n_a * T)
-    return HoelderCertificate("demand-slice", constant, 0.5, radius)
+    return _demand_slice(game, lambda: _base_quantities(game, tol))
 
 
 def certificate_cost_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
@@ -96,12 +83,43 @@ def certificate_cost_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate
 
     The Lipschitz constant is clamped up to 1, which keeps it valid.
     """
+    return _cost_slice(game, lambda: _base_quantities(game, tol))
+
+
+def certificate_exponent_one(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
+    """Exponent-1 certificate for constant or strictly-increasing C1 costs.
+
+    Returns None when neither regime applies.  The validity radii are
+    conservative consequences of the same chain of estimates that yields the
+    constants (auxiliary game well-posedness plus keeping every denominator
+    above half its base value).
+    """
+    return _exponent_one(game, lambda: _base_quantities(game, tol))
+
+
+# Each certificate body calls base() for the base game's (PoA, C*) only once it
+# applies, so a game it does not cover is never solved.
+
+
+def _demand_slice(game: Game, base) -> HoelderCertificate | None:
+    T = game.total_demand
+    m = max(c.lipschitz_on(T) for c in game.costs)
+    if not math.isfinite(m):
+        return None
+    rho, c_star = base()
+    n_a = len(game.structure.arcs)
+    constant = 2.0 * (rho + math.sqrt(m * n_a * T) + 2.0) / c_star * n_a * T
+    radius = c_star / (2.0 * n_a * T)
+    return HoelderCertificate("demand-slice", constant, 0.5, radius)
+
+
+def _cost_slice(game: Game, base) -> HoelderCertificate | None:
     T = game.total_demand
     m_raw = max(c.lipschitz_on(T) for c in game.costs)
     if not math.isfinite(m_raw):
         return None
     m = max(1.0, m_raw)
-    rho, c_star = _base_quantities(game, tol)
+    rho, c_star = base()
     n_a = len(game.structure.arcs)
     n_k = len(game.structure.od_pairs)
     pi_max = max(float(c(T)) for c in game.costs)
@@ -114,34 +132,27 @@ def certificate_cost_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate
                               linear_factor=math.sqrt(m))
 
 
-def certificate_exponent_one(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
-    """Exponent-1 certificate for constant or strictly-increasing C1 costs.
-
-    Returns None when neither regime applies.  The validity radii are
-    conservative consequences of the same chain of estimates that yields the
-    constants (auxiliary game well-posedness plus keeping every denominator
-    above half its base value).
-    """
+def _exponent_one(game: Game, base) -> HoelderCertificate | None:
     T = game.total_demand
     n_a = len(game.structure.arcs)
     n_k = len(game.structure.od_pairs)
     lips = [c.lipschitz_on(T) for c in game.costs]
 
     if max(lips) == 0.0:  # constant on [0, T]
-        rho, c_star = _base_quantities(game, tol)
+        rho, c_star = base()
         tau_max0 = max(float(c(0.0)) for c in game.costs)
         constant = 8.0 * n_a * T * (n_k + 1.0) / c_star
         radius = min(T / n_k,
                      c_star / (2.0 * (n_a * n_k * tau_max0 + 2.0 * n_a * T * (n_k + 1.0))))
         return HoelderCertificate("constant-costs", constant, 1.0, radius)
 
-    if any(isinstance(c, PiecewiseLinear) for c in game.costs):
-        return None  # kinks: not continuously differentiable
+    if any(c.has_kinks() for c in game.costs):
+        return None  # not continuously differentiable
     m_lo = min(c.deriv_min_on(T) for c in game.costs)
     m_hi = max(lips)
     if m_lo <= 0.0 or not math.isfinite(m_hi):
         return None
-    rho, c_star = _base_quantities(game, tol)
+    rho, c_star = base()
     tau_max = max(float(c(T)) for c in game.costs)
     blow = 1.0 + n_k * m_hi
     # demand-slice part and cost-slice part of the perturbation are bounded
@@ -191,10 +202,10 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     """
     radii = [float(r) for r in radii]
     tol_base = min(_sweep_tol(r) for r in radii)
-    base_poa = poa(base, tol=tol_base, max_iter=max_iter)
-    cert_demand = certificate_demand_slice(base, tol_base)
-    cert_cost = certificate_cost_slice(base, tol_base)
-    cert_one = certificate_exponent_one(base, tol_base)
+    base_poa, c_star = _base_quantities(base, tol_base, max_iter)
+    cert_demand = _demand_slice(base, lambda: (base_poa, c_star))
+    cert_cost = _cost_slice(base, lambda: (base_poa, c_star))
+    cert_one = _exponent_one(base, lambda: (base_poa, c_star))
     t_base = base.total_demand
 
     records: list[SweepRecord] = []
@@ -250,10 +261,7 @@ def fit_hoelder(records, min_delta: float | None = None) -> HoelderFit:
             continue
         floor = min_delta if min_delta is not None else max(
             1e-12, 20.0 * getattr(rec, "solve_tol", 0.0))
-        d = getattr(rec.dist, "value", None)
-        err = getattr(rec.dist, "error_bound", 0.0)
-        if d is None:
-            d, err = float(rec.dist), 0.0
+        d, err = rec.dist.value, rec.dist.error_bound
         if delta <= floor or d <= err or d <= 0.0:
             continue
         xs.append(d)

@@ -310,6 +310,12 @@ def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
     Raises UnconvergedError on an unconverged solve, and InvariantError when
     the ratio falls below 1 or above ``poa_upper_bound``.
     """
+    return _solve_poa(game, tol, max_iter)[0]
+
+
+def _solve_poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000
+               ) -> tuple[float, SolveReport, SolveReport]:
+    """(PoA, WE report, SO report), with the checks ``poa`` documents."""
     we = solve_we(game, tol=tol, max_iter=max_iter)
     if not we.converged:
         raise UnconvergedError(we)
@@ -321,7 +327,7 @@ def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
         raise InvariantError(f"PoA {rho} fell below 1")
     if not rho <= poa_upper_bound(game) * (1.0 + 1e-9):
         raise InvariantError(f"PoA {rho} exceeds its a priori bound")
-    return rho
+    return rho, we, so
 
 
 @dataclass(frozen=True)

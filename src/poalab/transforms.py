@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .games import Game
-from .costs import PiecewiseLinear, TangentCost, TruncatedCost
+from .costs import TangentCost, TruncatedCost
 
 __all__ = [
     "cost_normalize",
@@ -46,7 +46,8 @@ def truncate_extend(game: Game, new_total: float, mode: str = "constant") -> Gam
     """Auxiliary game at total demand new_total with extended cost functions.
 
     mode="constant" freezes each cost at min(T(d), new_total) and beyond;
-    mode="tangent" continues each cost past T(d) along its tangent there.
+    mode="tangent" continues each cost past T(d) along its tangent there and
+    refuses costs that may have kinks (``has_kinks``).
     Demands keep their ratios and are rescaled to sum to new_total.
     """
     if new_total <= 0:
@@ -60,8 +61,7 @@ def truncate_extend(game: Game, new_total: float, mode: str = "constant") -> Gam
         if new_total <= t_base:
             costs = game.costs
         else:
-            bad = [type(c).__name__ for c in game.costs
-                   if isinstance(c, (PiecewiseLinear, TruncatedCost))]
+            bad = [type(c).__name__ for c in game.costs if c.has_kinks()]
             if bad:
                 raise ValueError(
                     f"tangent extension needs differentiable costs, got {bad}")

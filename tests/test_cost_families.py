@@ -1,0 +1,135 @@
+"""Each cost family's rules live in its class: JSON, kinks, and the design guard."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import poalab
+from poalab import (
+    BPR,
+    Affine,
+    Constant,
+    Game,
+    MonomialLog,
+    PiecewiseLinear,
+    Polynomial,
+    ScaledCost,
+    TangentCost,
+    TruncatedCost,
+    certificate_exponent_one,
+    truncate_extend,
+)
+from poalab.costs import FAMILIES
+from poalab.io import InputError, cost_from_dict, cost_to_dict
+
+KINKED = PiecewiseLinear((0.0, 0.5, 2.0), (0.2, 0.4, 2.0))
+
+EVERY_FAMILY = (
+    Constant(1.5),
+    Affine(0.5, 0.25),
+    Polynomial((0.1, 0.0, 2.0)),
+    BPR(0.15, 4.0, 1.0),
+    MonomialLog(2.0, 1.0, 0.5),
+    KINKED,
+    ScaledCost(MonomialLog(1.0, 1.5, 1.0), 3.0),
+    TruncatedCost(BPR(1.0, 2.0, 0.1), 0.75),
+    TangentCost(Polynomial((0.2, 1.0, 1.0)), 1.25),
+    ScaledCost(TangentCost(TruncatedCost(KINKED, 1.5), 1.0), 0.5),
+)
+
+
+class TestKinks:
+    @pytest.mark.parametrize("wrapped", [ScaledCost(KINKED, 1.0), TangentCost(KINKED, 0.5)],
+                             ids=["scaled", "tangent"])
+    def test_wrapped_kink_gets_no_exponent_one_certificate(self, two_link, wrapped):
+        game = Game(two_link, (wrapped, Affine(1.0, 0.1)), np.array([1.0]))
+        assert wrapped.has_kinks()
+        assert certificate_exponent_one(game, tol=1e-10) is None
+
+    @pytest.mark.parametrize("wrapped", [ScaledCost(KINKED, 1.0), TangentCost(KINKED, 0.5)],
+                             ids=["scaled", "tangent"])
+    def test_tangent_extension_refuses_wrapped_kink(self, two_link, wrapped):
+        game = Game(two_link, (wrapped, Affine(1.0, 0.1)), np.array([1.0]))
+        with pytest.raises(ValueError, match="differentiable"):
+            truncate_extend(game, 2.0, mode="tangent")
+
+    def test_smooth_wrappers_are_not_kinked(self):
+        assert not ScaledCost(BPR(1.0, 2.0, 0.1), 2.0).has_kinks()
+        assert not TangentCost(Polynomial((0.2, 1.0, 1.0)), 1.0).has_kinks()
+        assert TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0).has_kinks()
+
+
+class TestJson:
+    def test_every_family_is_covered(self):
+        covered = set()
+        for cost in EVERY_FAMILY:
+            while cost is not None:
+                covered.add(cost.family)
+                cost = getattr(cost, "inner", None)
+        assert covered == set(FAMILIES)
+
+    @pytest.mark.parametrize("cost", EVERY_FAMILY, ids=lambda c: type(c).__name__)
+    def test_round_trip(self, cost):
+        doc = cost_to_dict(cost)
+        back = cost_from_dict(doc)
+        assert back == cost
+        assert cost_to_dict(back) == doc
+
+    def test_nested_document_shape(self):
+        doc = cost_to_dict(ScaledCost(TruncatedCost(Constant(2.0), 1.0), 0.5))
+        assert doc == {"family": "scaled", "params": {
+            "inner": {"family": "truncated", "params": {
+                "inner": {"family": "constant", "params": {"c": 2.0}}, "anchor": 1.0}},
+            "factor": 0.5}}
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "bpr", "params": {"q": 1.0, "beta": 2.0}},
+        {"family": "no_such_family", "params": {}},
+        {"family": "scaled", "params": {"inner": 3.0, "factor": 2.0}},
+        {"family": "tangent", "params": {"inner": [], "anchor": 1.0}},
+        {"family": "scaled", "params": {"inner": {"family": "affine", "params": {}},
+                                        "factor": 1.0}},
+        {"params": {"c": 1.0}},
+        ["constant"],
+    ], ids=["missing-param", "unknown-family", "number-inner", "list-inner",
+            "bad-nested", "no-family", "not-a-dict"])
+    def test_malformed_documents_are_schema_errors(self, doc):
+        with pytest.raises(InputError) as err:
+            cost_from_dict(doc)
+        assert err.value.code == "schema"
+
+    def test_extra_params_are_ignored(self):
+        doc = {"family": "affine", "params": {"slope": 1.0, "intercept": 0.5, "note": "x"}}
+        assert cost_from_dict(doc) == Affine(1.0, 0.5)
+
+
+def _family_isinstance_calls(tree):
+    """(line, name) of each isinstance/issubclass call whose class argument names a family."""
+    families = {cls.__name__ for cls in FAMILIES.values()}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            continue
+        for sub in ast.walk(node.args[1]):
+            name = sub.id if isinstance(sub, ast.Name) else \
+                sub.attr if isinstance(sub, ast.Attribute) else None
+            if name in families:
+                yield node.lineno, name
+
+
+def test_only_costs_module_tests_cost_families():
+    src = pathlib.Path(poalab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "costs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line} {name}" for line, name in _family_isinstance_calls(tree)]
+    assert not found, f"ask the cost instead of testing its family: {found}"
+
+
+def test_family_guard_sees_a_ladder():
+    tree = ast.parse("if isinstance(c, (Affine, costs.BPR)):\n    pass\n")
+    assert [name for _, name in _family_isinstance_calls(tree)] == ["Affine", "BPR"]
