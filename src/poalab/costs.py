@@ -17,7 +17,10 @@ For evaluation over many arcs at once, each family names a vectorized kernel
 through ``kernel_key``: ``PolynomialKernel`` (constant, affine, polynomial and
 linear BPR costs), ``BPRKernel`` (one per other BPR exponent) and
 ``CallKernel`` (every other cost, called per object).  A kernel's values and marginals equal the
-per-object ``cost(x)`` and ``MarginalCost(cost)(x)`` bit for bit.
+per-object ``cost(x)`` and ``MarginalCost(cost)(x)`` bit for bit.  The first
+two kernels also give ``derivs`` (tau') and ``marginal_derivs`` (2 tau' + x
+tau'', the slope of the marginal), except BPR with 0 < beta < 1, whose tau'(0)
+is infinite; a kernel without them has ``derivs = marginal_derivs = None``.
 """
 
 from __future__ import annotations
@@ -352,12 +355,21 @@ class PolynomialKernel:
             coeffs[i, width - len(row):] = row[::-1]
         self.coeffs = coeffs
         self.slopes = coeffs[:, :-1] * np.arange(width - 1, 0, -1)
+        # second derivatives; a zero column when every row is affine
+        self.bends = (self.slopes[:, :-1] * np.arange(width - 2, 0, -1) if width > 2
+                      else np.zeros((len(rows), 1)))
 
     def values(self, x):
         return _horner(self.coeffs, x)
 
     def marginals(self, x):
         return x * _horner(self.slopes, x) + self.values(x)
+
+    def derivs(self, x):
+        return _horner(self.slopes, x)
+
+    def marginal_derivs(self, x):
+        return 2.0 * self.derivs(x) + x * _horner(self.bends, x)
 
 
 @dataclass(frozen=True)
@@ -458,9 +470,20 @@ class BPRKernel:
         self.q = np.array([c.q for c in costs])
         self.p = np.array([c.p for c in costs])
         self.qb = self.q * self.beta
+        if 0.0 < self.beta < 1.0:  # tau'(0) is infinite: no closed-form derivatives
+            self.derivs = self.marginal_derivs = None
 
     def values(self, x):
         return self.q * x**self.beta + self.p
+
+    def derivs(self, x):
+        if self.beta == 0.0:
+            return np.zeros_like(x)
+        return self.qb * x ** (self.beta - 1.0)
+
+    def marginal_derivs(self, x):
+        """(beta + 1) beta q x**(beta - 1), the slope of (beta + 1) q x**beta + p."""
+        return (self.beta + 1.0) * self.derivs(x)
 
     def marginals(self, x):
         b = self.beta
@@ -792,7 +815,12 @@ class MarginalCost:
 
 
 class CallKernel:
-    """Costs without a vectorized kernel (MonomialLog, PiecewiseLinear, wrappers), called per object."""
+    """Costs without a vectorized kernel (MonomialLog, PiecewiseLinear, wrappers), called per object.
+
+    It has no closed-form derivative kernels.
+    """
+
+    derivs = marginal_derivs = None
 
     def __init__(self, costs):
         self.costs = tuple(costs)

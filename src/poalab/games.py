@@ -11,7 +11,7 @@ of them per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -139,7 +139,8 @@ class ArcCostTable:
     """Arc costs grouped by ``kernel_key``, each group evaluated by one vectorized kernel.
 
     ``values(x)`` and ``marginals(x)`` equal ``[c(x_a)]`` and
-    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit.
+    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit.  ``derivs`` and
+    ``marginal_derivs`` are None unless every group's kernel has them.
     """
 
     def __init__(self, costs):
@@ -148,6 +149,8 @@ class ArcCostTable:
             groups.setdefault(cost.kernel_key(), []).append(i)
         self.groups = tuple((np.array(idx), key[0]([costs[i] for i in idx]))
                             for key, idx in groups.items())
+        if not all(kernel.derivs for _, kernel in self.groups):
+            self.derivs = self.marginal_derivs = None
 
     def values(self, x) -> np.ndarray:
         """Cost of every arc at the arc flows x."""
@@ -156,6 +159,14 @@ class ArcCostTable:
     def marginals(self, x) -> np.ndarray:
         """Marginal cost x c'(x) + c(x) of every arc at the arc flows x."""
         return self._evaluate("marginals", x)
+
+    def derivs(self, x) -> np.ndarray:
+        """Derivative c'(x) of every arc cost at the arc flows x."""
+        return self._evaluate("derivs", x)
+
+    def marginal_derivs(self, x) -> np.ndarray:
+        """Derivative 2 c'(x) + x c''(x) of every arc's marginal cost at the arc flows x."""
+        return self._evaluate("marginal_derivs", x)
 
     def _evaluate(self, name: str, x) -> np.ndarray:
         x = _domain(x)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .games import Game
 from .metric import MetricValue, sample_ball
 from .regression import loglog_fit

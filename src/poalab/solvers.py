@@ -5,18 +5,29 @@ assigns each O/D pair's demand wholly to its current min-cost path (ties
 broken by lowest path index), and the resulting duality gap is exactly the
 approximation threshold of the current flow, which gives the stopping
 certificate.  Descent steps swap mass between each O/D pair's most expensive
-used path and its cheapest path with an exact line search on the directional
-derivative, which converges far faster than 2/(i+2) averaging on desk-scale
-instances; 2/(i+2) remains as a fallback when the line search fails.
+used path and its cheapest path, with the step length found where the
+directional derivative of the convex slice vanishes.  This converges far
+faster than 2/(i+2) averaging on desk-scale instances.
+
+The step length comes from a safeguarded Newton iteration on the slice (the
+path-based Newton step of Jayakrishnan et al., TRR 1443, 1994) whenever the
+game's cost table has closed-form derivatives: constant, affine, polynomial
+and BPR costs with beta = 0 or beta >= 1.  Every other game (MonomialLog,
+PiecewiseLinear, the wrapper costs, BPR with 0 < beta < 1) takes brentq on
+the directional derivative, with 2/(i+2) as its fallback, and so does the
+social optimum when its convexity is not certified, where each step is
+also checked against the total cost.
 
 Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
 through the game's compiled ``ArcCostTable``.  The arc costs at the current
-flow serve the gap, every O/D pair's swap choice and the line search's slope
-at step 0, until a step moves the flow.
+flow serve the gap, every O/D pair's swap choice and the step's slope at
+step 0, until a step moves the flow; the Newton step hands back the costs
+at the step it takes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,17 +107,13 @@ def _initial_flow(game: Game, start) -> np.ndarray:
     return f
 
 
-def _gap_and_targets(game: Game, path_costs: np.ndarray, f: np.ndarray):
-    """FW duality gap (= approximation threshold) and per-O/D min-cost path."""
-    st = game.structure
+def _gap(game: Game, path_costs: np.ndarray, f: np.ndarray) -> float:
+    """FW duality gap (= approximation threshold)."""
     gap = 0.0
-    targets = []
-    for k, (lo, hi) in enumerate(st.path_slices):
+    for k, (lo, hi) in enumerate(game.structure.path_slices):
         pc = path_costs[lo:hi]
-        j = lo + int(np.argmin(pc))
-        targets.append(j)
-        gap += float(path_costs[lo:hi] @ f[lo:hi]) - float(game.demands[k]) * float(path_costs[j])
-    return max(gap, 0.0), targets
+        gap += float(pc @ f[lo:hi]) - float(game.demands[k]) * float(np.min(pc))
+    return max(gap, 0.0)
 
 
 def _line_search(arc_eval, arc_f, h, tau, fallback):
@@ -132,26 +139,72 @@ def _line_search(arc_eval, arc_f, h, tau, fallback):
         return fallback
 
 
-def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
+_NEWTON_MAX_STEPS = 50
+
+
+def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
+    """(alpha, arc_eval(arc_f + alpha h)) with alpha in [0, 1] where the slice's slope vanishes.
+
+    The slope is phi'(alpha) = h @ arc_eval(arc_f + alpha h) and the
+    curvature phi''(alpha) = (h * h) @ arc_slope(arc_f + alpha h); tau =
+    arc_eval(arc_f).  Newton steps, clipped to [0, 1], run until |phi'| <=
+    stop or alpha = 1 with phi' <= 0; at zero curvature with phi' < 0 the
+    step goes to 1.  A step that leaves the bracket [lo, hi] known to hold the
+    root (hi open until phi' > 0 is seen) is replaced by bisection, and the
+    loop ends when a step no longer moves alpha.
+    """
+    alpha, slope = 0.0, float(h @ tau)
+    if slope >= 0.0:
+        return 0.0, tau
+    hh = h * h
+    lo, hi = 0.0, math.inf
+    x = arc_f
+    for _ in range(_NEWTON_MAX_STEPS):
+        if abs(slope) <= stop or (alpha == 1.0 and slope <= 0.0):
+            break
+        if slope < 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+        curv = float(hh @ arc_slope(x))
+        nxt = min(max(alpha - slope / curv, 0.0), 1.0) if curv > 0.0 else 1.0
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + min(hi, 1.0))
+        if nxt == alpha:  # the bracket has shrunk to adjacent floats
+            break
+        alpha = nxt
+        x = arc_f + alpha * h
+        tau = arc_eval(x)
+        slope = float(h @ tau)
+    return alpha, tau
+
+
+def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
              objective=None) -> tuple[np.ndarray, float, int, bool]:
     """Shared FW loop; arc_eval maps arc flows to per-arc gradient values.
 
-    When `objective` is given (non-certified optimum search) every step is
-    validated against it, since the directional-derivative root is only the
-    minimizer of a convex slice.  The loop exits early when no O/D pair has
-    an improving swap left; with discontinuous gradients (piecewise-linear
-    marginals) the gap can stay positive at the optimum, and spinning on it
-    would never terminate.
+    arc_slope maps arc flows to the derivatives of arc_eval's values, or is
+    None; with it, each swap takes a Newton step, without it brentq.  When
+    `objective` is given (non-certified optimum search, which passes no
+    arc_slope) every step is validated against it, since the
+    directional-derivative root is only the minimizer of a convex slice.
+    The loop exits early when no O/D pair has an improving swap left that
+    changes a flow.  With discontinuous gradients (piecewise-linear
+    marginals) the gap can stay positive at the optimum, and where tol lies
+    below the float resolution of the costs no representable move closes
+    it; spinning on either would never terminate.
     """
     st = game.structure
     inc = st.incidence
+    # Newton stops when a pair's cost difference is 0.1 tol over its demand and |K|
+    stop_per_mass = 0.1 * tol / len(st.path_slices)
     f = _initial_flow(game, start)
     arc_f = inc @ f
     tau = arc_eval(arc_f)  # kept until a move changes arc_f
     path_costs = inc.T @ tau
     it = 0
     for it in range(1, max_iter + 1):
-        gap, _targets = _gap_and_targets(game, path_costs, f)
+        gap = _gap(game, path_costs, f)
         if gap <= tol:
             return f, gap, it, True
         progressed = False
@@ -170,7 +223,12 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
             h = mass * (inc[:, dst] - inc[:, src])
             if not np.any(h):
                 continue
-            alpha = _line_search(arc_eval, arc_f, h, tau, fallback=2.0 / (it + 2.0))
+            moved_tau = None
+            if arc_slope is not None:
+                stop = stop_per_mass * mass / float(game.demands[k])
+                alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
+            else:
+                alpha = _line_search(arc_eval, arc_f, h, tau, fallback=2.0 / (it + 2.0))
             if objective is not None and alpha > 0.0:
                 # nonconvex slice: accept the best of a few candidates, or nothing
                 cands = [a for a in (alpha, 1.0, 0.5, 2.0 / (it + 2.0)) if 0.0 < a <= 1.0]
@@ -181,17 +239,19 @@ def _descend(game: Game, arc_eval, tol: float, max_iter: int, start,
             if alpha <= 0.0:
                 continue
             moved = alpha * mass
+            if f[src] - moved == f[src] and f[dst] + moved == f[dst]:
+                continue  # below the flows' float resolution: no progress
             f[src] -= moved
             f[dst] += moved
             if f[src] < 0.0:
                 f[src] = 0.0
             arc_f = inc @ f
-            tau = arc_eval(arc_f)
+            tau = arc_eval(arc_f) if moved_tau is None else moved_tau
             path_costs = inc.T @ tau
             progressed = True
         if not progressed:
             break
-    gap, _ = _gap_and_targets(game, path_costs, f)
+    gap = _gap(game, path_costs, f)
     return f, gap, it, gap <= tol
 
 
@@ -222,7 +282,8 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if tol <= 0:
         raise ValueError("tol must be > 0")
 
-    f, gap, iters, conv = _descend(game, game.arc_cost_values, tol, max_iter, start)
+    f, gap, iters, conv = _descend(game, game.arc_cost_values, game.cost_table.derivs,
+                                   tol, max_iter, start)
     return _report(game, f, gap, iters, conv, certified=True)
 
 
@@ -238,12 +299,14 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
         raise ValueError("tol must be > 0")
     T = game.total_demand
     certified = all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
-    arc_eval = game.cost_table.marginals
+    table = game.cost_table
+    # Newton needs a convex slice; the multistart search takes brentq
+    slope = table.marginal_derivs if certified else None
 
     def objective(arc_f):
         return float(arc_f @ game.arc_cost_values(arc_f))
 
-    f, gap, iters, conv = _descend(game, arc_eval, tol, max_iter, start,
+    f, gap, iters, conv = _descend(game, table.marginals, slope, tol, max_iter, start,
                                    objective=None if certified else objective)
     best = _report(game, f, gap, iters, conv, certified)
     if certified:
@@ -255,7 +318,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
         for k, (lo, hi) in enumerate(st.path_slices):
             w = rng.dirichlet(np.ones(hi - lo))
             f0[lo:hi] = game.demands[k] * w
-        f, gap, iters, conv = _descend(game, arc_eval, tol, max_iter, f0,
+        f, gap, iters, conv = _descend(game, table.marginals, None, tol, max_iter, f0,
                                        objective=objective)
         cand = _report(game, f, gap, iters, conv, certified)
         if cand.total_cost < best.total_cost:

@@ -10,8 +10,6 @@ distances at will while PoA differences stay fixed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .games import Game
 from .costs import TangentCost, TruncatedCost
 

@@ -13,6 +13,7 @@ from poalab import (
     PiecewiseLinear,
     Polynomial,
     Structure,
+    cost_normalize,
 )
 
 
@@ -89,6 +90,18 @@ def random_game(structure, rng, families=None):
                   for i in range(n_arcs))
     demands = rng.uniform(0.4, 1.6, size=len(structure.od_pairs))
     return Game(structure, costs, demands)
+
+
+def unit_scale(game):
+    """The game with its costs divided by the a priori total-cost scale T max_a tau_a(T).
+
+    Cost normalization leaves flows and the PoA unchanged.  With totals of
+    order 1 an absolute solve tol such as 1e-12 stays far above their float
+    resolution; on drawn games with totals near 1e5 it does not, and a solve
+    can stop short of it, because the solvers' gap tolerance is absolute.
+    """
+    t = game.total_demand
+    return cost_normalize(game, t * max(float(c(t)) for c in game.costs))
 
 
 def child_env():

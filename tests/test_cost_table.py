@@ -1,4 +1,8 @@
-"""The compiled arc-cost table against the per-object cost API, bit for bit."""
+"""The compiled arc-cost table against the per-object cost API, bit for bit.
+
+Also the derivative kernels, and the Newton step they feed against the brentq
+step that tables without them take.
+"""
 
 import numpy as np
 import pytest
@@ -8,15 +12,20 @@ from poalab import (
     BPR,
     Affine,
     Constant,
+    Game,
     MonomialLog,
     PiecewiseLinear,
     Polynomial,
     ScaledCost,
     TangentCost,
     TruncatedCost,
+    solve_so,
+    solve_we,
 )
 from poalab.costs import MarginalCost
 from poalab.games import ArcCostTable
+
+from conftest import unit_scale
 
 PARAM = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
 POSITIVE = st.floats(0.05, 4.0)
@@ -97,3 +106,73 @@ class TestArcCostTable:
         groups = [(list(idx), type(kernel).__name__) for idx, kernel in ArcCostTable(costs).groups]
         assert groups == [([0, 2], "BPRKernel"), ([1, 4, 6], "PolynomialKernel"),
                           ([3], "BPRKernel"), ([5], "CallKernel")]
+
+
+SMOOTH_COSTS = st.one_of(
+    st.builds(Constant, PARAM),
+    st.builds(Affine, PARAM, PARAM),
+    st.builds(lambda cs: Polynomial(tuple(cs)), st.lists(PARAM, min_size=1, max_size=5)),
+    st.builds(BPR, PARAM, st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.0]), PARAM),
+)
+
+
+@st.composite
+def smooth_costs_and_flows(draw):
+    costs = draw(st.lists(SMOOTH_COSTS, min_size=1, max_size=8))
+    x = np.array(draw(st.lists(FLOW, min_size=len(costs), max_size=len(costs))))
+    return costs, x
+
+
+class TestDerivativeKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(data=smooth_costs_and_flows())
+    def test_match_derivative_and_marginal_slope(self, data):
+        costs, x = data
+        table = ArcCostTable(costs)
+        d, md = table.derivs(x), table.marginal_derivs(x)
+        assert not np.any(np.isnan(d)) and not np.any(np.isnan(md))
+        assert np.array_equal(d, np.array([c.derivative(xi) for c, xi in zip(costs, x)]))
+        # central difference of the marginal at x + step, where both samples are >= 0
+        step = 1e-6 * (1.0 + x)
+        slope = (table.marginals(x + 2.0 * step) - table.marginals(x)) / (2.0 * step)
+        assert np.allclose(table.marginal_derivs(x + step), slope, rtol=1e-5, atol=5e-3)
+
+    @pytest.mark.parametrize("cost", [BPR(1.0, 0.5, 0.1), MonomialLog(1.0, 1.0, 1.0),
+                                      PiecewiseLinear((0.0, 1.0), (0.1, 0.5)),
+                                      ScaledCost(Affine(1.0, 0.1), 1.0)])
+    def test_none_unless_every_group_has_them(self, cost):
+        table = ArcCostTable((Affine(1.0, 0.2), BPR(1.0, 4.0, 0.1), cost))
+        assert table.derivs is None and table.marginal_derivs is None
+        assert ArcCostTable((Affine(1.0, 0.2), BPR(1.0, 4.0, 0.1))).derivs is not None
+
+    def test_bpr_beta_zero_is_exactly_flat(self):
+        x = np.array([0.0, 1e-300, 1.0, 20.0])
+        table = ArcCostTable([BPR(2.0, 0.0, 0.5)] * len(x))
+        assert np.array_equal(table.derivs(x), np.zeros(4))
+        assert np.array_equal(table.marginal_derivs(x), np.zeros(4))
+
+
+GAME_COSTS = st.lists(st.one_of(
+    st.builds(Affine, st.floats(0.0, 3.0), st.floats(0.05, 2.0)),
+    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=4).map(
+        lambda cs: Polynomial((cs[0] + 0.05, *cs[1:]))),
+    st.builds(BPR, st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+              st.floats(0.05, 2.0)),
+    st.builds(Constant, st.floats(0.05, 3.0)),
+), min_size=4, max_size=4)
+
+
+class TestNewtonAgainstBrentq:
+    @settings(max_examples=60, deadline=None)
+    @given(costs=GAME_COSTS, demands=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=2))
+    def test_same_totals(self, shared_arc, costs, demands):
+        tol = 1e-10
+        game = unit_scale(Game(shared_arc, tuple(costs), np.array(demands)))
+        # ScaledCost(c, 1.0) is c evaluated per object, through brentq
+        wrapped = game.with_costs(ScaledCost(c, 1.0) for c in game.costs)
+        assert game.cost_table.derivs is not None and wrapped.cost_table.derivs is None
+        for solve in (solve_we, solve_so):
+            newton, brent = solve(game, tol=tol), solve(wrapped, tol=tol)
+            assert newton.converged and brent.converged
+            assert newton.optimality_certified and brent.optimality_certified
+            assert abs(newton.total_cost - brent.total_cost) <= tol

@@ -14,8 +14,11 @@ from poalab import (
     Game,
     PathFlow,
     PiecewiseLinear,
+    Polynomial,
     approximation_threshold,
     check_approximation_bounds,
+    cost_normalize,
+    demand_normalize,
     poa,
     poa_upper_bound,
     potential,
@@ -109,6 +112,37 @@ class TestSocialOptimum:
         g = Game(two_link, (bumpy, Constant(2.0)), np.array([1.0]))
         rep = solve_so(g, tol=1e-9)
         assert not rep.optimality_certified
+
+
+class TestNewtonStep:
+    @pytest.fixture()
+    def flat_start(self, three_link):
+        # all demand starts on the constant link, and BPR beta = 2 has
+        # tau'(0) = 0: the first swaps see zero curvature and must step to 1
+        return Game(three_link, (Constant(1.427), Affine(0.715, 1.110), BPR(0.973, 2.0, 0.681)),
+                    np.array([1.403]))
+
+    @pytest.mark.parametrize("transform, factor", [(cost_normalize, 1.0)] + [
+        (t, k) for t in (cost_normalize, demand_normalize) for k in (0.5, 2.0, 10.0)])
+    @pytest.mark.parametrize("solve", [solve_we, solve_so])
+    def test_zero_curvature_start_converges(self, flat_start, transform, factor, solve):
+        rep = solve(transform(flat_start, factor), tol=1e-10)
+        assert rep.converged, (rep.iterations, rep.duality_gap)
+        assert rep.duality_gap <= 1e-10
+
+    def test_moves_below_float_resolution_end_the_solve(self, shared_arc):
+        # SO totals near 700: at tol 1e-12 (about 10 ulps of the total) the
+        # step's move falls below the flows' float resolution at gap 1.4e-12;
+        # the solve must stop there instead of repeating the no-op move
+        g = Game(shared_arc, (BPR(2.8795911595744412, 4.0, 0.07463333199212066),
+                              BPR(1.5168524720644552, 0.0, 1.3662669716050093),
+                              BPR(2.8795911595744412, 3.0, 0.07463333199212066),
+                              Polynomial((2.1057112172111, 2.51999888493674, 0.2088643091536873,
+                                          0.4870750557272757, 3.0))),
+                 np.array([5.0, 0.861083781539039]))
+        rep = solve_so(g, tol=1e-12, max_iter=1000)
+        assert rep.iterations < 1000
+        assert rep.duality_gap < 1e-11
 
 
 class TestPoA:
