@@ -134,6 +134,27 @@ class Structure:
         inc.setflags(write=False)
         return inc
 
+    @cached_property
+    def path_arcs(self) -> np.ndarray:
+        """Path-arc incidence, shape (|S|, |A|): row j is path j's arc indicator."""
+        rows = np.ascontiguousarray(self.incidence.T)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def pair_starts(self) -> np.ndarray:
+        """Flat index of each O/D pair's first path."""
+        starts = np.array([lo for lo, _hi in self.path_slices])
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def path_owner(self) -> np.ndarray:
+        """O/D pair index of each flat path."""
+        owner = np.repeat(np.arange(len(self.paths)), [len(p) for p in self.paths])
+        owner.setflags(write=False)
+        return owner
+
 
 class ArcCostTable:
     """Arc costs grouped by ``kernel_key``, each group evaluated by one vectorized kernel.

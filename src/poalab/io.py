@@ -174,7 +174,10 @@ def write_sweep_csv(records, path) -> None:
 
 @dataclass(frozen=True)
 class CsvSweepRow:
-    """Sweep record as round-tripped through CSV (metric flattened)."""
+    """Sweep record as round-tripped through CSV (metric flattened).
+
+    The CSV has no solve tolerance column, so ``solve_tol`` is 0.
+    """
 
     seed: int
     kind: str
@@ -183,6 +186,7 @@ class CsvSweepRow:
     pert_poa: float
     delta: float
     certificate_bound: float | None
+    solve_tol: float = 0.0
 
 
 @dataclass(frozen=True)

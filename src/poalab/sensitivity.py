@@ -12,7 +12,14 @@ H * max(dist**gamma, dist) inside a validity radius around the base game:
   derivative bounded away from zero.
 
 ``sweep`` solves its base game once, samples metric balls around it, solves
-every sample, and attaches the applicable certificate bound; ``fit_hoelder``
+every sample, and attaches the applicable certificate bound.  Each sample's
+WE and SO solves start from the base game's WE and SO flows, scaled on each
+O/D pair k by the sample's demand over the base demand d'_k / d_k, which is
+feasible for any sample; a pair with zero base demand starts cold, with its
+whole demand on its first path.  Nearby games have nearby equilibria
+(Englert, Franke and Olbrich, "Sensitivity of Wardrop equilibria", 2010),
+so warm samples take fewer iterations; the base game itself is solved cold.
+``fit_hoelder``
 estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
 fitted exponent is consistent.
@@ -23,10 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .games import Game
+import numpy as np
+
+from .games import Game, PathFlow
 from .metric import MetricValue, sample_ball
 from .regression import loglog_fit
-from .solvers import _solve_poa, poa, UnconvergedError
+# poa stays bound here for perfbench's tracer, which patches each binding of it
+from .solvers import _solve_poa, poa, UnconvergedError  # noqa: F401
 
 __all__ = [
     "HoelderCertificate",
@@ -66,8 +76,8 @@ class HoelderCertificate:
                                    self.linear_factor * distance)
 
 
-def _base_quantities(game: Game, tol: float, max_iter: int = 100_000):
-    rho, _we, so = _solve_poa(game, tol, max_iter)
+def _base_quantities(game: Game, tol: float):
+    rho, _we, so = _solve_poa(game, tol)
     return rho, so.total_cost
 
 
@@ -194,13 +204,15 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     """Perturbation sweep around a base game.
 
     For each radius, draws samples from the metric ball of that radius
-    (respecting `kind`), solves each sample, and emits one record per sample
+    (respecting `kind`), solves each sample from the scaled base equilibria
+    (see the module docstring), and emits one record per sample
     with the applicable certificate bound attached.  Per-sample solver
     failures are recorded as NaN PoA rather than raised.
     """
     radii = [float(r) for r in radii]
     tol_base = min(_sweep_tol(r) for r in radii)
-    base_poa, c_star = _base_quantities(base, tol_base, max_iter)
+    base_poa, base_we, base_so = _solve_poa(base, tol_base, max_iter)
+    c_star = base_so.total_cost
     cert_demand = _demand_slice(base, lambda: (base_poa, c_star))
     cert_cost = _cost_slice(base, lambda: (base_poa, c_star))
     cert_one = _exponent_one(base, lambda: (base_poa, c_star))
@@ -212,8 +224,10 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
         for i in range(samples_per_radius):
             sample_seed = seed * 1_000_000 + r_idx * 10_000 + i
             pert = sample_ball(base, radius, kind=kind, seed=sample_seed)
+            starts = (_warm_start(base, base_we.flow, pert.game),
+                      _warm_start(base, base_so.flow, pert.game))
             try:
-                pert_poa = poa(pert.game, tol=tol, max_iter=max_iter)
+                pert_poa = _solve_poa(pert.game, tol, max_iter, starts)[0]
             except UnconvergedError:
                 pert_poa = math.nan
             delta = abs(pert_poa - base_poa) if math.isfinite(pert_poa) else math.nan
@@ -237,6 +251,20 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     return records
 
 
+def _warm_start(base: Game, flow: PathFlow, game: Game) -> np.ndarray:
+    """Base path flow scaled per O/D pair to the demands of a game on the same structure.
+
+    A pair with zero base demand has no flow split to scale; it starts cold,
+    with its whole demand on its first path.
+    """
+    st = base.structure
+    routed = base.demands > 0.0
+    scale = np.divide(game.demands, base.demands, out=np.zeros(len(routed)), where=routed)
+    f = flow.values * scale[st.path_owner]
+    f[st.pair_starts[~routed]] = game.demands[~routed]
+    return f
+
+
 @dataclass(frozen=True)
 class HoelderFit:
     gamma: float
@@ -257,8 +285,7 @@ def fit_hoelder(records, min_delta: float | None = None) -> HoelderFit:
         delta = rec.delta
         if not math.isfinite(delta):
             continue
-        floor = min_delta if min_delta is not None else max(
-            1e-12, 20.0 * getattr(rec, "solve_tol", 0.0))
+        floor = min_delta if min_delta is not None else max(1e-12, 20.0 * rec.solve_tol)
         d, err = rec.dist.value, rec.dist.error_bound
         if delta <= floor or d <= err or d <= 0.0:
             continue

@@ -4,10 +4,13 @@ Both solvers are Frank-Wolfe schemes on path flows.  The linear subproblem
 assigns each O/D pair's demand wholly to its current min-cost path (ties
 broken by lowest path index), and the resulting duality gap is exactly the
 approximation threshold of the current flow, which gives the stopping
-certificate.  Descent steps swap mass between each O/D pair's most expensive
-used path and its cheapest path, with the step length found where the
-directional derivative of the convex slice vanishes.  This converges far
-faster than 2/(i+2) averaging on desk-scale instances.
+certificate.  Both are computed by one helper as the sum over paths of
+flow times (path cost - the least path cost of its O/D pair): every term
+is non-negative, so no cancellation between large per-pair totals can hide
+or fake a small gap.  Descent steps swap mass between each O/D pair's most
+expensive used path and its cheapest path, with the step length found where
+the directional derivative of the convex slice vanishes.  This converges
+far faster than 2/(i+2) averaging on desk-scale instances.
 
 The step length comes from a safeguarded Newton iteration on the slice (the
 path-based Newton step of Jayakrishnan et al., TRR 1443, 1994) whenever the
@@ -37,6 +40,7 @@ from .costs import MarginalCost
 from .games import (
     Game,
     PathFlow,
+    Structure,
     check_feasible,
     path_cost_vector,
     total_cost,
@@ -102,18 +106,19 @@ def _initial_flow(game: Game, start) -> np.ndarray:
         check_feasible(game, pf)
         return pf.values.copy()
     f = np.zeros(st.n_paths)
-    for k, (lo, _hi) in enumerate(st.path_slices):
-        f[lo] = game.demands[k]
+    f[st.pair_starts] = game.demands
     return f
 
 
-def _gap(game: Game, path_costs: np.ndarray, f: np.ndarray) -> float:
-    """FW duality gap (= approximation threshold)."""
-    gap = 0.0
-    for k, (lo, hi) in enumerate(game.structure.path_slices):
-        pc = path_costs[lo:hi]
-        gap += float(pc @ f[lo:hi]) - float(game.demands[k]) * float(np.min(pc))
-    return max(gap, 0.0)
+def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray) -> float:
+    """Sum over paths of flow times (path cost - its O/D pair's least path cost).
+
+    Each term is non-negative, so the sum has no cancellation.  This is the
+    Frank-Wolfe duality gap of a descent and the approximation threshold of
+    a flow.
+    """
+    least = np.minimum.reduceat(path_costs, st.pair_starts)
+    return float((path_costs - least[st.path_owner]) @ f)
 
 
 def _line_search(arc_eval, arc_f, h, tau, fallback):
@@ -195,37 +200,38 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     it; spinning on either would never terminate.
     """
     st = game.structure
-    inc = st.incidence
+    inc, rows = st.incidence, st.path_arcs
+    demands = [float(d) for d in game.demands]
+    floor = _USED_EPS * max(1.0, game.total_demand)  # flows at or below it count as unused
     # Newton stops when a pair's cost difference is 0.1 tol over its demand and |K|
-    stop_per_mass = 0.1 * tol / len(st.path_slices)
+    stop_per_mass = 0.1 * tol / len(demands)
     f = _initial_flow(game, start)
     arc_f = inc @ f
     tau = arc_eval(arc_f)  # kept until a move changes arc_f
-    path_costs = inc.T @ tau
+    path_costs = rows @ tau
     it = 0
     for it in range(1, max_iter + 1):
-        gap = _gap(game, path_costs, f)
+        gap = _flow_gap(st, path_costs, f)
         if gap <= tol:
             return f, gap, it, True
         progressed = False
         for k, (lo, hi) in enumerate(st.path_slices):
-            if game.demands[k] <= 0.0:
+            d_k = demands[k]
+            if d_k <= 0.0:
                 continue
             seg = path_costs[lo:hi]
-            dst = lo + int(np.argmin(seg))
-            used = np.where(f[lo:hi] > _USED_EPS * max(1.0, game.total_demand))[0]
-            if used.size == 0:
-                continue
-            src = lo + int(used[np.argmax(seg[used])])
-            if src == dst or seg[src - lo] <= seg[dst - lo]:
+            dst = lo + int(seg.argmin())
+            # most expensive used path; -inf when none is used
+            used_cost = np.where(f[lo:hi] > floor, seg, -np.inf)
+            src = lo + int(used_cost.argmax())
+            if used_cost[src - lo] <= seg[dst - lo]:
                 continue
             mass = f[src]
-            h = mass * (inc[:, dst] - inc[:, src])
-            if not np.any(h):
-                continue
+            # distinct paths with mass above the floor: h is never zero
+            h = mass * (rows[dst] - rows[src])
             moved_tau = None
             if arc_slope is not None:
-                stop = stop_per_mass * mass / float(game.demands[k])
+                stop = stop_per_mass * mass / d_k
                 alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
             else:
                 alpha = _line_search(arc_eval, arc_f, h, tau, fallback=2.0 / (it + 2.0))
@@ -247,11 +253,11 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
                 f[src] = 0.0
             arc_f = inc @ f
             tau = arc_eval(arc_f) if moved_tau is None else moved_tau
-            path_costs = inc.T @ tau
+            path_costs = rows @ tau
             progressed = True
         if not progressed:
             break
-    gap = _gap(game, path_costs, f)
+    gap = _flow_gap(st, path_costs, f)
     return f, gap, it, gap <= tol
 
 
@@ -259,8 +265,7 @@ def _report(game: Game, f: np.ndarray, gap: float, iters: int,
             conv: bool, certified: bool) -> SolveReport:
     flow = PathFlow(f)
     pc = path_cost_vector(game, flow)
-    st = game.structure
-    user = np.array([float(np.min(pc[lo:hi])) for lo, hi in st.path_slices])
+    user = np.minimum.reduceat(pc, game.structure.pair_starts)
     return SolveReport(
         flow=flow,
         total_cost=total_cost(game, flow),
@@ -329,13 +334,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
 def approximation_threshold(game: Game, flow: PathFlow) -> float:
     """Smallest eps for which the flow is an eps-approximate equilibrium."""
     check_feasible(game, flow)
-    pc = path_cost_vector(game, flow)
-    st = game.structure
-    out = 0.0
-    for lo, hi in st.path_slices:
-        seg = pc[lo:hi]
-        out += float((seg - np.min(seg)) @ flow.values[lo:hi])
-    return max(out, 0.0)
+    return _flow_gap(game.structure, path_cost_vector(game, flow), flow.values)
 
 
 def potential(game: Game, flow: PathFlow) -> float:
@@ -376,13 +375,16 @@ def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
     return _solve_poa(game, tol, max_iter)[0]
 
 
-def _solve_poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000
-               ) -> tuple[float, SolveReport, SolveReport]:
-    """(PoA, WE report, SO report), with the checks ``poa`` documents."""
-    we = solve_we(game, tol=tol, max_iter=max_iter)
+def _solve_poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
+               starts=(None, None)) -> tuple[float, SolveReport, SolveReport]:
+    """(PoA, WE report, SO report), with the checks ``poa`` documents.
+
+    ``starts`` holds the start flows of the WE and the SO solve (None: cold).
+    """
+    we = solve_we(game, tol=tol, max_iter=max_iter, start=starts[0])
     if not we.converged:
         raise UnconvergedError(we)
-    so = solve_so(game, tol=tol, max_iter=max_iter)
+    so = solve_so(game, tol=tol, max_iter=max_iter, start=starts[1])
     if not so.converged:
         raise UnconvergedError(so)
     rho = we.total_cost / so.total_cost

@@ -19,6 +19,7 @@ from poalab import (
     fit_hoelder,
     max_delta_by_radius,
     poa,
+    sample_ball,
     sup_distance,
     sweep,
 )
@@ -120,6 +121,19 @@ class TestSweep:
         records = sweep(pigou, "cost", [1e-2, 1e-3], 8, seed=9)
         seeds = [r.seed for r in records]
         assert seeds == sorted(seeds)
+
+    def test_zero_demand_pair_starts_cold(self, shared_arc):
+        # a sample's start scales the base flow by d'_k / d_k; with d_k = 0 the
+        # pair has no split to scale and must start cold
+        base = Game(shared_arc,
+                    (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                    np.array([0.0, 1.5]))
+        for kind in ("demand", "joint", "cost"):
+            for rec in sweep(base, kind, [1e-1, 1e-2], 4, seed=3):
+                assert math.isfinite(rec.pert_poa)
+                sample = sample_ball(base, rec.radius, kind=kind, seed=rec.seed).game
+                cold = poa(sample, tol=rec.solve_tol)
+                assert abs(rec.pert_poa - cold) <= 2.0 * rec.solve_tol
 
 
 def _synthetic_records(rule):

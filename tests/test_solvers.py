@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poalab import (
     BPR,
@@ -27,7 +28,7 @@ from poalab import (
     total_cost,
 )
 
-from conftest import child_env, make_two_link_affine, random_game
+from conftest import child_env, make_two_link_affine, random_game, unit_scale
 
 TOL = 1e-12
 
@@ -207,6 +208,24 @@ class TestApproximationThreshold:
     def test_solved_we_has_zero_threshold(self, fig3a):
         rep = solve_we(fig3a, tol=TOL)
         assert approximation_threshold(fig3a, rep.flow) <= TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(costs=st.lists(st.builds(BPR, st.floats(0.0, 3.0), st.integers(0, 4).map(float),
+                                    st.floats(0.05, 3.0)), min_size=4, max_size=4),
+           demands=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2).map(np.array))
+    def test_solver_gap_is_threshold(self, shared_arc, costs, demands):
+        # the solver's gap uses the costs at its last trial flow, so the two
+        # agree up to rounding
+        tol = 1e-10
+        game = unit_scale(Game(shared_arc, tuple(costs), demands))
+        we, so = solve_we(game, tol=tol), solve_so(game, tol=tol)
+        assert we.converged and so.converged and so.optimality_certified
+        assert we.duality_gap == pytest.approx(
+            approximation_threshold(game, we.flow), abs=0.01 * tol)
+        # the SO of a game is the WE of the game priced at its marginal costs
+        marginal = game.with_costs(BPR((c.beta + 1.0) * c.q, c.beta, c.p) for c in game.costs)
+        assert so.duality_gap == pytest.approx(
+            approximation_threshold(marginal, so.flow), abs=0.01 * tol)
 
 
 class TestApproximationBounds:
