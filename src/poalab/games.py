@@ -12,7 +12,7 @@ of them per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -175,22 +175,33 @@ class ArcCostTable:
 
     def values(self, x) -> np.ndarray:
         """Cost of every arc at the arc flows x."""
-        return self._evaluate("values", x)
+        return self._evaluate("values", _domain(x))
 
     def marginals(self, x) -> np.ndarray:
         """Marginal cost x c'(x) + c(x) of every arc at the arc flows x."""
-        return self._evaluate("marginals", x)
+        return self._evaluate("marginals", _domain(x))
 
     def derivs(self, x) -> np.ndarray:
         """Derivative c'(x) of every arc cost at the arc flows x."""
-        return self._evaluate("derivs", x)
+        return self._evaluate("derivs", _domain(x))
 
     def marginal_derivs(self, x) -> np.ndarray:
         """Derivative 2 c'(x) + x c''(x) of every arc's marginal cost at the arc flows x."""
-        return self._evaluate("marginal_derivs", x)
+        return self._evaluate("marginal_derivs", _domain(x))
 
-    def _evaluate(self, name: str, x) -> np.ndarray:
-        x = _domain(x)
+    def _unchecked(self, name: str):
+        """The method `name` without the x >= 0 check, or None where the table lacks it.
+
+        Only for float arrays of flows that are non-negative by construction,
+        as the solvers' are.
+        """
+        if getattr(self, name) is None:
+            return None
+        if len(self.groups) == 1:
+            return getattr(self.groups[0][1], name)
+        return partial(self._evaluate, name)
+
+    def _evaluate(self, name: str, x: np.ndarray) -> np.ndarray:
         if len(self.groups) == 1:
             return getattr(self.groups[0][1], name)(x)
         out = np.empty_like(x)
@@ -270,12 +281,22 @@ def check_feasible(game: Game, flow: PathFlow, atol: float = FEASIBILITY_ATOL) -
     if len(flow) != st.n_paths:
         raise InfeasibleFlowError(
             f"flow has {len(flow)} entries, structure has {st.n_paths} paths")
-    for k, (lo, hi) in enumerate(st.path_slices):
-        got = float(flow.values[lo:hi].sum())
-        want = float(game.demands[k])
-        if abs(got - want) > atol:
-            raise InfeasibleFlowError(
-                f"O/D pair {st.od_pairs[k]!r} routes {got}, demand is {want}")
+    _check_routed(st, game.demands, flow.values, atol)
+
+
+def _check_routed(st: Structure, demands: np.ndarray, f: np.ndarray,
+                  atol: float = FEASIBILITY_ATOL) -> None:
+    """Raise InfeasibleFlowError unless every O/D pair routes its demand within atol.
+
+    f and demands may carry a leading batch axis, one game per row.
+    """
+    routed = np.add.reduceat(f, st.pair_starts, axis=-1)
+    off = np.abs(routed - demands) > atol
+    if off.any():
+        at = tuple(np.argwhere(np.atleast_1d(off))[0])
+        got, want = np.atleast_1d(routed)[at], np.atleast_1d(demands)[at]
+        raise InfeasibleFlowError(
+            f"O/D pair {st.od_pairs[at[-1]]!r} routes {float(got)}, demand is {float(want)}")
 
 
 def arc_flows(game: Game, flow: PathFlow) -> np.ndarray:
@@ -304,9 +325,28 @@ def total_cost(game: Game, flow: PathFlow) -> float:
     """Total cost; computes both the path-sum and arc-sum forms and checks they agree."""
     f_arc = arc_flows(game, flow)
     costs = game.arc_cost_values(f_arc)
-    by_arc = float(f_arc @ costs)
-    by_path = float(flow.values @ (game.structure.incidence.T @ costs))
-    if abs(by_arc - by_path) > TOTAL_COST_RTOL * max(1.0, abs(by_arc)):
+    return _checked_total(f_arc, costs, flow.values, game.structure.incidence.T @ costs)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Dot product along the last axis: a float for vectors, one value per row otherwise.
+
+    Each row gives the same bits as ``a @ b`` on that row's vectors.
+    """
+    if a.ndim == 1:
+        return float(a @ b)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _checked_total(arc_f, tau, f, path_costs):
+    """Total cost sum_a x_a tau_a, checked against the path sum sum_s f_s c_s.
+
+    The arguments are the arc flows, their costs, the path flows and their
+    costs, of one game or of one game per row.
+    """
+    by_arc = _dot(arc_f, tau)
+    by_path = _dot(f, path_costs)
+    if np.any(np.abs(by_arc - by_path) > TOTAL_COST_RTOL * np.maximum(1.0, np.abs(by_arc))):
         raise AssertionError(
             f"total cost forms disagree: arc sum {by_arc}, path sum {by_path}")
     return by_arc

@@ -19,8 +19,21 @@ feasible for any sample; a pair with zero base demand starts cold, with its
 whole demand on its first path.  Nearby games have nearby equilibria
 (Englert, Franke and Olbrich, "Sensitivity of Wardrop equilibria", 2010),
 so warm samples take fewer iterations; the base game itself is solved cold.
-``fit_hoelder``
-estimates the empirical exponent from the records.  Fitted exponents are
+
+A sweep first draws all its samples, then solves them together.  The
+paper's metric compares games on one structure only, so every sample is
+the base structure with other costs and demands, and the samples whose
+costs have derivative kernels and whose social optimum is certified convex
+are solved in lockstep, as rows of one batch, when there are at least four
+of them.  The rest take the per-sample path, one ``_solve_poa`` each: all
+samples of a base with MonomialLog, PiecewiseLinear, wrapper or
+sublinear-BPR costs (no derivative kernels), the samples with an
+uncertified social optimum, and batches too small to gain, since the
+lockstep loop is about 4x slower than a single solve at one row (see
+``poalab.solvers``).  Both paths take the same solver steps up to rounding,
+so they give a sample the same PoA within its solve tolerance.
+
+``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
 fitted exponent is consistent.
 """
@@ -36,7 +49,7 @@ from .games import Game, PathFlow
 from .metric import MetricValue, sample_ball
 from .regression import loglog_fit
 # poa stays bound here for perfbench's tracer, which patches each binding of it
-from .solvers import _solve_poa, poa, UnconvergedError  # noqa: F401
+from .solvers import _solve_poa, _solve_poas, poa  # noqa: F401
 
 __all__ = [
     "HoelderCertificate",
@@ -204,10 +217,10 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     """Perturbation sweep around a base game.
 
     For each radius, draws samples from the metric ball of that radius
-    (respecting `kind`), solves each sample from the scaled base equilibria
-    (see the module docstring), and emits one record per sample
-    with the applicable certificate bound attached.  Per-sample solver
-    failures are recorded as NaN PoA rather than raised.
+    (respecting `kind`), solves all samples from the scaled base equilibria,
+    in lockstep where they allow it (see the module docstring), and emits
+    one record per sample with the applicable certificate bound attached.
+    Per-sample solver failures are recorded as NaN PoA rather than raised.
     """
     radii = [float(r) for r in radii]
     tol_base = min(_sweep_tol(r) for r in radii)
@@ -218,35 +231,35 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     cert_one = _exponent_one(base, lambda: (base_poa, c_star))
     t_base = base.total_demand
 
-    records: list[SweepRecord] = []
+    draws = []  # (seed, radius, tol, sample)
     for r_idx, radius in enumerate(radii):
-        tol = _sweep_tol(radius)
         for i in range(samples_per_radius):
             sample_seed = seed * 1_000_000 + r_idx * 10_000 + i
-            pert = sample_ball(base, radius, kind=kind, seed=sample_seed)
-            starts = (_warm_start(base, base_we.flow, pert.game),
-                      _warm_start(base, base_so.flow, pert.game))
-            try:
-                pert_poa = _solve_poa(pert.game, tol, max_iter, starts)[0]
-            except UnconvergedError:
-                pert_poa = math.nan
-            delta = abs(pert_poa - base_poa) if math.isfinite(pert_poa) else math.nan
+            draws.append((sample_seed, radius, _sweep_tol(radius),
+                          sample_ball(base, radius, kind=kind, seed=sample_seed)))
+    games = [pert.game for *_, pert in draws]
+    starts = [(_warm_start(base, base_we.flow, g), _warm_start(base, base_so.flow, g))
+              for g in games]
+    poas = _solve_poas(games, [tol for _, _, tol, _ in draws], max_iter, starts)
 
-            cert = None
-            if kind == "cost":
-                cert = cert_demand  # demands fixed: demand-slice certificate
-            elif kind == "demand":
-                if pert.game.total_demand <= t_base:
-                    cert = cert_cost  # costs fixed: cost-slice certificate
-            else:
-                cert = cert_one
-            bound = None
-            if cert is not None and pert.realized.upper() <= cert.radius:
-                bound = cert.bound(pert.realized.value)
-            records.append(SweepRecord(
-                seed=sample_seed, kind=kind, radius=radius, dist=pert.realized,
-                base_poa=base_poa, pert_poa=pert_poa, delta=delta,
-                certificate_bound=bound, solve_tol=tol, shrunk=pert.shrunk))
+    records: list[SweepRecord] = []
+    for (sample_seed, radius, tol, pert), pert_poa in zip(draws, poas):
+        delta = abs(pert_poa - base_poa) if math.isfinite(pert_poa) else math.nan
+        cert = None
+        if kind == "cost":
+            cert = cert_demand  # demands fixed: demand-slice certificate
+        elif kind == "demand":
+            if pert.game.total_demand <= t_base:
+                cert = cert_cost  # costs fixed: cost-slice certificate
+        else:
+            cert = cert_one
+        bound = None
+        if cert is not None and pert.realized.upper() <= cert.radius:
+            bound = cert.bound(pert.realized.value)
+        records.append(SweepRecord(
+            seed=sample_seed, kind=kind, radius=radius, dist=pert.realized,
+            base_poa=base_poa, pert_poa=pert_poa, delta=delta,
+            certificate_bound=bound, solve_tol=tol, shrunk=pert.shrunk))
     records.sort(key=lambda rec: rec.seed)
     return records
 

@@ -25,7 +25,23 @@ Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
 through the game's compiled ``ArcCostTable``.  The arc costs at the current
 flow serve the gap, every O/D pair's swap choice and the step's slope at
 step 0, until a step moves the flow; the Newton step hands back the costs
-at the step it takes.
+at the step it takes.  The solvers call the table without its x >= 0
+check, which every flow they form passes by construction (see
+``_descend``).
+
+Many games on one structure, such as the samples of a sweep, can be solved
+in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
+(B, |A|) arrays, one ``ArcCostTable`` prices all B |A| arcs per call, and
+``_descend_batch`` runs the same Gauss-Seidel pair loop and Newton step on
+every row at once, each row with its own tolerance, bracket and stopping
+rule.  A game whose cost table has no derivative kernels (the brentq
+games) or whose social optimum is not certified convex is solved alone,
+as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call overhead
+on every step, for all rows together, so it only wins with enough rows:
+measured on the criterion-07 games and on 6- to 12-arc BPR networks, one
+game alone runs about 4x slower in it than in ``_descend``, and the two
+break even at 3 to 5 games.  So single solves keep ``_descend``, and a
+batch of fewer than ``_LOCKSTEP_MIN_ROWS`` games is solved game by game.
 """
 
 from __future__ import annotations
@@ -38,9 +54,14 @@ from scipy import optimize
 
 from .costs import MarginalCost
 from .games import (
+    ArcCostTable,
     Game,
     PathFlow,
     Structure,
+    _check_routed,
+    _checked_total,
+    _dot,
+    arc_flows,
     check_feasible,
     path_cost_vector,
     total_cost,
@@ -110,15 +131,15 @@ def _initial_flow(game: Game, start) -> np.ndarray:
     return f
 
 
-def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray) -> float:
+def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray):
     """Sum over paths of flow times (path cost - its O/D pair's least path cost).
 
     Each term is non-negative, so the sum has no cancellation.  This is the
     Frank-Wolfe duality gap of a descent and the approximation threshold of
-    a flow.
+    a flow.  With a leading batch axis it gives one gap per row.
     """
-    least = np.minimum.reduceat(path_costs, st.pair_starts)
-    return float((path_costs - least[st.path_owner]) @ f)
+    least = np.minimum.reduceat(path_costs, st.pair_starts, axis=-1)
+    return _dot(path_costs - least[..., st.path_owner], f)
 
 
 def _line_search(arc_eval, arc_f, h, tau, fallback):
@@ -227,7 +248,12 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             if used_cost[src - lo] <= seg[dst - lo]:
                 continue
             mass = f[src]
-            # distinct paths with mass above the floor: h is never zero
+            # distinct paths with mass above the floor: h is never zero.  The
+            # table runs without its x >= 0 check: every flow here is >= 0, and
+            # so is a trial flow x = arc_f + alpha h with alpha in [0, 1],
+            # exactly.  h is -mass only on arcs of the source path alone, and
+            # rounding is monotone, so fl(alpha mass) <= mass <= arc_f there (a
+            # float sum of non-negative path flows is at least each of them).
             h = mass * (rows[dst] - rows[src])
             moved_tau = None
             if arc_slope is not None:
@@ -261,15 +287,162 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     return f, gap, it, gap <= tol
 
 
+def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, run):
+    """_newton_step on every row where `run` holds, in lockstep; alpha = 0 elsewhere.
+
+    Row b of each array belongs to game b, and stop holds one threshold per
+    row.  Each row keeps its own bracket and stops on its own rule; the
+    costs of a row that has stopped are kept, not re-evaluated.
+    """
+    slope = _dot(h, tau)
+    run = run & (slope < 0.0)
+    alpha, lo, hi = np.zeros(len(h)), np.zeros(len(h)), np.full(len(h), math.inf)
+    tau = tau.copy()
+    hh = h * h
+    x = arc_f
+    for _ in range(_NEWTON_MAX_STEPS):
+        run &= (np.abs(slope) > stop) & ((alpha != 1.0) | (slope > 0.0))
+        if not run.any():
+            break
+        below = slope < 0.0
+        np.copyto(lo, alpha, where=run & below)
+        np.copyto(hi, alpha, where=run & ~below)
+        curv = _dot(hh, arc_slope(x))
+        newton = curv > 0.0
+        nxt = np.where(newton, np.minimum(np.maximum(
+            alpha - slope / np.where(newton, curv, 1.0), 0.0), 1.0), 1.0)
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + np.minimum(hi, 1.0)))
+        run &= nxt != alpha
+        np.copyto(alpha, nxt, where=run)
+        x = arc_f + alpha[:, None] * h
+        moved = arc_eval(x)
+        np.copyto(tau, moved, where=run[:, None])
+        np.copyto(slope, _dot(h, moved), where=run)
+    return alpha, tau
+
+
+def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
+                   tol: np.ndarray, max_iter: int, f0: np.ndarray):
+    """_descend with Newton steps on B games of one structure at once.
+
+    Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) belongs
+    to game b; arc_eval and arc_slope map (B, |A|) arc flows to per-row
+    gradients and their slopes.  Every row takes the steps its own _descend
+    would take, up to the rounding of the incidence products, and leaves the
+    loop on its own rule: converged, stalled (no swap moved a flow) or out of
+    iterations.  Returns the final flows and a per-row converged mask.
+    """
+    inc, rows = st.incidence, st.path_arcs
+    every = np.arange(len(f0))
+    floor = _USED_EPS * np.maximum(1.0, demands.sum(axis=1))[:, None]
+    stop_per_mass = 0.1 * tol / demands.shape[1]
+    routed = (demands > 0.0).T  # (|K|, B): a pair without demand makes no swap
+    pair_demand = np.where(routed, demands.T, 1.0)
+    f = f0.copy()
+    arc_f = f @ rows
+    tau = arc_eval(arc_f)
+    path_costs = tau @ inc
+    gap = np.zeros(len(f))
+    active = np.ones(len(f), dtype=bool)
+    for _ in range(max_iter):
+        np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
+        active &= gap > tol
+        if not active.any():
+            break
+        progressed = np.zeros(len(f), dtype=bool)
+        for k, (lo, hi) in enumerate(st.path_slices):
+            seg = path_costs[:, lo:hi]
+            used_cost = np.where(f[:, lo:hi] > floor, seg, -np.inf)
+            src, dst = used_cost.argmax(axis=1), seg.argmin(axis=1)
+            swap = active & routed[k] & (used_cost[every, src] > seg[every, dst])
+            if not swap.any():
+                continue
+            src += lo
+            dst += lo
+            f_src, f_dst = f[every, src], f[every, dst]
+            mass = np.where(swap, f_src, 0.0)
+            h = mass[:, None] * (rows[dst] - rows[src])  # >= 0 trial flows, as in _descend
+            alpha, moved_tau = _newton_steps(arc_eval, arc_slope, arc_f, h, tau,
+                                             stop_per_mass * mass / pair_demand[k], swap)
+            moved = alpha * mass
+            new_src, new_dst = f_src - moved, f_dst + moved
+            step = (alpha > 0.0) & ((new_src != f_src) | (new_dst != f_dst))
+            if not step.any():
+                continue
+            f[every, src] = np.where(step, np.where(new_src < 0.0, 0.0, new_src), f_src)
+            f[every, dst] = np.where(step, new_dst, f_dst)
+            arc_f = f @ rows
+            tau = np.where(step[:, None], moved_tau, tau)
+            path_costs = tau @ inc
+            progressed |= step
+        active &= progressed
+    if active.any():  # out of iterations
+        np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
+    return f, gap <= tol
+
+
+# Fewest games solved in lockstep: below it, one _descend per game is faster
+# (see the module docstring).
+_LOCKSTEP_MIN_ROWS = 4
+
+
+def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
+    """PoA of each of several games on one structure; NaN where a solve does not converge.
+
+    tols and starts hold, per game, its tolerance and its WE and SO start
+    flows.  The games whose SO is certified convex are solved in lockstep by
+    _descend_batch when there are at least _LOCKSTEP_MIN_ROWS of them and
+    their costs have derivative kernels; the others go through _solve_poa
+    one at a time.  Either way each PoA passes the checks of _solve_poa.
+    """
+    batch = [i for i, game in enumerate(games) if _so_certified(game)]
+    table = ArcCostTable([c for i in batch for c in games[i].costs])
+    if len(batch) < _LOCKSTEP_MIN_ROWS or table.derivs is None:
+        batch = []
+    out = [math.nan] * len(games)
+    for i in sorted(set(range(len(games))).difference(batch)):
+        try:
+            out[i] = _solve_poa(games[i], tols[i], max_iter, starts[i])[0]
+        except UnconvergedError:
+            pass
+    if not batch:
+        return out
+    st = games[batch[0]].structure
+    demands = np.array([games[i].demands for i in batch])
+    tol = np.array([tols[i] for i in batch])
+
+    def by_row(name):  # the table's arcs are the games' arcs, game after game
+        fn = table._unchecked(name)
+        return lambda x: fn(x.reshape(-1)).reshape(x.shape)
+
+    flows, done = [], np.ones(len(batch), dtype=bool)
+    for which, grad, slope in ((0, "values", "derivs"), (1, "marginals", "marginal_derivs")):
+        f0 = np.array([starts[i][which] for i in batch])
+        _check_routed(st, demands, f0)
+        f, conv = _descend_batch(st, demands, by_row(grad), by_row(slope), tol, max_iter, f0)
+        flows.append(f)
+        done &= conv
+    values = by_row("values")
+    costs = []
+    for f in flows:  # priced as _report prices a flow, on the rows where both solves converged
+        arc_f = f @ st.path_arcs
+        tau = values(arc_f)
+        costs.append(_checked_total(arc_f[done], tau[done], f[done], (tau @ st.incidence)[done]))
+    for i, we_cost, so_cost in zip(np.array(batch)[done], *costs):
+        out[i] = _checked_poa(games[i], float(we_cost / so_cost), tols[i])
+    return out
+
+
 def _report(game: Game, f: np.ndarray, gap: float, iters: int,
             conv: bool, certified: bool) -> SolveReport:
     flow = PathFlow(f)
-    pc = path_cost_vector(game, flow)
-    user = np.minimum.reduceat(pc, game.structure.pair_starts)
+    arc_f = arc_flows(game, flow)
+    tau = game.arc_cost_values(arc_f)
+    pc = game.structure.incidence.T @ tau
     return SolveReport(
         flow=flow,
-        total_cost=total_cost(game, flow),
-        user_costs=user,
+        total_cost=_checked_total(arc_f, tau, flow.values, pc),
+        user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
         duality_gap=gap,
         iterations=iters,
         converged=conv,
@@ -287,7 +460,8 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if tol <= 0:
         raise ValueError("tol must be > 0")
 
-    f, gap, iters, conv = _descend(game, game.arc_cost_values, game.cost_table.derivs,
+    table = game.cost_table
+    f, gap, iters, conv = _descend(game, table._unchecked("values"), table._unchecked("derivs"),
                                    tol, max_iter, start)
     return _report(game, f, gap, iters, conv, certified=True)
 
@@ -302,16 +476,16 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    T = game.total_demand
-    certified = all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
+    certified = _so_certified(game)
     table = game.cost_table
+    marginals, values = table._unchecked("marginals"), table._unchecked("values")
     # Newton needs a convex slice; the multistart search takes brentq
-    slope = table.marginal_derivs if certified else None
+    slope = table._unchecked("marginal_derivs") if certified else None
 
     def objective(arc_f):
-        return float(arc_f @ game.arc_cost_values(arc_f))
+        return float(arc_f @ values(arc_f))
 
-    f, gap, iters, conv = _descend(game, table.marginals, slope, tol, max_iter, start,
+    f, gap, iters, conv = _descend(game, marginals, slope, tol, max_iter, start,
                                    objective=None if certified else objective)
     best = _report(game, f, gap, iters, conv, certified)
     if certified:
@@ -323,12 +497,18 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
         for k, (lo, hi) in enumerate(st.path_slices):
             w = rng.dirichlet(np.ones(hi - lo))
             f0[lo:hi] = game.demands[k] * w
-        f, gap, iters, conv = _descend(game, table.marginals, None, tol, max_iter, f0,
+        f, gap, iters, conv = _descend(game, marginals, None, tol, max_iter, f0,
                                        objective=objective)
         cand = _report(game, f, gap, iters, conv, certified)
         if cand.total_cost < best.total_cost:
             best = cand
     return best
+
+
+def _so_certified(game: Game) -> bool:
+    """True when every marginal cost is non-decreasing on [0, T(d)] (convex total cost)."""
+    T = game.total_demand
+    return all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
 
 
 def approximation_threshold(game: Game, flow: PathFlow) -> float:
@@ -387,12 +567,16 @@ def _solve_poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     so = solve_so(game, tol=tol, max_iter=max_iter, start=starts[1])
     if not so.converged:
         raise UnconvergedError(so)
-    rho = we.total_cost / so.total_cost
+    return _checked_poa(game, we.total_cost / so.total_cost, tol), we, so
+
+
+def _checked_poa(game: Game, rho: float, tol: float) -> float:
+    """rho, after the checks that every PoA solved at tolerance tol passes."""
     if not rho >= 1.0 - 10.0 * tol:
         raise InvariantError(f"PoA {rho} fell below 1")
     if not rho <= poa_upper_bound(game) * (1.0 + 1e-9):
         raise InvariantError(f"PoA {rho} exceeds its a priori bound")
-    return rho, we, so
+    return rho
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Hoelder certificates, perturbation sweeps, and exponent fits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poalab import (
     BPR,
@@ -11,6 +13,8 @@ from poalab import (
     Constant,
     Game,
     MetricValue,
+    MonomialLog,
+    PiecewiseLinear,
     certificate_cost_slice,
     certificate_demand_slice,
     certificate_exponent_one,
@@ -23,9 +27,10 @@ from poalab import (
     sup_distance,
     sweep,
 )
+from poalab import solvers
 from poalab.sensitivity import SweepRecord
 
-from conftest import make_two_link_affine
+from conftest import make_two_link_affine, random_game
 
 TOL = 1e-12
 
@@ -134,6 +139,72 @@ class TestSweep:
                 sample = sample_ball(base, rec.radius, kind=kind, seed=rec.seed).game
                 cold = poa(sample, tol=rec.solve_tol)
                 assert abs(rec.pert_poa - cold) <= 2.0 * rec.solve_tol
+
+
+def _sweeps(base, kind, radii, samples, seed, **kwargs):
+    """(records, lockstep row count) of a sweep, and the records of its per-sample path."""
+    spy = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
+    with spy as batch:
+        records = sweep(base, kind, radii, samples, seed=seed, **kwargs)
+    rows = sum(len(call.args[1]) for call in batch.call_args_list)
+    with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
+        alone = sweep(base, kind, radii, samples, seed=seed, **kwargs)
+    return records, rows, alone
+
+
+def _same_but_poa(rec, ref):
+    """Every field but pert_poa and delta equal, and the same NaN status."""
+    assert (rec.seed, rec.kind, rec.radius, rec.dist, rec.base_poa, rec.certificate_bound,
+            rec.solve_tol, rec.shrunk) == (ref.seed, ref.kind, ref.radius, ref.dist,
+                                           ref.base_poa, ref.certificate_bound,
+                                           ref.solve_tol, ref.shrunk)
+    assert math.isnan(rec.pert_poa) == math.isnan(ref.pert_poa)
+
+
+class TestBatchedSweep:
+    """Samples solved in lockstep match the per-sample solves from the same warm starts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), which=st.integers(0, 2),
+           kind=st.sampled_from(("demand", "cost", "joint")), samples=st.integers(2, 8))
+    def test_matches_per_sample(self, two_link, three_link, shared_arc, seed, which, kind,
+                                samples):
+        structure = (two_link, three_link, shared_arc)[which]
+        rng = np.random.default_rng(seed)
+        families = [str(f) for f in rng.choice(("affine", "bpr", "poly"),
+                                               len(structure.arcs))]
+        base = random_game(structure, rng, families)
+        records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2, 1e-3], samples, seed % 1000)
+        assert rows == 2 * len(records)  # every WE and SO went through the lockstep loop
+        for rec, ref in zip(records, alone, strict=True):
+            _same_but_poa(rec, ref)
+            if math.isfinite(ref.pert_poa):
+                assert abs(rec.pert_poa - ref.pert_poa) <= 2.0 * rec.solve_tol
+
+    def test_unconverged_rows_as_per_sample(self, shared_arc):
+        # 19 iterations solve the base cold, but not every wide sample from its warm start
+        base = Game(shared_arc,
+                    (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                    np.array([1.0, 1.5]))
+        records, rows, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=19)
+        assert rows == 2 * len(records)
+        unconverged = [math.isnan(r.pert_poa) for r in records]
+        assert 0 < sum(unconverged) < len(records)
+        for rec, ref in zip(records, alone, strict=True):
+            _same_but_poa(rec, ref)
+            if math.isfinite(ref.pert_poa):
+                assert abs(rec.pert_poa - ref.pert_poa) <= 2.0 * rec.solve_tol
+
+    @pytest.mark.parametrize("costs", [
+        (MonomialLog(1.0, 1.0, 1.0), MonomialLog(0.5, 2.0, 1.0)),
+        (PiecewiseLinear((0.0, 0.5, 1.5), (0.2, 0.6, 1.8)), Affine(1.0, 0.3)),
+    ])
+    def test_costs_without_derivatives_solve_per_sample(self, two_link, costs):
+        base = Game(two_link, costs, np.array([1.0]))
+        for kind in ("demand", "cost", "joint"):
+            records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2], 4, 1)
+            assert rows == 0
+            assert [repr(r) for r in records] == [repr(r) for r in alone]
 
 
 def _synthetic_records(rule):
