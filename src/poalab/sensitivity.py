@@ -29,8 +29,8 @@ of them.  The rest take the per-sample path, one ``_solve_poa`` each: all
 samples of a base with MonomialLog, PiecewiseLinear, wrapper or
 sublinear-BPR costs (no derivative kernels), the samples with an
 uncertified social optimum, and batches too small to gain, since the
-lockstep loop is about 4x slower than a single solve at one row (see
-``poalab.solvers``).  Both paths take the same solver steps up to rounding,
+lockstep loop is 1.8 to 5.4 times slower than a single solve at one row
+(see ``poalab.solvers``).  Both paths take the same solver steps up to rounding,
 so they give a sample the same PoA within its solve tolerance.
 
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are

@@ -38,9 +38,9 @@ rule.  A game whose cost table has no derivative kernels (the brentq
 games) or whose social optimum is not certified convex is solved alone,
 as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call overhead
 on every step, for all rows together, so it only wins with enough rows:
-measured on the criterion-07 games and on 6- to 12-arc BPR networks, one
-game alone runs about 4x slower in it than in ``_descend``, and the two
-break even at 3 to 5 games.  So single solves keep ``_descend``, and a
+measured on the criterion-07 games and on the 6- to 12-arc BPR networks
+of the benchmark, one game alone runs 1.8 to 5.4 times slower in it than
+in ``_descend``, and the two break even at 3 to 5 games.  So single solves keep ``_descend``, and a
 batch of fewer than ``_LOCKSTEP_MIN_ROWS`` games is solved game by game.
 """
 

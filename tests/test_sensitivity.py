@@ -152,13 +152,16 @@ def _sweeps(base, kind, radii, samples, seed, **kwargs):
     return records, rows, alone
 
 
-def _same_but_poa(rec, ref):
-    """Every field but pert_poa and delta equal, and the same NaN status."""
-    assert (rec.seed, rec.kind, rec.radius, rec.dist, rec.base_poa, rec.certificate_bound,
-            rec.solve_tol, rec.shrunk) == (ref.seed, ref.kind, ref.radius, ref.dist,
-                                           ref.base_poa, ref.certificate_bound,
-                                           ref.solve_tol, ref.shrunk)
-    assert math.isnan(rec.pert_poa) == math.isnan(ref.pert_poa)
+def _assert_matches(records, alone):
+    """Every field equal but pert_poa and delta; the same NaN records; PoAs within 2 solve_tol."""
+    for rec, ref in zip(records, alone, strict=True):
+        assert (rec.seed, rec.kind, rec.radius, rec.dist, rec.base_poa, rec.certificate_bound,
+                rec.solve_tol, rec.shrunk) == (ref.seed, ref.kind, ref.radius, ref.dist,
+                                               ref.base_poa, ref.certificate_bound,
+                                               ref.solve_tol, ref.shrunk)
+        assert math.isnan(rec.pert_poa) == math.isnan(ref.pert_poa)
+        if math.isfinite(ref.pert_poa):
+            assert abs(rec.pert_poa - ref.pert_poa) <= 2.0 * rec.solve_tol
 
 
 class TestBatchedSweep:
@@ -176,10 +179,7 @@ class TestBatchedSweep:
         base = random_game(structure, rng, families)
         records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2, 1e-3], samples, seed % 1000)
         assert rows == 2 * len(records)  # every WE and SO went through the lockstep loop
-        for rec, ref in zip(records, alone, strict=True):
-            _same_but_poa(rec, ref)
-            if math.isfinite(ref.pert_poa):
-                assert abs(rec.pert_poa - ref.pert_poa) <= 2.0 * rec.solve_tol
+        _assert_matches(records, alone)
 
     def test_unconverged_rows_as_per_sample(self, shared_arc):
         # 19 iterations solve the base cold, but not every wide sample from its warm start
@@ -190,10 +190,7 @@ class TestBatchedSweep:
         assert rows == 2 * len(records)
         unconverged = [math.isnan(r.pert_poa) for r in records]
         assert 0 < sum(unconverged) < len(records)
-        for rec, ref in zip(records, alone, strict=True):
-            _same_but_poa(rec, ref)
-            if math.isfinite(ref.pert_poa):
-                assert abs(rec.pert_poa - ref.pert_poa) <= 2.0 * rec.solve_tol
+        _assert_matches(records, alone)
 
     @pytest.mark.parametrize("costs", [
         (MonomialLog(1.0, 1.0, 1.0), MonomialLog(0.5, 2.0, 1.0)),
