@@ -165,7 +165,7 @@ def normalized_monomial_gap(game: Game, total: float, grid_n: int = 4097
     est = 0.0
     lip = 0.0
     for cost, lam_a in zip(game.costs, lam):
-        vals = np.asarray(cost(total * xs), dtype=float) / tau_ref
+        vals = cost(total * xs) / tau_ref
         est = max(est, float(np.max(np.abs(vals - lam_a * xs**beta))))
         lip_a = total * cost.lipschitz_on(total) / tau_ref
         lip_mono = lam_a * beta if beta >= 1 else math.inf

@@ -6,7 +6,10 @@ arc lies on some path and every O/D pair has at least two paths.  Games must
 have positive total demand and costs that are strictly positive away from 0
 (probed at T/(4|S|) and propagated by monotonicity).  A game's arc costs
 are compiled once, at first use, into an ``ArcCostTable`` that evaluates all
-of them per call.
+of them per call.  ``total_cost``, ``path_cost_vector`` and the solvers price
+path flows through one helper, ``_price``: ``incidence @ f``, then
+``path_arcs @ tau``, each a matrix times one column per row, so a batch row
+gets its single-game bits.
 """
 
 from __future__ import annotations
@@ -307,25 +310,31 @@ def arc_flows(game: Game, flow: PathFlow) -> np.ndarray:
 
 def path_cost(game: Game, flow: PathFlow, path_index: int) -> float:
     """Cost of one path: sum of its arcs' costs at the induced arc flows."""
-    st = game.structure
-    if not 0 <= path_index < st.n_paths:
+    if not 0 <= path_index < game.structure.n_paths:
         raise KeyError(f"unknown path index {path_index}")
-    f_arc = arc_flows(game, flow)
-    costs = game.arc_cost_values(f_arc)
-    return float(st.incidence[:, path_index] @ costs)
+    return float(path_cost_vector(game, flow)[path_index])
 
 
 def path_cost_vector(game: Game, flow: PathFlow) -> np.ndarray:
-    f_arc = arc_flows(game, flow)
-    costs = game.arc_cost_values(f_arc)
-    return game.structure.incidence.T @ costs
+    check_feasible(game, flow)
+    return _price(game.structure, game.arc_cost_values, flow.values)[2]
 
 
 def total_cost(game: Game, flow: PathFlow) -> float:
     """Total cost; computes both the path-sum and arc-sum forms and checks they agree."""
-    f_arc = arc_flows(game, flow)
-    costs = game.arc_cost_values(f_arc)
-    return _checked_total(f_arc, costs, flow.values, game.structure.incidence.T @ costs)
+    check_feasible(game, flow)
+    return _checked_total(flow.values, *_price(game.structure, game.arc_cost_values, flow.values))
+
+
+def _price(st: Structure, evaluate, f: np.ndarray):
+    """(arc flows, arc costs, path costs) of the path flows f, one game or one per row.
+
+    evaluate maps arc flows to arc costs.  Each product is a matrix times one
+    column per row, so a row of a batch gets the bits of pricing it alone.
+    """
+    arc_f = (st.incidence @ f[..., None])[..., 0]
+    tau = evaluate(arc_f)
+    return arc_f, tau, (st.path_arcs @ tau[..., None])[..., 0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -338,11 +347,11 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _checked_total(arc_f, tau, f, path_costs):
+def _checked_total(f, arc_f, tau, path_costs):
     """Total cost sum_a x_a tau_a, checked against the path sum sum_s f_s c_s.
 
-    The arguments are the arc flows, their costs, the path flows and their
-    costs, of one game or of one game per row.
+    The arguments are the path flows and what ``_price`` returns for them,
+    of one game or of one game per row.
     """
     by_arc = _dot(arc_f, tau)
     by_path = _dot(f, path_costs)
@@ -367,8 +376,6 @@ def games_equivalent(g1: Game, g2: Game, samples: int = 257, tol: float = 1e-12)
     for c1, c2 in zip(g1.costs, g2.costs):
         if c1 == c2:
             continue
-        v1 = np.asarray(c1(xs), dtype=float)
-        v2 = np.asarray(c2(xs), dtype=float)
-        if np.max(np.abs(v1 - v2)) > tol:
+        if np.max(np.abs(c1(xs) - c2(xs))) > tol:
             return False
     return True

@@ -27,7 +27,9 @@ flow serve the gap, every O/D pair's swap choice and the step's slope at
 step 0, until a step moves the flow; the Newton step hands back the costs
 at the step it takes.  The solvers call the table without its x >= 0
 check, which every flow they form passes by construction (see
-``_descend``).
+``_descend``).  A descent's start flow, every report and a batch's final
+totals are priced by ``games._price`` (``incidence @ f``, then ``path_arcs @
+tau``, one column per row); the lockstep loop keeps its whole-batch products.
 
 Many games on one structure, such as the samples of a sweep, can be solved
 in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
@@ -61,10 +63,9 @@ from .games import (
     _check_routed,
     _checked_total,
     _dot,
-    arc_flows,
+    _price,
     check_feasible,
     path_cost_vector,
-    total_cost,
 )
 
 __all__ = [
@@ -227,9 +228,7 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     # Newton stops when a pair's cost difference is 0.1 tol over its demand and |K|
     stop_per_mass = 0.1 * tol / len(demands)
     f = _initial_flow(game, start)
-    arc_f = inc @ f
-    tau = arc_eval(arc_f)  # kept until a move changes arc_f
-    path_costs = rows @ tau
+    arc_f, tau, path_costs = _price(st, arc_eval, f)  # tau is kept until a move changes arc_f
     it = 0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)
@@ -425,9 +424,8 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     values = by_row("values")
     costs = []
     for f in flows:  # priced as _report prices a flow, on the rows where both solves converged
-        arc_f = f @ st.path_arcs
-        tau = values(arc_f)
-        costs.append(_checked_total(arc_f[done], tau[done], f[done], (tau @ st.incidence)[done]))
+        arc_f, tau, pc = _price(st, values, f)
+        costs.append(_checked_total(f[done], arc_f[done], tau[done], pc[done]))
     for i, we_cost, so_cost in zip(np.array(batch)[done], *costs):
         out[i] = _checked_poa(games[i], float(we_cost / so_cost), tols[i])
     return out
@@ -436,12 +434,11 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
 def _report(game: Game, f: np.ndarray, gap: float, iters: int,
             conv: bool, certified: bool) -> SolveReport:
     flow = PathFlow(f)
-    arc_f = arc_flows(game, flow)
-    tau = game.arc_cost_values(arc_f)
-    pc = game.structure.incidence.T @ tau
+    check_feasible(game, flow)
+    arc_f, tau, pc = _price(game.structure, game.arc_cost_values, flow.values)
     return SolveReport(
         flow=flow,
-        total_cost=_checked_total(arc_f, tau, flow.values, pc),
+        total_cost=_checked_total(flow.values, arc_f, tau, pc),
         user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
         duality_gap=gap,
         iterations=iters,
@@ -513,7 +510,6 @@ def _so_certified(game: Game) -> bool:
 
 def approximation_threshold(game: Game, flow: PathFlow) -> float:
     """Smallest eps for which the flow is an eps-approximate equilibrium."""
-    check_feasible(game, flow)
     return _flow_gap(game.structure, path_cost_vector(game, flow), flow.values)
 
 
@@ -524,22 +520,26 @@ def potential(game: Game, flow: PathFlow) -> float:
     return float(sum(c.antiderivative(x) for c, x in zip(game.costs, arc_f)))
 
 
-def poa_upper_bound(game: Game) -> float:
-    """Finite a priori PoA bound |A| |S| max tau(T) / min tau(T/|S|)."""
+def _cost_range(game: Game) -> tuple[float, float]:
+    """(min tau_a(T/|S|), max tau_a(T)) over the arcs, for the two a priori bounds."""
     T = game.total_demand
     n_s = game.structure.n_paths
-    hi = max(float(c(T)) for c in game.costs)
-    lo = min(float(c(T / n_s)) for c in game.costs)
-    return len(game.structure.arcs) * n_s * hi / lo
+    return min(float(c(T / n_s)) for c in game.costs), max(float(c(T)) for c in game.costs)
+
+
+def poa_upper_bound(game: Game) -> float:
+    """Finite a priori PoA bound |A| |S| max tau(T) / min tau(T/|S|)."""
+    lo, hi = _cost_range(game)
+    return len(game.structure.arcs) * game.structure.n_paths * hi / lo
 
 
 def total_cost_sandwich(game: Game, so_cost: float, we_cost: float,
                     slack: float = 1e-9) -> tuple[bool, float, float]:
     """Sandwich 0 < (T/|S|) min tau(T/|S|) <= C* <= WE cost <= |A| T max tau(T)."""
     T = game.total_demand
-    n_s = game.structure.n_paths
-    lower = (T / n_s) * min(float(c(T / n_s)) for c in game.costs)
-    upper = len(game.structure.arcs) * T * max(float(c(T)) for c in game.costs)
+    lo, hi = _cost_range(game)
+    lower = (T / game.structure.n_paths) * lo
+    upper = len(game.structure.arcs) * T * hi
     ok = (0.0 < lower <= so_cost + slack
           and so_cost <= we_cost + slack
           and we_cost <= upper + slack)
@@ -605,29 +605,21 @@ def check_approximation_bounds(game: Game, f: PathFlow, f_we: PathFlow, eps: flo
                  lipschitz: float, slack: float = 1e-9) -> ApproximationBoundsReport:
     """Verify the eps-approximate equilibrium inequalities against a solved WE."""
     st = game.structure
-    inc = st.incidence
-    pc_f = path_cost_vector(game, f)
-    arc_f = inc @ f.values
-    arc_we = inc @ f_we.values
-    tau_f = game.arc_cost_values(arc_f)
-    tau_we = game.arc_cost_values(arc_we)
+    mid = potential(game, f) - potential(game, f_we)  # also checks both flows are feasible
+    arc_f, tau_f, pc_f = _price(st, game.arc_cost_values, f.values)
+    arc_we, tau_we, pc_we = _price(st, game.arc_cost_values, f_we.values)
     T = game.total_demand
     n_arcs = len(st.arcs)
 
-    per_od = True
-    cost_bounds = True
-    c_f = total_cost(game, f)
-    user_sum = 0.0
-    for k, (lo, hi) in enumerate(st.path_slices):
-        seg = pc_f[lo:hi]
-        l_k = float(np.min(seg))
-        gap_k = float(seg @ f.values[lo:hi]) - float(game.demands[k]) * l_k
-        per_od &= (-slack <= gap_k < eps + slack)
-        user_sum += float(game.demands[k]) * l_k
+    c_f = _checked_total(f.values, arc_f, tau_f, pc_f)
+    # per-pair gaps: sums of the non-negative terms _flow_gap sums, so each is >= 0
+    least_f = np.minimum.reduceat(pc_f, st.pair_starts)
+    gaps = np.add.reduceat(f.values * (pc_f - least_f[st.path_owner]), st.pair_starts)
+    per_od = bool(np.all(gaps < eps + slack))
+    user_sum = float(game.demands @ least_f)
     cost_bounds = (user_sum - slack <= c_f <= user_sum + eps + slack)
 
     lhs = float(tau_we @ (arc_f - arc_we))
-    mid = potential(game, f) - potential(game, f_we)
     rhs = float(tau_f @ (arc_f - arc_we))
     chain = (-slack <= lhs <= mid + slack <= rhs + 2 * slack) and rhs < eps + slack
     cross = float(np.abs(tau_f - tau_we) @ np.abs(arc_f - arc_we))
@@ -635,13 +627,9 @@ def check_approximation_bounds(game: Game, f: PathFlow, f_we: PathFlow, eps: flo
 
     bound_c = float(np.sqrt(lipschitz * eps))
     arc_ok = bool(np.all(np.abs(tau_f - tau_we) < bound_c + slack))
-    pc_we = inc.T @ tau_we
-    user_ok = True
-    for lo, hi in st.path_slices:
-        l_we = float(np.min(pc_we[lo:hi]))
-        l_f = float(np.min(pc_f[lo:hi]))
-        user_ok &= abs(l_we - l_f) <= n_arcs * bound_c + slack
-    c_diff = abs(c_f - total_cost(game, f_we))
+    least_we = np.minimum.reduceat(pc_we, st.pair_starts)
+    user_ok = bool(np.all(np.abs(least_we - least_f) <= n_arcs * bound_c + slack))
+    c_diff = abs(c_f - _checked_total(f_we.values, arc_we, tau_we, pc_we))
     c_bound = n_arcs * bound_c * T + eps
     return ApproximationBoundsReport(
         per_od_gap_ok=per_od,

@@ -21,7 +21,7 @@ from poalab import (
     certificate_exponent_one,
     truncate_extend,
 )
-from poalab.costs import FAMILIES
+from poalab.costs import FAMILIES, MarginalCost
 from poalab.io import InputError, cost_from_dict, cost_to_dict
 
 KINKED = PiecewiseLinear((0.0, 0.5, 2.0), (0.2, 0.4, 2.0))
@@ -38,6 +38,44 @@ EVERY_FAMILY = (
     TangentCost(Polynomial((0.2, 1.0, 1.0)), 1.25),
     ScaledCost(TangentCost(TruncatedCost(KINKED, 1.5), 1.0), 0.5),
 )
+
+
+# a float, an int, a numpy scalar and a 0-d array; 0.75 is TruncatedCost's anchor
+SCALARS = (0.75, 2, np.float64(1.3), np.array(0.4))
+
+
+def _methods(cost):
+    if isinstance(cost, MarginalCost):
+        return {"call": cost}
+    return {"call": cost, "derivative": cost.derivative, "antiderivative": cost.antiderivative}
+
+
+@pytest.mark.parametrize(
+    "cost", EVERY_FAMILY + tuple(MarginalCost(c) for c in EVERY_FAMILY),
+    ids=lambda c: f"marginal-{type(c.cost).__name__}" if isinstance(c, MarginalCost)
+    else type(c).__name__)
+def test_scalar_and_array_rule(cost):
+    """A scalar gives a Python float with the bits of the 1-element array call;
+    an array gives an array of its shape."""
+    for name, method in _methods(cost).items():
+        for x in SCALARS:
+            value = method(x)
+            assert type(value) is float, (name, x)
+            assert np.float64(value).tobytes() == method(np.array([x]))[0].tobytes(), (name, x)
+        for xs in (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 6).reshape(2, 3)):
+            out = method(xs)
+            assert isinstance(out, np.ndarray) and out.shape == xs.shape, name
+
+
+def test_polynomial_lipschitz_bound_has_the_derivative_bits():
+    """lipschitz_on evaluates the derivative on floats, apart from derivative()."""
+    rng = np.random.default_rng(7)
+    costs = [Constant(1.5), Affine(0.5, 0.25)] + [
+        Polynomial(tuple(rng.uniform(0.0, 3.0, n))) for n in range(1, 7) for _ in range(5)]
+    for cost in costs:
+        for hi in (0.0, *rng.uniform(0.0, 10.0, 20)):
+            assert cost.lipschitz_on(hi) == cost.derivative(hi), (cost, hi)
+        assert cost.deriv_min_on(2.0) == cost.derivative(0.0)
 
 
 class TestKinks:

@@ -1,5 +1,7 @@
 """Structure validation, flows, total cost, and game equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from poalab import (
     solve_we,
     total_cost,
 )
-from poalab.games import InfeasibleFlowError
+from poalab.games import InfeasibleFlowError, _price
 
 from conftest import random_game
 
@@ -175,3 +177,20 @@ class TestCostSandwich:
             so = solve_so(g, tol=1e-10)
             ok, lower, upper = total_cost_sandwich(g, so.total_cost, we.total_cost)
             assert ok, (lower, so.total_cost, we.total_cost, upper)
+
+
+def test_price_gives_each_row_the_bits_of_that_row_alone():
+    # twenty four-arc paths over twelve arcs: on small structures every
+    # product order gives the same bits, and the test would show nothing
+    paths = list(itertools.combinations("abcdefghijkl", 4))[:20]
+    st = Structure(tuple("abcdefghijkl"), ("k1", "k2"), (tuple(paths[0::2]), tuple(paths[1::2])))
+    rng = np.random.default_rng(4)
+    f = rng.exponential(size=(64, st.n_paths)) * 10.0 ** rng.uniform(-3, 3, (64, st.n_paths))
+
+    def evaluate(x):
+        return 0.3 + x * x
+
+    batch = _price(st, evaluate, f)
+    for b, row in enumerate(f):
+        for got, want in zip(batch, _price(st, evaluate, row)):
+            assert got[b].tobytes() == want.tobytes()
