@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -809,19 +810,34 @@ def interval_bound(cost: CostFunction, lo: float, hi: float) -> IntervalBound:
     return IntervalBound(lo, hi, cost.lipschitz_on(hi), cost.deriv_min_on(hi))
 
 
-def _poly_sup(coeffs: np.ndarray, hi: float) -> float:
-    """Exact max of |p(x)| on [0, hi] for polynomials of degree <= 3."""
-    coeffs = np.trim_zeros(coeffs, "b")
-    if coeffs.size == 0:
-        return 0.0
-    candidates = [0.0, hi]
-    if coeffs.size > 1:
-        dc = coeffs[1:] * np.arange(1, coeffs.size)
-        roots = np.roots(dc[::-1]) if dc.size > 1 else np.array([])
-        for r in roots:
-            if abs(r.imag) < 1e-12 and 0.0 < r.real < hi:
-                candidates.append(float(r.real))
-    return float(max(abs(np.polyval(coeffs[::-1], c)) for c in candidates))
+def _poly_sup(d: list[float], hi: float) -> float:
+    """Exact max of |p| on [0, hi] for p(x) = sum(d[k] x**k), d trimmed, of degree <= 3.
+
+    p is made to lead with a positive coefficient (exact, and |p| = |-p|), so a
+    pair gives the same bits in either order.  Its interior critical points are
+    the root of a linear p' or, by the sign-stable quadratic formula, q/a and c/q
+    with q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 and sgn(-0.0) = +1, so a signed
+    zero cannot flip the branch; a double root of p' is no extremum of |p|.
+    Horner's rule evaluates |p| in np.polyval's order.
+    """
+    if d[-1] < 0.0:
+        d = [-c for c in d]
+    roots = ()
+    if len(d) == 3:
+        roots = (-d[1] / (2.0 * d[2]),)
+    elif len(d) == 4:
+        a, b, c = 3.0 * d[3], 2.0 * d[2], d[1]
+        disc = b * b - 4.0 * a * c
+        if disc > 0.0:
+            q = -0.5 * (b + math.sqrt(disc)) if b >= 0.0 else -0.5 * (b - math.sqrt(disc))
+            roots = (q / a, c / q)
+    best = 0.0
+    for x in (0.0, hi, *(r for r in roots if 0.0 < r < hi)):
+        y = d[-1]
+        for coef in d[-2::-1]:
+            y = y * x + coef
+        best = max(best, abs(y))
+    return best
 
 
 def sup_distance(f: CostFunction, g: CostFunction, hi: float,
@@ -831,27 +847,24 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
     Returns (estimate, error_bound) so that the true sup lies in
     [estimate, estimate + error_bound].  Exact (error 0) when the difference
     has closed-form extrema: polynomial differences of degree <= 3, piecewise
-    linear pairs, and same-shape BPR / MonomialLog pairs.
+    linear pairs, and same-shape BPR / MonomialLog pairs.  The result does not
+    depend on the order of f and g, bit for bit: every branch takes |f - g|
+    or a commutative sum, and the polynomial one fixes the sign of f - g.
     """
     if hi < 0:
         raise ValueError("hi must be >= 0")
     if f == g:
         return 0.0, 0.0
-    if repr(g) < repr(f):
-        f, g = g, f  # canonical order: |f-g| is symmetric, but the critical
-        # points of the difference polynomial are found by an eigensolver
-        # whose roots can differ in the last ulp under sign flips
     if hi == 0:
         return float(abs(f(0.0) - g(0.0))), 0.0
 
     pf, pg = f.as_polynomial(), g.as_polynomial()
     if pf is not None and pg is not None:
-        n = max(len(pf), len(pg))
-        diff = np.zeros(n)
-        diff[: len(pf)] += pf
-        diff[: len(pg)] -= pg
-        if np.trim_zeros(diff, "b").size <= 4:
-            return _poly_sup(diff, hi), 0.0
+        d = [a - b for a, b in zip_longest(pf.tolist(), pg.tolist(), fillvalue=0.0)]
+        while len(d) > 1 and d[-1] == 0.0:
+            d.pop()
+        if len(d) <= 4:
+            return _poly_sup(d, hi), 0.0
 
     if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
         knots = np.unique(np.concatenate([

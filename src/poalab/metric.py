@@ -60,7 +60,7 @@ def dist(g1: Game, g2: Game, grid_n: int = DEFAULT_GRID) -> MetricValue:
         est, err = sup_distance(c1, c2, tmin, grid_n)
         sup_est = max(sup_est, est)
         sup_hi = max(sup_hi, est + err)
-    endpoint = max(abs(float(c1(t1)) - float(c2(t2)))
+    endpoint = max(abs(c1(t1) - c2(t2))
                    for c1, c2 in zip(g1.costs, g2.costs))
     cost_part = max(sup_est, endpoint)
     cost_hi = max(sup_hi, endpoint)

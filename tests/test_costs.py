@@ -33,6 +33,55 @@ FAMILY_STRATEGIES = st.one_of(
 )
 
 
+PWL_STRATEGY = st.integers(1, 3).flatmap(lambda n: st.builds(
+    lambda steps, rises, base: PiecewiseLinear(tuple(np.cumsum([0.0, *steps]).tolist()),
+                                               tuple((base + np.cumsum([0.0, *rises])).tolist())),
+    st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n),
+    st.floats(0.0, 1.0)))
+
+# pairs that reach every branch of sup_distance: polynomial differences, the
+# grid, piecewise-linear pairs, same-shape MonomialLog and same-beta BPR
+SUP_PAIRS = st.one_of(
+    st.tuples(FAMILY_STRATEGIES, FAMILY_STRATEGIES),
+    st.tuples(PWL_STRATEGY, PWL_STRATEGY),
+    st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.sampled_from([1.0, 2.0]),
+              st.sampled_from([0.5, 1.0, 2.0])).map(
+        lambda t: (MonomialLog(t[0], t[2], t[3]), MonomialLog(t[1], t[2], t[3]))),
+    st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+              st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(
+        lambda t: (BPR(t[0], t[2], t[3]), BPR(t[1], t[2], t[4]))),
+)
+
+
+def _eigen_poly_sup(coeffs, hi):
+    """Oracle apart from the closed form: the exact sup of |p| on [0, hi] by np.roots."""
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if coeffs.size == 0:
+        return 0.0
+    candidates = [0.0, hi]
+    if coeffs.size > 2:
+        dc = coeffs[1:] * np.arange(1, coeffs.size)
+        for r in np.roots(dc[::-1]):
+            if abs(r.imag) < 1e-12 and 0.0 < r.real < hi:
+                candidates.append(float(r.real))
+    return float(max(abs(np.polyval(coeffs[::-1], c)) for c in candidates))
+
+
+def _random_polynomial_cost(rng):
+    kind = rng.integers(0, 5)
+    coef = lambda: float(rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 1e-3)]))
+    if kind == 0:
+        return Constant(coef() + 0.1)
+    if kind == 1:
+        return Affine(coef(), coef())
+    if kind == 2:
+        return Polynomial(tuple(coef() for _ in range(rng.integers(1, 5))))
+    if kind == 3:
+        return BPR(coef() + 0.01, float(rng.integers(1, 4)), coef())
+    return ScaledCost(Polynomial(tuple(coef() for _ in range(3))), float(rng.uniform(0.5, 2.0)))
+
+
 class TestEval:
     def test_bpr_linear(self):
         assert BPR(1.0, 1.0, 0.0)(0.7) == pytest.approx(0.7)
@@ -184,6 +233,75 @@ class TestSupDistance:
         assert err == 0.0
         assert est == pytest.approx(oracle, abs=1e-9)
         assert est == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("f, g, hi, sup", [
+        # x^3 - 3x: the critical point x = 1 gives 2, as does the endpoint 2 ...
+        (Polynomial((0.0, 0.0, 0.0, 1.0)), Affine(3.0, 0.0), 2.0, 2.0),
+        # ... and only the critical point on [0, 1.5]
+        (Polynomial((0.0, 0.0, 0.0, 1.0)), Affine(3.0, 0.0), 1.5, 2.0),
+        # x (x - 1) (x - 2): two interior critical points, 1 -+ 1/sqrt(3)
+        (Polynomial((0.0, 2.0, 0.0, 1.0)), Polynomial((0.0, 0.0, 3.0)), 2.0,
+         2.0 * math.sqrt(3.0) / 9.0),
+        # (x - 1)^3: p' has a double root (discriminant 0), the sup is at the ends
+        (Polynomial((0.0, 3.0, 0.0, 1.0)), Polynomial((1.0, 0.0, 3.0)), 2.0, 1.0),
+        # x^3 + x - 1: p' = 3x^2 + 1 has no real root
+        (Polynomial((0.0, 1.0, 0.0, 1.0)), Constant(1.0), 2.0, 9.0),
+        # critical points outside [0, hi]: x^2 - x at 0.5, x^3 - 3x at 1
+        (Polynomial((0.0, 0.0, 1.0)), Affine(1.0, 0.0), 0.4, 0.24),
+        (Polynomial((0.0, 0.0, 0.0, 1.0)), Affine(3.0, 0.0), 0.5, 1.375),
+        # constant and linear differences
+        (Constant(2.0), Constant(0.5), 3.0, 1.5),
+        (Affine(2.0, 1.0), Affine(0.5, 0.0), 3.0, 5.5),
+        (Affine(1.0, 0.0), Constant(1.0), 3.0, 2.0),
+    ])
+    def test_closed_form_oracles(self, f, g, hi, sup):
+        for pair in ((f, g), (g, f)):
+            est, err = sup_distance(*pair, hi)
+            assert err == 0.0
+            assert est == pytest.approx(sup, rel=1e-14, abs=1e-15)
+
+    def test_closed_form_against_dense_grid(self):
+        rng = np.random.default_rng(8)
+        xs = np.linspace(0.0, 1.0, 1_000_001)
+        for _ in range(40):
+            degree = rng.integers(0, 4)
+            f = Polynomial(tuple(rng.uniform(0.0, 2.0, degree + 1)))
+            g = Polynomial(tuple(rng.uniform(0.0, 2.0, rng.integers(1, degree + 2))))
+            hi = float(rng.uniform(0.1, 3.0))
+            est, err = sup_distance(f, g, hi)
+            grid = float(np.max(np.abs(f(hi * xs) - g(hi * xs))))
+            assert err == 0.0
+            assert est == pytest.approx(grid, rel=1e-9)
+
+    def test_closed_form_matches_the_eigensolver(self):
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            f, g = _random_polynomial_cost(rng), _random_polynomial_cost(rng)
+            pf, pg = f.as_polynomial(), g.as_polynomial()  # degree <= 3 each
+            diff = np.zeros(max(len(pf), len(pg)))
+            diff[: len(pf)] += pf
+            diff[: len(pg)] -= pg
+            hi = float(rng.choice([rng.uniform(0.0, 3.0), rng.uniform(0.0, 50.0)]))
+            est, err = sup_distance(f, g, hi)
+            oracle = _eigen_poly_sup(diff, hi)
+            assert err == 0.0
+            assert abs(est - oracle) <= 4 * math.ulp(oracle), (f, g, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=SUP_PAIRS, hi=st.floats(0.0, 5.0))
+    def test_symmetric_bit_for_bit(self, pair, hi):
+        f, g = pair
+        forward, backward = sup_distance(f, g, hi), sup_distance(g, f, hi)
+        assert [x.hex() for x in forward] == [x.hex() for x in backward]
+
+    def test_signed_zero_keeps_symmetry(self):
+        # the x^2 coefficient of the difference is 0.0 one way and -0.0 the
+        # other; a branch on its sign bit would move the critical points
+        f = BPR(0.58353196034748, 3.0, 0.19757814003424745)
+        g = Affine(1.7019986527092623, 0.2724405301402192)
+        hi = 1.5631362944764402
+        forward, backward = sup_distance(f, g, hi), sup_distance(g, f, hi)
+        assert [x.hex() for x in forward] == [x.hex() for x in backward]
 
     def test_grid_path_certifies(self):
         f, g = MonomialLog(1.0, 1.0, 1.0), BPR(0.8, 1.0, 0.1)
