@@ -201,11 +201,6 @@ class SweepRecord:
     solve_tol: float
     shrunk: bool = False
 
-    @property
-    def slice_name(self) -> str:
-        """Subspace name by the quantity held fixed (kind names the varied one)."""
-        return {"demand": "cost-slice", "cost": "demand-slice"}.get(self.kind, "joint")
-
 
 def _sweep_tol(radius: float) -> float:
     # keep solver error well below the PoA changes being measured
@@ -226,9 +221,10 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     tol_base = min(_sweep_tol(r) for r in radii)
     base_poa, base_we, base_so = _solve_poa(base, tol_base, max_iter)
     c_star = base_so.total_cost
-    cert_demand = _demand_slice(base, lambda: (base_poa, c_star))
-    cert_cost = _cost_slice(base, lambda: (base_poa, c_star))
-    cert_one = _exponent_one(base, lambda: (base_poa, c_star))
+    # the certificate of the subspace a kind samples: demands fixed for
+    # "cost", costs fixed for "demand"
+    certificate = {"cost": _demand_slice, "demand": _cost_slice}.get(kind, _exponent_one)
+    cert = certificate(base, lambda: (base_poa, c_star))
     t_base = base.total_demand
 
     draws = []  # (seed, radius, tol, sample)
@@ -245,16 +241,10 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     records: list[SweepRecord] = []
     for (sample_seed, radius, tol, pert), pert_poa in zip(draws, poas):
         delta = abs(pert_poa - base_poa) if math.isfinite(pert_poa) else math.nan
-        cert = None
-        if kind == "cost":
-            cert = cert_demand  # demands fixed: demand-slice certificate
-        elif kind == "demand":
-            if pert.game.total_demand <= t_base:
-                cert = cert_cost  # costs fixed: cost-slice certificate
-        else:
-            cert = cert_one
         bound = None
-        if cert is not None and pert.realized.upper() <= cert.radius:
+        # the cost-slice certificate covers no demand above the base's
+        covered = kind != "demand" or pert.game.total_demand <= t_base
+        if cert is not None and covered and pert.realized.upper() <= cert.radius:
             bound = cert.bound(pert.realized.value)
         records.append(SweepRecord(
             seed=sample_seed, kind=kind, radius=radius, dist=pert.realized,

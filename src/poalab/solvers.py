@@ -12,14 +12,14 @@ expensive used path and its cheapest path, with the step length found where
 the directional derivative of the convex slice vanishes.  This converges
 far faster than 2/(i+2) averaging on desk-scale instances.
 
-The step length comes from a safeguarded Newton iteration on the slice (the
-path-based Newton step of Jayakrishnan et al., TRR 1443, 1994) whenever the
-game's cost table has closed-form derivatives: constant, affine, polynomial
-and BPR costs with beta = 0 or beta >= 1.  Every other game (MonomialLog,
-PiecewiseLinear, the wrapper costs, BPR with 0 < beta < 1) takes brentq on
-the directional derivative, with 2/(i+2) as its fallback, and so does the
-social optimum when its convexity is not certified, where each step is
-also checked against the total cost.
+Every swap takes its step length from one safeguarded path-based Newton
+iteration on the slice (Jayakrishnan et al., TRR 1443, 1994).  Its
+curvature is exact where the game's cost table has closed-form derivatives:
+constant, affine, polynomial and BPR costs with beta = 0 or beta >= 1.
+Every other game (MonomialLog, PiecewiseLinear, the wrapper costs, BPR with
+0 < beta < 1) takes a secant slope instead (Brent, Algorithms for
+Minimization without Derivatives, 1973).  Where the social optimum's
+convexity is not certified, each step is also checked against the total cost.
 
 Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
 through the game's compiled ``ArcCostTable``.  The arc costs at the current
@@ -36,7 +36,7 @@ in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
 (B, |A|) arrays, one ``ArcCostTable`` prices all B |A| arcs per call, and
 ``_descend_batch`` runs the same Gauss-Seidel pair loop and Newton step on
 every row at once, each row with its own tolerance, bracket and stopping
-rule.  A game whose cost table has no derivative kernels (the brentq
+rule.  A game whose cost table has no derivative kernels (the secant
 games) or whose social optimum is not certified convex is solved alone,
 as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call overhead
 on every step, for all rows together, so it only wins with enough rows:
@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .costs import MarginalCost
 from .games import (
@@ -143,42 +142,20 @@ def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray):
     return _dot(path_costs - least[..., st.path_owner], f)
 
 
-def _line_search(arc_eval, arc_f, h, tau, fallback):
-    """Step in [0, 1] for a convex 1-D slice: root of the directional derivative.
-
-    tau = arc_eval(arc_f) is the gradient at step 0; brentq's own calls at
-    the two ends of the bracket reuse the values computed here.
-    """
-    ends = {0.0: float(h @ tau)}
-
-    def dphi(alpha):
-        d = ends.get(alpha)
-        return float(h @ arc_eval(arc_f + alpha * h)) if d is None else d
-
-    ends[1.0] = dphi(1.0)
-    if ends[1.0] <= 0.0:
-        return 1.0
-    if ends[0.0] >= 0.0:
-        return 0.0
-    try:
-        return float(optimize.brentq(dphi, 0.0, 1.0, xtol=1e-16, rtol=8.9e-16, maxiter=200))
-    except (ValueError, RuntimeError):
-        return fallback
-
-
 _NEWTON_MAX_STEPS = 50
 
 
 def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
     """(alpha, arc_eval(arc_f + alpha h)) with alpha in [0, 1] where the slice's slope vanishes.
 
-    The slope is phi'(alpha) = h @ arc_eval(arc_f + alpha h) and the
-    curvature phi''(alpha) = (h * h) @ arc_slope(arc_f + alpha h); tau =
-    arc_eval(arc_f).  Newton steps, clipped to [0, 1], run until |phi'| <=
-    stop or alpha = 1 with phi' <= 0; at zero curvature with phi' < 0 the
-    step goes to 1.  A step that leaves the bracket [lo, hi] known to hold the
-    root (hi open until phi' > 0 is seen) is replaced by bisection, and the
-    loop ends when a step no longer moves alpha.
+    The slope is phi'(alpha) = h @ arc_eval(arc_f + alpha h), tau =
+    arc_eval(arc_f), and the curvature (h * h) @ arc_slope(arc_f + alpha h)
+    or, without arc_slope, the secant slope of phi' through the last two
+    trials (0 at the first, which therefore goes to 1).  Newton steps,
+    clipped to [0, 1], run until |phi'| <= stop or alpha = 1 with phi' <= 0;
+    at zero curvature with phi' < 0 the step goes to 1.  A step that leaves
+    the bracket [lo, hi] known to hold the root (hi open until phi' > 0 is
+    seen) is replaced by bisection, and the loop ends when alpha stops moving.
     """
     alpha, slope = 0.0, float(h @ tau)
     if slope >= 0.0:
@@ -186,6 +163,7 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
     hh = h * h
     lo, hi = 0.0, math.inf
     x = arc_f
+    last = None  # (alpha, phi') at the trial before, for the secant
     for _ in range(_NEWTON_MAX_STEPS):
         if abs(slope) <= stop or (alpha == 1.0 and slope <= 0.0):
             break
@@ -193,7 +171,11 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
             lo = alpha
         else:
             hi = alpha
-        curv = float(hh @ arc_slope(x))
+        if arc_slope is not None:
+            curv = float(hh @ arc_slope(x))
+        else:
+            curv = 0.0 if last is None else (slope - last[1]) / (alpha - last[0])
+            last = alpha, slope
         nxt = min(max(alpha - slope / curv, 0.0), 1.0) if curv > 0.0 else 1.0
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + min(hi, 1.0))
@@ -211,10 +193,10 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     """Shared FW loop; arc_eval maps arc flows to per-arc gradient values.
 
     arc_slope maps arc flows to the derivatives of arc_eval's values, or is
-    None; with it, each swap takes a Newton step, without it brentq.  When
-    `objective` is given (non-certified optimum search, which passes no
-    arc_slope) every step is validated against it, since the
-    directional-derivative root is only the minimizer of a convex slice.
+    None; every swap takes one _newton_step and keeps the costs it returns.
+    When `objective` is given (non-certified optimum search) every step is
+    validated against it, since the directional-derivative root is only the
+    minimizer of a convex slice.
     The loop exits early when no O/D pair has an improving swap left that
     changes a flow.  With discontinuous gradients (piecewise-linear
     marginals) the gap can stay positive at the optimum, and where tol lies
@@ -254,19 +236,17 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             # rounding is monotone, so fl(alpha mass) <= mass <= arc_f there (a
             # float sum of non-negative path flows is at least each of them).
             h = mass * (rows[dst] - rows[src])
-            moved_tau = None
-            if arc_slope is not None:
-                stop = stop_per_mass * mass / d_k
-                alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
-            else:
-                alpha = _line_search(arc_eval, arc_f, h, tau, fallback=2.0 / (it + 2.0))
+            stop = stop_per_mass * mass / d_k
+            alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
             if objective is not None and alpha > 0.0:
                 # nonconvex slice: accept the best of a few candidates, or nothing
                 cands = [a for a in (alpha, 1.0, 0.5, 2.0 / (it + 2.0)) if 0.0 < a <= 1.0]
                 base_val = objective(arc_f)
                 vals = [objective(arc_f + a * h) for a in cands]
                 best = int(np.argmin(vals))
-                alpha = cands[best] if vals[best] < base_val - 1e-15 else 0.0
+                chosen = cands[best] if vals[best] < base_val - 1e-15 else 0.0
+                if chosen != alpha:  # the step's costs are not those at the chosen flow
+                    alpha, moved_tau = chosen, None
             if alpha <= 0.0:
                 continue
             moved = alpha * mass
@@ -476,8 +456,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     certified = _so_certified(game)
     table = game.cost_table
     marginals, values = table._unchecked("marginals"), table._unchecked("values")
-    # Newton needs a convex slice; the multistart search takes brentq
-    slope = table._unchecked("marginal_derivs") if certified else None
+    slope = table._unchecked("marginal_derivs")
 
     def objective(arc_f):
         return float(arc_f @ values(arc_f))
@@ -494,7 +473,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
         for k, (lo, hi) in enumerate(st.path_slices):
             w = rng.dirichlet(np.ones(hi - lo))
             f0[lo:hi] = game.demands[k] * w
-        f, gap, iters, conv = _descend(game, marginals, None, tol, max_iter, f0,
+        f, gap, iters, conv = _descend(game, marginals, slope, tol, max_iter, f0,
                                        objective=objective)
         cand = _report(game, f, gap, iters, conv, certified)
         if cand.total_cost < best.total_cost:

@@ -1,7 +1,7 @@
 """The compiled arc-cost table against the per-object cost API, bit for bit.
 
-Also the derivative kernels, and the Newton step they feed against the brentq
-step that tables without them take.
+Also the derivative kernels, and the Newton step they feed against the
+secant step that tables without them take.
 """
 
 import numpy as np
@@ -162,13 +162,13 @@ GAME_COSTS = st.lists(st.one_of(
 ), min_size=4, max_size=4)
 
 
-class TestNewtonAgainstBrentq:
+class TestNewtonAgainstSecant:
     @settings(max_examples=60, deadline=None)
     @given(costs=GAME_COSTS, demands=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=2))
     def test_same_totals(self, shared_arc, costs, demands):
         tol = 1e-10
         game = unit_scale(Game(shared_arc, tuple(costs), np.array(demands)))
-        # ScaledCost(c, 1.0) is c evaluated per object, through brentq
+        # ScaledCost(c, 1.0) is c evaluated per object, through secant steps
         wrapped = game.with_costs(ScaledCost(c, 1.0) for c in game.costs)
         assert game.cost_table.derivs is not None and wrapped.cost_table.derivs is None
         for solve in (solve_we, solve_so):

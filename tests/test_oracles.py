@@ -2,15 +2,34 @@
 
 PoA <= 4/3 for affine costs (Roughgarden & Tardos, JACM 2002) and PoA <=
 alpha(p) for non-negative polynomials of degree <= p (Roughgarden, JCSS 2003),
-on any structure; and the WE and SO of the two-link and Braess games in
-closed form.
+on any structure; the WE and SO of the two-link and Braess games in closed
+form; and the same for two-link games whose cost tables have no derivative
+kernels, which take the secant step.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
-from poalab import BPR, Affine, Constant, Game, Polynomial, Structure, poa, solve_so, solve_we
+from poalab import (
+    BPR,
+    Affine,
+    Constant,
+    Game,
+    MonomialLog,
+    PiecewiseLinear,
+    Polynomial,
+    ScaledCost,
+    Structure,
+    poa,
+    solve_so,
+    solve_we,
+)
+from poalab.games import ArcCostTable
+from poalab.solvers import _newton_step
 
 from conftest import unit_scale
 
@@ -111,3 +130,59 @@ class TestClosedForms:
         y = min(max(d - 0.5 * (1.0 - c), 0.0), 0.5 * d)
         so_cost = 2.0 * (d - y) ** 2 + 2.0 * y + c * (d - 2.0 * y)
         assert_costs(game, we_cost, so_cost)
+
+
+def root_in_0_2(fn) -> float:
+    """The root of fn in [0, 2] by brentq, an oracle apart from the solvers' step."""
+    return optimize.brentq(fn, 0.0, 2.0, xtol=1e-15)
+
+
+LN2 = math.log(2.0)
+
+# (upper cost, lower cost, demand, upper WE flow, upper SO flow or None)
+NO_DERIVS = [
+    pytest.param(BPR(1.0, 0.5, 0.0), Constant(0.5), 1.0, 0.25, 1.0 / 9.0, id="sqrt"),
+    pytest.param(PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 3.0)), Constant(1.5), 2.0,
+                 1.25, None, id="piecewise-linear"),
+    # SO: where the marginal of the total cost, x^2 ln(x + 1) or x ln(x + 1), meets ln 2
+    pytest.param(MonomialLog(1.0, 1.0, 1.0), Constant(LN2), 2.0, 1.0,
+                 root_in_0_2(lambda x: 2.0 * x * math.log1p(x) + x * x / (x + 1.0) - LN2),
+                 id="monomial-log"),
+    pytest.param(MonomialLog(1.0, 0.0, 1.0), Constant(LN2), 2.0, 1.0,
+                 root_in_0_2(lambda x: math.log1p(x) + x / (x + 1.0) - LN2), id="log"),
+    pytest.param(ScaledCost(Affine(1.0, 0.0), 2.0), Constant(1.0), 1.0, 0.5, 0.25, id="scaled"),
+]
+
+
+class TestNoDerivativeKernels:
+    @pytest.mark.parametrize("upper, lower, d, x_we, x_so", NO_DERIVS)
+    def test_two_link(self, two_link, upper, lower, d, x_we, x_so):
+        game = Game(two_link, (upper, lower), np.array([d]))
+        assert game.cost_table.derivs is None
+        # each solution splits the demand with at least 1/9 on either link and
+        # cost slopes >= 1/2 nearby, so a gap of TOL moves the flow by < 1e-9
+        solves = [(solve_we, x_we)] + ([(solve_so, x_so)] if x_so is not None else [])
+        for solve, x in solves:
+            report = solve(game, tol=TOL)
+            assert report.converged and report.optimality_certified
+            assert report.flow.values[0] == pytest.approx(x, abs=1e-9)
+
+
+class TestSecantStep:
+    def test_affine_slope_stops_at_the_root(self):
+        # phi'(alpha) = 3 alpha - 2.25 on this slice: alpha = 1, then the secant
+        # through phi'(0) and phi'(1) lands on the root 0.75
+        table = ArcCostTable([ScaledCost(Affine(2.0, 0.5), 1.0), ScaledCost(Affine(1.0, 0.25), 1.0)])
+        assert table.derivs is None
+        values = table._unchecked("values")
+        calls = []
+
+        def arc_eval(x):
+            calls.append(x.copy())
+            return values(x)
+
+        arc_f, h = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
+        alpha, tau = _newton_step(arc_eval, None, arc_f, h, values(arc_f), 1e-12)
+        assert alpha == 0.75
+        assert len(calls) <= 2
+        assert tau.tobytes() == values(arc_f + alpha * h).tobytes()
