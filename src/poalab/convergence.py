@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import BPR, Constant
+from .costs import BPR, GRID_N, Constant
 from .games import Game
 from .metric import dist
 from .regression import loglog_fit
-from .solvers import _solve_poa, poa
+from .sensitivity import _base_quantities, _demand_slice
+from .solvers import poa
 from .transforms import cost_normalize, demand_normalize
 
 __all__ = [
@@ -151,17 +152,17 @@ def regular_variation_params(game: Game) -> tuple[float, float, np.ndarray]:
     return beta, alpha, coeffs
 
 
-def normalized_monomial_gap(game: Game, total: float, grid_n: int = 4097
-                            ) -> tuple[float, float]:
+def normalized_monomial_gap(game: Game, total: float) -> tuple[float, float]:
     """Sup gap on [0, 1] between rescaled costs and their limit monomials.
 
     Costs are rescaled by the reference arc's value at `total`; the reference
-    arc is the lexicographically-first arc.  Returns (estimate, error_bound).
+    arc is the lexicographically-first arc.  The gap is taken on GRID_N points.
+    Returns (estimate, error_bound).
     """
     beta, _alpha, coeffs = regular_variation_params(game)
     lam = coeffs / coeffs[0]
     tau_ref = float(game.costs[0](total))
-    xs = np.linspace(0.0, 1.0, grid_n)
+    xs = np.linspace(0.0, 1.0, GRID_N)
     est = 0.0
     lip = 0.0
     for cost, lam_a in zip(game.costs, lam):
@@ -170,7 +171,7 @@ def normalized_monomial_gap(game: Game, total: float, grid_n: int = 4097
         lip_a = total * cost.lipschitz_on(total) / tau_ref
         lip_mono = lam_a * beta if beta >= 1 else math.inf
         lip = max(lip, lip_a + lip_mono)
-    err = lip / (2.0 * (grid_n - 1))
+    err = lip / (2.0 * (GRID_N - 1))
     return est, float(err)
 
 
@@ -184,7 +185,7 @@ def monomial_log_gap_bound(game: Game, total: float) -> float:
 
 
 def converge_up(game: Game, schedule: DemandSchedule,
-                tol: float = 1e-12, grid_n: int = 4097) -> list[RatePoint]:
+                tol: float = 1e-12) -> list[RatePoint]:
     """PoA against its heavy-traffic certificate along growing totals.
 
     Each point solves the unit-demand, unit-scale rescaling of the scheduled
@@ -194,8 +195,6 @@ def converge_up(game: Game, schedule: DemandSchedule,
     """
     beta, alpha, coeffs = regular_variation_params(game)
     lam = coeffs / coeffs[0]
-    lam_max = float(np.max(lam))
-    n_a = len(game.structure.arcs)
 
     points = []
     for i, total in enumerate(schedule.totals):
@@ -205,7 +204,7 @@ def converge_up(game: Game, schedule: DemandSchedule,
         rho = poa(hat, tol=tol)
         gap = rho - 1.0
 
-        w_est, w_err = normalized_monomial_gap(scaled, t, grid_n)
+        w_est, w_err = normalized_monomial_gap(scaled, t)
         w_closed = monomial_log_gap_bound(scaled, t) if alpha > 0 else None
 
         bound = None
@@ -213,13 +212,10 @@ def converge_up(game: Game, schedule: DemandSchedule,
             monomial = Game(game.structure,
                             tuple(BPR(l, beta, 0.0) for l in lam),
                             hat.demands.copy())
-            rho_mono, _we, so = _solve_poa(monomial, tol=tol)
-            c_star = so.total_cost
+            cert = _demand_slice(monomial, lambda: _base_quantities(monomial, tol))
             w_hi = w_est + w_err
-            if w_hi <= c_star / (2.0 * n_a):
-                m_sigma = beta * lam_max
-                h = 2.0 * (rho_mono + math.sqrt(m_sigma * n_a) + 2.0) / c_star * n_a
-                bound = h * max(math.sqrt(w_hi), w_hi)
+            if w_hi <= cert.radius:
+                bound = cert.bound(w_hi)
         points.append(RatePoint(total, gap, bound,
                                 w=w_est, w_error=w_err, w_closed_form=w_closed))
     return points

@@ -63,6 +63,12 @@ __all__ = [
 
 _TINY = 1e-300
 
+GRID_N = 4097  # grid points of a sup distance without closed form: the metric's grid
+
+# grid points of the marginal's convexity probe, and the relative drop it allows
+_CONVEXITY_SAMPLES = 512
+_CONVEXITY_SLACK = 1e-12
+
 
 def _domain(x):
     """Common argument handling: costs are defined for x >= 0."""
@@ -576,9 +582,11 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
 
+    @functools.cached_property
     def _slopes(self):
+        """Slope of each segment, then 0 for the constant extension; computed once."""
         b, v = np.asarray(self.breakpoints), np.asarray(self.values)
-        return np.diff(v) / np.diff(b)  # empty for a single breakpoint
+        return np.concatenate([np.diff(v) / np.diff(b), [0.0]])
 
     @_pointwise
     def __call__(self, x):
@@ -586,10 +594,8 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     @_pointwise
     def derivative(self, x):
-        slopes = np.concatenate([self._slopes(), [0.0]])  # constant extension
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        idx = np.clip(idx, 0, len(slopes) - 1)
-        return slopes[idx]
+        return self._slopes[np.clip(idx, 0, len(self.breakpoints) - 1)]
 
     @_pointwise
     def antiderivative(self, x):
@@ -602,11 +608,11 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
         return seg[idx] + mid * dx
 
     def lipschitz_on(self, hi):
-        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes()) if b < hi]
+        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes) if b < hi]
         return float(max(cover)) if cover else 0.0
 
     def deriv_min_on(self, hi):
-        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes()) if b < hi]
+        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes) if b < hi]
         if hi > self.breakpoints[-1]:
             cover.append(0.0)
         return float(min(cover)) if cover else 0.0
@@ -755,14 +761,13 @@ class MarginalCost:
     def __call__(self, x):
         return _marginal(x, self.cost(x), self.cost.derivative(x))
 
-    def is_nondecreasing_on(self, hi: float, samples: int = 512, slack: float = 1e-12) -> bool:
+    def is_nondecreasing_on(self, hi: float) -> bool:
         """Convexity probe for x * f(x): samples the marginal on [0, hi]."""
         if self.cost.has_nondecreasing_marginal():
             return True
-        xs = np.linspace(0.0, hi, samples)
-        vals = self(xs)
-        return bool(np.all(np.diff(vals) >= -slack * max(1.0, float(np.max(np.abs(vals)))))) \
-            if samples > 1 else True
+        vals = self(np.linspace(0.0, hi, _CONVEXITY_SAMPLES))
+        floor = -_CONVEXITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
+        return bool(np.all(np.diff(vals) >= floor))
 
 
 class CallKernel:
@@ -841,7 +846,7 @@ def _poly_sup(d: list[float], hi: float) -> float:
 
 
 def sup_distance(f: CostFunction, g: CostFunction, hi: float,
-                 grid_n: int = 4097) -> tuple[float, float]:
+                 grid_n: int = GRID_N) -> tuple[float, float]:
     """Max of |f - g| on [0, hi] with a certified error bound.
 
     Returns (estimate, error_bound) so that the true sup lies in

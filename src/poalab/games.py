@@ -39,6 +39,10 @@ FEASIBILITY_ATOL = 1e-9
 
 TOTAL_COST_RTOL = 1e-9
 
+# equivalent games' costs agree within EQUIVALENCE_TOL on _EQUIVALENCE_SAMPLES points
+EQUIVALENCE_TOL = 1e-12
+_EQUIVALENCE_SAMPLES = 257
+
 
 class GameValidationError(ValueError):
     """Structure or game invariant violated; carries a machine-readable code."""
@@ -279,22 +283,21 @@ class PathFlow:
         return self.values.shape[0]
 
 
-def check_feasible(game: Game, flow: PathFlow, atol: float = FEASIBILITY_ATOL) -> None:
+def check_feasible(game: Game, flow: PathFlow) -> None:
     st = game.structure
     if len(flow) != st.n_paths:
         raise InfeasibleFlowError(
             f"flow has {len(flow)} entries, structure has {st.n_paths} paths")
-    _check_routed(st, game.demands, flow.values, atol)
+    _check_routed(st, game.demands, flow.values)
 
 
-def _check_routed(st: Structure, demands: np.ndarray, f: np.ndarray,
-                  atol: float = FEASIBILITY_ATOL) -> None:
-    """Raise InfeasibleFlowError unless every O/D pair routes its demand within atol.
+def _check_routed(st: Structure, demands: np.ndarray, f: np.ndarray) -> None:
+    """Raise InfeasibleFlowError unless every O/D pair routes its demand within FEASIBILITY_ATOL.
 
     f and demands may carry a leading batch axis, one game per row.
     """
     routed = np.add.reduceat(f, st.pair_starts, axis=-1)
-    off = np.abs(routed - demands) > atol
+    off = np.abs(routed - demands) > FEASIBILITY_ATOL
     if off.any():
         at = tuple(np.argwhere(np.atleast_1d(off))[0])
         got, want = np.atleast_1d(routed)[at], np.atleast_1d(demands)[at]
@@ -361,21 +364,21 @@ def _checked_total(f, arc_f, tau, path_costs):
     return by_arc
 
 
-def games_equivalent(g1: Game, g2: Game, samples: int = 257, tol: float = 1e-12) -> bool:
-    """Same demands and cost functions agreeing on [0, T(d)].
+def games_equivalent(g1: Game, g2: Game) -> bool:
+    """Same demands and cost functions agreeing on [0, T(d)] within EQUIVALENCE_TOL.
 
     Identical parametric forms are detected analytically; otherwise the costs
-    are compared on a grid of `samples` points.
+    are compared on a grid of _EQUIVALENCE_SAMPLES points.
     """
     if g1.structure != g2.structure:
         raise StructureMismatchError("games have different structures")
     if not np.array_equal(g1.demands, g2.demands):
         return False
     hi = g1.total_demand
-    xs = np.linspace(0.0, hi, samples)
+    xs = np.linspace(0.0, hi, _EQUIVALENCE_SAMPLES)
     for c1, c2 in zip(g1.costs, g2.costs):
         if c1 == c2:
             continue
-        if np.max(np.abs(c1(xs) - c2(xs))) > tol:
+        if np.max(np.abs(c1(xs) - c2(xs))) > EQUIVALENCE_TOL:
             return False
     return True

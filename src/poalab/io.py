@@ -21,8 +21,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .convergence import RatePoint
 from .costs import FAMILIES, CostFunction
 from .games import Game, GameValidationError, Structure
+from .metric import MetricValue
+from .sensitivity import SweepRecord
 
 __all__ = [
     "InputError",
@@ -34,7 +37,6 @@ __all__ = [
     "save_game",
     "write_sweep_csv",
     "read_sweep_csv",
-    "CsvSweepRow",
     "write_rate_csv",
     "read_rate_csv",
     "RunManifest",
@@ -172,44 +174,24 @@ def write_sweep_csv(records, path) -> None:
             ])
 
 
-@dataclass(frozen=True)
-class CsvSweepRow:
-    """Sweep record as round-tripped through CSV (metric flattened).
-
-    The CSV has no solve tolerance column, so ``solve_tol`` is 0.
-    """
-
-    seed: int
-    kind: str
-    dist: "_FlatDist"
-    base_poa: float
-    pert_poa: float
-    delta: float
-    certificate_bound: float | None
-    solve_tol: float = 0.0
-
-
-@dataclass(frozen=True)
-class _FlatDist:
-    value: float
-    error_bound: float
-
-
-def read_sweep_csv(path) -> list[CsvSweepRow]:
+def read_sweep_csv(path) -> list[SweepRecord]:
+    """Sweep records of a sweep CSV, which has no radius, dist parts (NaN) or solve_tol (0)."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or tuple(reader.fieldnames) != SWEEP_COLUMNS:
             raise InputError("schema", f"{path}: expected columns {SWEEP_COLUMNS}")
         for row in reader:
-            out.append(CsvSweepRow(
+            out.append(SweepRecord(
                 seed=int(row["seed"]),
                 kind=row["kind"],
-                dist=_FlatDist(float(row["dist"]), float(row["dist_err"])),
+                radius=math.nan,
+                dist=MetricValue(float(row["dist"]), math.nan, math.nan, float(row["dist_err"])),
                 base_poa=float(row["base_poa"]),
                 pert_poa=float(row["pert_poa"]) if row["pert_poa"] else math.nan,
                 delta=float(row["delta"]) if row["delta"] else math.nan,
                 certificate_bound=float(row["cert_bound"]) if row["cert_bound"] else None,
+                solve_tol=0.0,
             ))
     return out
 
@@ -225,9 +207,7 @@ def write_rate_csv(points, path) -> None:
             writer.writerow([_fmt(p.total_demand), _fmt(p.poa_minus_one), _fmt(p.bound)])
 
 
-def read_rate_csv(path):
-    from .convergence import RatePoint
-
+def read_rate_csv(path) -> list[RatePoint]:
     out = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)

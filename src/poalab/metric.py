@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import sup_distance
-from .games import Game, GameValidationError, StructureMismatchError, games_equivalent
+from .costs import GRID_N, sup_distance
+from .games import (
+    EQUIVALENCE_TOL,
+    Game,
+    GameValidationError,
+    StructureMismatchError,
+    games_equivalent,
+)
 
 __all__ = [
     "MetricValue",
@@ -28,8 +34,6 @@ __all__ = [
     "Perturbation",
     "sample_ball",
 ]
-
-DEFAULT_GRID = 4097
 
 MIN_TOTAL_DEMAND = 1e-6
 
@@ -47,7 +51,7 @@ class MetricValue:
         return self.value + self.error_bound
 
 
-def dist(g1: Game, g2: Game, grid_n: int = DEFAULT_GRID) -> MetricValue:
+def dist(g1: Game, g2: Game, grid_n: int = GRID_N) -> MetricValue:
     """Metric distance between two games on the same structure."""
     if g1.structure != g2.structure:
         raise StructureMismatchError("games have different structures")
@@ -73,7 +77,7 @@ def dist(g1: Game, g2: Game, grid_n: int = DEFAULT_GRID) -> MetricValue:
     )
 
 
-def naive_max_interval_dist(g1: Game, g2: Game, grid_n: int = DEFAULT_GRID) -> float:
+def naive_max_interval_dist(g1: Game, g2: Game) -> float:
     """Cost comparison on [0, max(T, T')] instead of the shared interval.
 
     Kept only as a negative example: this operator is inconsistent with game
@@ -83,7 +87,7 @@ def naive_max_interval_dist(g1: Game, g2: Game, grid_n: int = DEFAULT_GRID) -> f
         raise StructureMismatchError("games have different structures")
     demand_part = float(np.max(np.abs(g1.demands - g2.demands)))
     tmax = max(g1.total_demand, g2.total_demand)
-    sup_est = max(sup_distance(c1, c2, tmax, grid_n)[0]
+    sup_est = max(sup_distance(c1, c2, tmax)[0]
                   for c1, c2 in zip(g1.costs, g2.costs))
     return max(demand_part, sup_est)
 
@@ -103,8 +107,7 @@ class MetricAxiomReport:
 
 
 def check_metric_axioms(g1: Game, g2: Game, g3: Game,
-                        grid_n: int = DEFAULT_GRID,
-                        equivalence_tol: float = 1e-12) -> MetricAxiomReport:
+                        grid_n: int = GRID_N) -> MetricAxiomReport:
     """Symmetry, non-negativity, identity-iff-equivalent, triangle inequality.
 
     All checks hold within the certified grid error carried by the distances.
@@ -116,8 +119,8 @@ def check_metric_axioms(g1: Game, g2: Game, g3: Game,
     nonneg = all(f.value >= 0.0 for f in fwd)
     identity = True
     for (a, b), d in zip(pairs, fwd):
-        if games_equivalent(a, b, tol=equivalence_tol):
-            identity &= d.value <= d.error_bound + equivalence_tol
+        if games_equivalent(a, b):
+            identity &= d.value <= d.error_bound + EQUIVALENCE_TOL
         else:
             identity &= d.upper() > 0.0
     d12, d13, d32 = fwd
@@ -155,7 +158,7 @@ _WEIGHTS = {
 
 
 def sample_ball(base: Game, radius: float, kind: str = "joint",
-                seed: int = 0, grid_n: int = DEFAULT_GRID) -> Perturbation:
+                seed: int = 0) -> Perturbation:
     """Sample a game at certified metric distance in [radius/2, radius].
 
     Demand draws are symmetric uniforms; cost draws, applied by each cost's
@@ -203,7 +206,7 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
         game = realize(t)
         if game is None:
             return None, None
-        return game, dist(base, game, grid_n)
+        return game, dist(base, game)
 
     lo_band, hi_band = 0.5 * radius, 0.95 * radius
 

@@ -84,6 +84,10 @@ __all__ = [
 
 _USED_EPS = 1e-15
 
+_MULTISTARTS = 8  # random restarts of an uncertified social optimum, seeded with 0
+
+CHECK_SLACK = 1e-9  # absolute slack of the total-cost sandwich and the approximation checks
+
 
 class UnconvergedError(RuntimeError):
     def __init__(self, report: "SolveReport"):
@@ -399,6 +403,7 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
         f0 = np.array([starts[i][which] for i in batch])
         _check_routed(st, demands, f0)
         f, conv = _descend_batch(st, demands, by_row(grad), by_row(slope), tol, max_iter, f0)
+        _check_routed(st, demands, f)
         flows.append(f)
         done &= conv
     values = by_row("values")
@@ -444,12 +449,12 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
 
 
 def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
-             start=None, multistarts: int = 8, seed: int = 0) -> SolveReport:
+             start=None) -> SolveReport:
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
     optimality_certified is True iff every marginal cost is non-decreasing on
-    [0, T(d)] (convex objective); otherwise the best of `multistarts` random
-    restarts is reported with certified=False.
+    [0, T(d)] (convex objective); otherwise the best of the first descent and
+    _MULTISTARTS random restarts (seed 0) is reported with certified=False.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -466,9 +471,9 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     best = _report(game, f, gap, iters, conv, certified)
     if certified:
         return best
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     st = game.structure
-    for _ in range(multistarts):
+    for _ in range(_MULTISTARTS):
         f0 = np.zeros(st.n_paths)
         for k, (lo, hi) in enumerate(st.path_slices):
             w = rng.dirichlet(np.ones(hi - lo))
@@ -512,29 +517,28 @@ def poa_upper_bound(game: Game) -> float:
     return len(game.structure.arcs) * game.structure.n_paths * hi / lo
 
 
-def total_cost_sandwich(game: Game, so_cost: float, we_cost: float,
-                    slack: float = 1e-9) -> tuple[bool, float, float]:
-    """Sandwich 0 < (T/|S|) min tau(T/|S|) <= C* <= WE cost <= |A| T max tau(T)."""
+def total_cost_sandwich(game: Game, so_cost: float, we_cost: float) -> tuple[bool, float, float]:
+    """Sandwich 0 < (T/|S|) min tau(T/|S|) <= C* <= WE cost <= |A| T max tau(T), to CHECK_SLACK."""
     T = game.total_demand
     lo, hi = _cost_range(game)
     lower = (T / game.structure.n_paths) * lo
     upper = len(game.structure.arcs) * T * hi
-    ok = (0.0 < lower <= so_cost + slack
-          and so_cost <= we_cost + slack
-          and we_cost <= upper + slack)
+    ok = (0.0 < lower <= so_cost + CHECK_SLACK
+          and so_cost <= we_cost + CHECK_SLACK
+          and we_cost <= upper + CHECK_SLACK)
     return ok, lower, upper
 
 
-def poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def poa(game: Game, tol: float = 1e-10) -> float:
     """PoA = WE total cost over SO total cost.
 
     Raises UnconvergedError on an unconverged solve, and InvariantError when
     the ratio falls below 1 or above ``poa_upper_bound``.
     """
-    return _solve_poa(game, tol, max_iter)[0]
+    return _solve_poa(game, tol)[0]
 
 
-def _solve_poa(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
+def _solve_poa(game: Game, tol: float, max_iter: int = 100_000,
                starts=(None, None)) -> tuple[float, SolveReport, SolveReport]:
     """(PoA, WE report, SO report), with the checks ``poa`` documents.
 
@@ -581,7 +585,7 @@ class ApproximationBoundsReport:
 
 
 def check_approximation_bounds(game: Game, f: PathFlow, f_we: PathFlow, eps: float,
-                 lipschitz: float, slack: float = 1e-9) -> ApproximationBoundsReport:
+                 lipschitz: float, slack: float = CHECK_SLACK) -> ApproximationBoundsReport:
     """Verify the eps-approximate equilibrium inequalities against a solved WE."""
     st = game.structure
     mid = potential(game, f) - potential(game, f_we)  # also checks both flows are feasible

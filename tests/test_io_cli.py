@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from poalab import BPR, Affine, Constant, Game, MonomialLog, games_equivalent, sweep
+from poalab import (
+    BPR,
+    Affine,
+    Constant,
+    Game,
+    MonomialLog,
+    fit_hoelder,
+    games_equivalent,
+    sweep,
+)
 from poalab.io import (
     InputError,
     game_from_dict,
@@ -20,6 +29,7 @@ from poalab.io import (
     write_sweep_csv,
 )
 from poalab.convergence import RatePoint
+from poalab.sensitivity import SweepRecord
 
 from conftest import child_env, random_game
 
@@ -113,6 +123,16 @@ class TestCsv:
         rows = read_sweep_csv(p1)
         assert len(rows) == len(records)
         assert rows[0].dist.value == records[0].dist.value
+
+    def test_sweep_csv_fits_as_its_records(self, tmp_path, pigou):
+        records = sweep(pigou, "cost", [1e-1, 1e-2, 1e-3], 8, seed=3)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(records, path)
+        rows = read_sweep_csv(path)
+        assert all(isinstance(row, SweepRecord) for row in rows)
+        for min_delta in (1e-12, 1e-9):
+            assert (fit_hoelder(rows, min_delta=min_delta)
+                    == fit_hoelder(records, min_delta=min_delta))
 
     def test_rate_round_trip(self, tmp_path):
         pts = [RatePoint(1.0, 0.1, 0.5), RatePoint(0.1, 0.01, None)]

@@ -12,6 +12,7 @@ from poalab import (
     Affine,
     Constant,
     Game,
+    InfeasibleFlowError,
     MetricValue,
     MonomialLog,
     PiecewiseLinear,
@@ -191,6 +192,18 @@ class TestBatchedSweep:
         unconverged = [math.isnan(r.pert_poa) for r in records]
         assert 0 < sum(unconverged) < len(records)
         _assert_matches(records, alone)
+
+    def test_final_flows_are_checked(self, pigou):
+        # a batch's final flows pass the feasibility check of a single solve's flow
+        descend = solvers._descend_batch
+
+        def off_demand(*args):
+            f, converged = descend(*args)
+            return f * (1.0 + 1e-6), converged
+
+        with mock.patch.object(solvers, "_descend_batch", off_demand):
+            with pytest.raises(InfeasibleFlowError):
+                sweep(pigou, "cost", [1e-2, 1e-3], 8, seed=3)
 
     @pytest.mark.parametrize("costs", [
         (MonomialLog(1.0, 1.0, 1.0), MonomialLog(0.5, 2.0, 1.0)),
