@@ -11,9 +11,9 @@ two costs on a compact interval.
 Each family's rules live in its class, and other modules ask the cost rather
 than test its type: its JSON name (``family``; the dataclass fields are the
 params), its move inside a metric ball (``perturbed``), ``regular_variation``,
-``has_nondecreasing_marginal`` and ``has_kinks``.  Constant, Affine and
-Polynomial derive their calculus, interval bounds and kernel from
-``as_polynomial()`` in one base, ``_PolynomialCost``.
+``has_kinks`` and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
+sample, that x f(x) is convex on [0, hi].  Constant, Affine and Polynomial derive
+their calculus, interval bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
 
 Every cost method maps a scalar to a Python float and an array to an array of
 its shape, through one decorator, ``_pointwise``; the ``__call__`` of Constant,
@@ -64,10 +64,6 @@ __all__ = [
 _TINY = 1e-300
 
 GRID_N = 4097  # grid points of a sup distance without closed form: the metric's grid
-
-# grid points of the marginal's convexity probe, and the relative drop it allows
-_CONVEXITY_SAMPLES = 512
-_CONVEXITY_SLACK = 1e-12
 
 
 def _domain(x):
@@ -190,9 +186,9 @@ class CostFunction:
         """(beta, alpha, coefficient) of the growth x**beta ln(x+1)**alpha, or None."""
         return None
 
-    def has_nondecreasing_marginal(self) -> bool:
-        """True when a closed-form rule shows x f'(x) + f(x) is non-decreasing."""
-        return False
+    def has_nondecreasing_marginal(self, hi: float) -> bool:
+        """True iff a closed-form rule proves x f' + f non-decreasing on [0, hi], hi included."""
+        raise NotImplementedError
 
     def has_kinks(self) -> bool:
         """True when the cost may fail to be continuously differentiable."""
@@ -227,8 +223,8 @@ class _PolynomialCost(CostFunction):
     def kernel_key(self):
         return (PolynomialKernel,)
 
-    def has_nondecreasing_marginal(self):
-        return True
+    def has_nondecreasing_marginal(self, hi):
+        return True  # sum (n+1) c_n x**n with c_n >= 0
 
 
 @dataclass(frozen=True)
@@ -449,7 +445,7 @@ class BPR(CostFunction, family="bpr"):
     def regular_variation(self):
         return self.beta, 0.0, self.q
 
-    def has_nondecreasing_marginal(self):
+    def has_nondecreasing_marginal(self, hi):
         return True  # (beta+1) q x**beta + p
 
 
@@ -560,6 +556,12 @@ class MonomialLog(CostFunction, family="monomial_log"):
     def regular_variation(self):
         return self.beta, self.alpha, self.zeta
 
+    def has_nondecreasing_marginal(self, hi):
+        # L = ln(1+x) >= u = x/(1+x), R = (b+1) L + a u; the marginal is m = z x**b L**(a-1) R.
+        # For x > 0, (1+x) L R (ln m)' = b (L/u) R + a ((b+1) L + L (1-u) - (1-a) u) >= 0,
+        # as (b+1) L >= u >= (1-a) u: true for every zeta, beta, alpha >= 0.
+        return True
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear(CostFunction, family="piecewise_linear"):
@@ -583,9 +585,14 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
         object.__setattr__(self, "values", vals)
 
     @functools.cached_property
+    def _breakpoints(self):
+        return np.asarray(self.breakpoints)
+
+    @functools.cached_property
     def _slopes(self):
-        """Slope of each segment, then 0 for the constant extension; computed once."""
-        b, v = np.asarray(self.breakpoints), np.asarray(self.values)
+        """Slope of each segment, then 0 for the constant extension, so any index
+        ``searchsorted(x, side="right") - 1`` >= 0 is valid; computed once."""
+        b, v = self._breakpoints, np.asarray(self.values)
         return np.concatenate([np.diff(v) / np.diff(b), [0.0]])
 
     @_pointwise
@@ -594,28 +601,22 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     @_pointwise
     def derivative(self, x):
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return self._slopes[np.clip(idx, 0, len(self.breakpoints) - 1)]
+        return self._slopes[np.maximum(np.searchsorted(self._breakpoints, x, side="right") - 1, 0)]
 
     @_pointwise
     def antiderivative(self, x):
-        b = np.asarray(self.breakpoints)
-        v = np.asarray(self.values)
+        b, v = self._breakpoints, np.asarray(self.values)
         seg = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(b))])
-        idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, len(b) - 1)
+        idx = np.maximum(np.searchsorted(b, x, side="right") - 1, 0)
         dx = x - b[idx]
         mid = self(b[idx]) + 0.5 * self.derivative(b[idx]) * dx
         return seg[idx] + mid * dx
 
     def lipschitz_on(self, hi):
-        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes) if b < hi]
-        return float(max(cover)) if cover else 0.0
+        return float(np.max(self._slopes[self._breakpoints < hi], initial=0.0))  # slopes are >= 0
 
     def deriv_min_on(self, hi):
-        cover = [s for b, s in zip(self.breakpoints[:-1], self._slopes) if b < hi]
-        if hi > self.breakpoints[-1]:
-            cover.append(0.0)
-        return float(min(cover)) if cover else 0.0
+        return float(np.min(self._slopes[self._breakpoints < hi])) if hi > 0.0 else 0.0
 
     def scaled_by(self, factor):
         return PiecewiseLinear(self.breakpoints, tuple(v * factor for v in self.values))
@@ -630,6 +631,10 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
         base = max(vals[0] + shift, 0.0)
         new = base + (vals - vals[0]) * scale
         return PiecewiseLinear(self.breakpoints, tuple(new))
+
+    def has_nondecreasing_marginal(self, hi):
+        # the marginal rises 2 s in a piece and jumps by b (s_right - s_left) at a breakpoint b
+        return not np.any((np.diff(self._slopes) < 0.0)[self._breakpoints[1:] <= hi])
 
     def has_kinks(self):
         return True
@@ -679,6 +684,9 @@ class ScaledCost(CostFunction, family="scaled"):
     def perturbed(self, shift, stretch, horizon):
         return ScaledCost(self.inner.perturbed(shift, stretch, horizon * self.factor),
                           self.factor)
+
+    def has_nondecreasing_marginal(self, hi):
+        return self.inner.has_nondecreasing_marginal(self.factor * hi)  # = inner marginal(factor x)
 
     def has_kinks(self):
         return self.inner.has_kinks()
@@ -733,6 +741,11 @@ class TruncatedCost(_Extension, family="truncated"):
             return 0.0
         return self.inner.deriv_min_on(hi)
 
+    def has_nondecreasing_marginal(self, hi):
+        # beyond the anchor the marginal is inner(anchor): it falls there unless inner is flat
+        return (self.inner.has_nondecreasing_marginal(min(hi, self.anchor))
+                and (hi < self.anchor or self.inner.lipschitz_on(self.anchor) == 0.0))
+
     def has_kinks(self):
         return True  # the slope drops to 0 at the anchor
 
@@ -747,12 +760,16 @@ class TangentCost(_Extension, family="tangent"):
     def deriv_min_on(self, hi):
         return self.inner.deriv_min_on(min(hi, self.anchor))
 
+    def has_nondecreasing_marginal(self, hi):
+        # continuous at the anchor, where the tangent takes the inner right-derivative; then rising
+        return self.inner.has_nondecreasing_marginal(min(hi, self.anchor))
+
     def has_kinks(self):
         return self.inner.has_kinks()
 
 
 class MarginalCost:
-    """Marginal cost x * f'(x) + f(x) of a cost function f."""
+    """Marginal cost x * f'(x) + f(x) of a cost f; f's closed-form rule says where it rises."""
 
     def __init__(self, cost: CostFunction):
         self.cost = cost
@@ -762,12 +779,8 @@ class MarginalCost:
         return _marginal(x, self.cost(x), self.cost.derivative(x))
 
     def is_nondecreasing_on(self, hi: float) -> bool:
-        """Convexity probe for x * f(x): samples the marginal on [0, hi]."""
-        if self.cost.has_nondecreasing_marginal():
-            return True
-        vals = self(np.linspace(0.0, hi, _CONVEXITY_SAMPLES))
-        floor = -_CONVEXITY_SLACK * max(1.0, float(np.max(np.abs(vals))))
-        return bool(np.all(np.diff(vals) >= floor))
+        """True iff the cost's closed-form rule proves x * f(x) convex on [0, hi]."""
+        return self.cost.has_nondecreasing_marginal(hi)
 
 
 class CallKernel:
@@ -845,6 +858,14 @@ def _poly_sup(d: list[float], hi: float) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(hi: float, grid_n: int) -> np.ndarray:
+    """np.linspace(0, hi, grid_n), read-only: one grid serves every arc pair of a distance."""
+    xs = np.linspace(0.0, hi, grid_n)
+    xs.flags.writeable = False
+    return xs
+
+
 def sup_distance(f: CostFunction, g: CostFunction, hi: float,
                  grid_n: int = GRID_N) -> tuple[float, float]:
     """Max of |f - g| on [0, hi] with a certified error bound.
@@ -872,8 +893,7 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
             return _poly_sup(d, hi), 0.0
 
     if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
-        knots = np.unique(np.concatenate([
-            np.asarray(f.breakpoints), np.asarray(g.breakpoints), [0.0, hi]]))
+        knots = np.unique(np.concatenate([f._breakpoints, g._breakpoints, [0.0, hi]]))
         knots = knots[(knots >= 0.0) & (knots <= hi)]
         return float(np.max(np.abs(f(knots) - g(knots)))), 0.0
 
@@ -888,7 +908,7 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
 
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    xs = np.linspace(0.0, hi, grid_n)
+    xs = _grid(hi, grid_n)
     est = float(np.max(np.abs(f(xs) - g(xs))))
     m = f.lipschitz_on(hi) + g.lipschitz_on(hi)
     err = m * hi / (2.0 * (grid_n - 1))

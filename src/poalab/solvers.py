@@ -452,9 +452,9 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
              start=None) -> SolveReport:
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
-    optimality_certified is True iff every marginal cost is non-decreasing on
-    [0, T(d)] (convex objective); otherwise the best of the first descent and
-    _MULTISTARTS random restarts (seed 0) is reported with certified=False.
+    optimality_certified is True iff every cost's closed-form rule proves its marginal
+    non-decreasing on [0, T(d)] (convex objective, never sampled); otherwise the best of
+    the first descent and _MULTISTARTS random restarts (seed 0) is reported uncertified.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -487,7 +487,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
 
 
 def _so_certified(game: Game) -> bool:
-    """True when every marginal cost is non-decreasing on [0, T(d)] (convex total cost)."""
+    """True when each cost's closed-form rule proves its marginal non-decreasing on [0, T(d)]."""
     T = game.total_demand
     return all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
 

@@ -54,6 +54,38 @@ SUP_PAIRS = st.one_of(
 )
 
 
+# piecewise-linear costs on a quarter grid: slopes are ratios of small
+# integers, so two unequal slopes differ by at least 1/12 and every fall of
+# the marginal at a breakpoint is at least 1/48
+GRID_PWL = st.integers(1, 4).flatmap(lambda n: st.builds(
+    lambda steps, rises, base: PiecewiseLinear(
+        tuple(np.cumsum([0.0, *steps]) / 4.0), tuple(base + np.cumsum([0.0, *rises]) / 4.0)),
+    st.lists(st.integers(1, 4), min_size=n, max_size=n),
+    st.lists(st.integers(0, 4), min_size=n, max_size=n),
+    st.sampled_from([0.0, 0.5])))
+
+# every family, with exponents below 1 for BPR and MonomialLog; half of the
+# draws are piecewise linear, the only family whose rule can say False
+CONVEXITY_FAMILIES = st.booleans().flatmap(lambda kinked: GRID_PWL if kinked else st.one_of(
+    FAMILY_STRATEGIES,
+    st.builds(BPR, st.floats(0.1, 3.0), st.floats(0.0, 4.0), st.floats(0.0, 2.0)),
+    st.builds(MonomialLog, st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0))))
+
+
+def _marginal_values(cost, xs):
+    """x f'(x) + f(x) on xs, f(0) at x = 0; computed here, not by MarginalCost."""
+    vals = np.asarray(cost(xs), dtype=float).copy()
+    pos = xs > 0.0
+    vals[pos] += xs[pos] * np.asarray(cost.derivative(xs[pos]), dtype=float)
+    return vals
+
+
+def _marginal_falls(cost, xs):
+    """True when the marginal falls between two neighbours of xs by more than rounding."""
+    vals = _marginal_values(cost, xs)
+    return bool(np.any(np.diff(vals) < -1e-12 * np.max(np.abs(vals), initial=1.0)))
+
+
 def _eigen_poly_sup(coeffs, hi):
     """Oracle apart from the closed form: the exact sup of |p| on [0, hi] by np.roots."""
     coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
@@ -178,6 +210,27 @@ class TestMarginal:
         for cost in (Constant(1.0), Affine(1.0, 1.0), BPR(2.0, 3.0, 0.1),
                      Polynomial((0.1, 0.2, 0.3))):
             assert cost.marginal().is_nondecreasing_on(5.0)
+
+    @pytest.mark.parametrize("wrap", [lambda c, k: c, ScaledCost, TruncatedCost, TangentCost,
+                                      lambda c, k: TangentCost(ScaledCost(c, k), 1.0 / k)],
+                             ids=["plain", "scaled", "truncated", "tangent", "scaled-tangent"])
+    @settings(max_examples=100, deadline=None)
+    @given(cost=CONVEXITY_FAMILIES, k=st.floats(0.25, 3.0), hi=st.floats(0.05, 4.0))
+    def test_rule_holds_on_a_dense_grid(self, wrap, cost, k, hi):
+        # the grid has hi itself: the solvers' right-derivative marginal is
+        # taken there too
+        cost = wrap(cost, k)
+        if cost.has_nondecreasing_marginal(hi):
+            assert not _marginal_falls(cost, np.linspace(0.0, hi, 10001))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost=GRID_PWL, hi=st.one_of(st.floats(0.05, 5.0), st.sampled_from([0.25, 0.5, 1.0])))
+    def test_pwl_rule_is_exact(self, cost, hi):
+        # the marginal can only fall at a breakpoint, from its left limit
+        bps = np.asarray(cost.breakpoints)[1:]
+        bps = bps[bps <= hi]
+        left = np.stack([bps - 1e-9, bps], axis=1).reshape(-1)
+        assert cost.has_nondecreasing_marginal(hi) == (not _marginal_falls(cost, left))
 
 
 class TestLipschitz:

@@ -16,6 +16,7 @@ from poalab import (
     PathFlow,
     PiecewiseLinear,
     Polynomial,
+    TruncatedCost,
     approximation_threshold,
     check_approximation_bounds,
     cost_normalize,
@@ -113,6 +114,21 @@ class TestSocialOptimum:
         g = Game(two_link, (bumpy, Constant(2.0)), np.array([1.0]))
         rep = solve_so(g, tol=1e-9)
         assert not rep.optimality_certified
+
+    def test_small_marginal_fall_downgrades_certificate(self, two_link):
+        # the marginal falls by 5e-4 at x = 0.5, too little for a sample of
+        # [0, 0.9] at 512 points to see against the rise of 2 per unit flow
+        kink = PiecewiseLinear((0.0, 0.5, 1.0), (0.0, 0.5, 0.9995))
+        g = Game(two_link, (kink, kink), np.array([0.9]))
+        assert not solve_so(g, tol=1e-9).optimality_certified
+
+    @pytest.mark.parametrize("demand, certified", [(0.6, True), (0.75, False), (0.9, False)])
+    def test_truncation_of_a_rising_cost_downgrades_certificate(self, two_link, demand,
+                                                                certified):
+        # past the anchor the marginal is the frozen cost 0.75, below its left limit 1.5
+        frozen = TruncatedCost(BPR(1.0, 1.0, 0.0), 0.75)
+        g = Game(two_link, (frozen, Constant(1.2)), np.array([demand]))
+        assert solve_so(g, tol=1e-9).optimality_certified is certified
 
 
 class TestNewtonStep:
