@@ -19,14 +19,16 @@ Every cost method maps a scalar to a Python float and an array to an array of
 its shape, through one decorator, ``_pointwise``; the ``__call__`` of Constant,
 Affine, Polynomial and BPR inline that rule for speed (see ``_pointwise``).
 
-For evaluation over many arcs at once, each family names a vectorized kernel
-through ``kernel_key``: ``PolynomialKernel`` (constant, affine, polynomial and
-linear BPR costs), ``BPRKernel`` (one per other BPR exponent) and
-``CallKernel`` (every other cost, called per object).  A kernel's values and marginals equal the
-per-object ``cost(x)`` and ``MarginalCost(cost)(x)`` bit for bit.  The first
-two kernels also give ``derivs`` (tau') and ``marginal_derivs`` (2 tau' + x
-tau'', the slope of the marginal), except BPR with 0 < beta < 1, whose tau'(0)
-is infinite; a kernel without them has ``derivs = marginal_derivs = None``.
+For evaluation over many arcs at once, each family names a kernel over its
+parameter arrays through ``kernel_key``: ``PolynomialKernel`` (constant, affine,
+polynomial and linear BPR costs), ``BPRKernel`` (per other BPR exponent),
+``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and
+``ScaledKernel`` and ``ExtensionKernel`` (wrappers, per inner kernel).  A kernel's
+``values``, ``derivative`` and ``marginals`` equal the per-object ``cost(x)``,
+``cost.derivative(x)`` and ``MarginalCost(cost)(x)`` bit for bit.  The first
+two kernels also give the Newton step's ``derivs`` (tau') and ``marginal_derivs``
+(2 tau' + x tau'', the slope of the marginal), except BPR with 0 < beta < 1,
+whose tau'(0) is infinite; every other kernel has them None.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ __all__ = [
     "MarginalCost",
     "PolynomialKernel",
     "BPRKernel",
-    "CallKernel",
+    "MonomialLogKernel",
+    "PiecewiseLinearKernel",
+    "ScaledKernel",
+    "ExtensionKernel",
     "IntervalBound",
     "interval_bound",
     "sup_distance",
@@ -171,7 +176,7 @@ class CostFunction:
 
     def kernel_key(self) -> tuple:
         """Costs with equal keys share one kernel, built as ``key[0](costs)``."""
-        return (CallKernel,)
+        raise NotImplementedError
 
     def perturbed(self, shift: float, stretch: float, horizon: float) -> "CostFunction":
         """A cost at sup distance <= |shift| + |stretch| on [0, horizon].
@@ -337,6 +342,21 @@ def _horner(coeffs, x):
     return y
 
 
+class _Kernel:
+    """Costs over parameter arrays, with ``values`` and ``derivative`` from the subclass.
+
+    Where every row's tau'(0) is finite (``finite0``), x tau' + tau has ``_marginal``'s bits.
+    """
+
+    derivs = marginal_derivs = None
+    finite0 = False
+
+    def marginals(self, x):
+        if self.finite0:
+            return x * self.derivative(x) + self.values(x)
+        return _marginal(x, self.values(x), self.derivative(x))
+
+
 class PolynomialKernel:
     """Constant, Affine, Polynomial and linear BPR costs as rows of one zero-padded coefficient matrix.
 
@@ -362,8 +382,10 @@ class PolynomialKernel:
     def marginals(self, x):
         return x * _horner(self.slopes, x) + self.values(x)
 
-    def derivs(self, x):
+    def derivative(self, x):
         return _horner(self.slopes, x)
+
+    derivs = derivative
 
     def marginal_derivs(self, x):
         return 2.0 * self.derivs(x) + x * _horner(self.bends, x)
@@ -464,14 +486,20 @@ class BPRKernel:
         self.qb = self.q * self.beta
         if 0.0 < self.beta < 1.0:  # tau'(0) is infinite: no closed-form derivatives
             self.derivs = self.marginal_derivs = None
+            self.slope0 = np.where(self.q == 0.0, 0.0, np.inf)  # BPR.derivative at 0
 
     def values(self, x):
         return self.q * x**self.beta + self.p
 
-    def derivs(self, x):
-        if self.beta == 0.0:
+    def derivative(self, x):
+        b = self.beta
+        if b == 0.0:
             return np.zeros_like(x)
-        return self.qb * x ** (self.beta - 1.0)
+        if b >= 1.0:
+            return self.qb * x ** (b - 1.0)
+        return np.where(x > 0.0, self.qb * np.maximum(x, _TINY) ** (b - 1.0), self.slope0)
+
+    derivs = derivative
 
     def marginal_derivs(self, x):
         """(beta + 1) beta q x**(beta - 1), the slope of (beta + 1) q x**beta + p."""
@@ -481,8 +509,7 @@ class BPRKernel:
         b = self.beta
         if b >= 1.0:
             return x * (self.qb * x ** (b - 1.0)) + self.values(x)
-        # beta < 1: f'(0) is infinite; for x > 0 this is BPR.derivative's slope
-        return _marginal(x, self.values(x), self.qb * np.maximum(x, _TINY) ** (b - 1.0))
+        return _marginal(x, self.values(x), self.derivative(x))  # tau'(0) may be infinite
 
 
 @dataclass(frozen=True)
@@ -548,6 +575,9 @@ class MonomialLog(CostFunction, family="monomial_log"):
     def scaled_by(self, factor):
         return MonomialLog(self.zeta * factor, self.beta, self.alpha)
 
+    def kernel_key(self):
+        return (MonomialLogKernel, self.beta, self.alpha)
+
     def perturbed(self, shift, stretch, horizon):
         denom = float(self(horizon))
         scale = max(1.0 + (shift + stretch) / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
@@ -561,6 +591,31 @@ class MonomialLog(CostFunction, family="monomial_log"):
         # For x > 0, (1+x) L R (ln m)' = b (L/u) R + a ((b+1) L + L (1-u) - (1-a) u) >= 0,
         # as (b+1) L >= u >= (1-a) u: true for every zeta, beta, alpha >= 0.
         return True
+
+
+class MonomialLogKernel(_Kernel):
+    """MonomialLog costs with one (beta, alpha), over an array of zeta; the exponents
+    stay Python floats, as in ``BPRKernel``."""
+
+    def __init__(self, costs):
+        self.beta, self.alpha = costs[0].beta, costs[0].alpha
+        self.zeta = np.array([c.zeta for c in costs])
+        if self.alpha == 0.0:  # MonomialLog.derivative is BPR's
+            self.bpr = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs])
+        self.slope0 = np.array([c.derivative(0.0) for c in costs])  # the right limit at 0
+        self.finite0 = bool(np.isfinite(self.slope0).all())
+
+    def values(self, x):
+        return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
+
+    def derivative(self, x):
+        b, a = self.beta, self.alpha
+        if a == 0.0:
+            return self.bpr.derivative(x)
+        pos = np.maximum(x, _TINY)
+        lg = np.log1p(pos)
+        out = self.zeta * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
+        return np.where(x > 0.0, out, self.slope0)
 
 
 @dataclass(frozen=True)
@@ -624,6 +679,9 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     def with_argument_scale(self, factor):
         return PiecewiseLinear(tuple(b / factor for b in self.breakpoints), self.values)
 
+    def kernel_key(self):
+        return (PiecewiseLinearKernel,)
+
     def perturbed(self, shift, stretch, horizon):
         vals = np.asarray(self.values, dtype=float)
         spread = float(vals[-1] - vals[0])
@@ -638,6 +696,36 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     def has_kinks(self):
         return True
+
+
+class PiecewiseLinearKernel(_Kernel):
+    """PiecewiseLinear costs as rows of one breakpoint matrix, padded with +inf.  A flow's
+    segment is the count of its row's breakpoints <= x, less one; s (x - b) + v there
+    has ``np.interp``'s bits."""
+
+    def __init__(self, costs):
+        self.breakpoints = np.full((len(costs), max(len(c.breakpoints) for c in costs)), np.inf)
+        self.heights, self.rates = np.zeros_like(self.breakpoints), np.zeros_like(self.breakpoints)
+        for i, c in enumerate(costs):
+            k = len(c.breakpoints)
+            self.breakpoints[i, :k], self.heights[i, :k], self.rates[i, :k] = (
+                c._breakpoints, c.values, c._slopes)
+        self.rows = np.arange(len(costs))
+
+    def _segments(self, x):
+        return self.rows, (self.breakpoints <= x[:, None]).sum(axis=1) - 1
+
+    def values(self, x):
+        at = self._segments(x)
+        return self.rates[at] * (x - self.breakpoints[at]) + self.heights[at]
+
+    def derivative(self, x):
+        return self.rates[self._segments(x)]
+
+    def marginals(self, x):  # tau' is finite: x tau' + tau, on one segment search
+        at = self._segments(x)
+        rate = self.rates[at]
+        return x * rate + (rate * (x - self.breakpoints[at]) + self.heights[at])
 
 
 @dataclass(frozen=True)
@@ -681,6 +769,9 @@ class ScaledCost(CostFunction, family="scaled"):
     def with_argument_scale(self, factor):
         return ScaledCost(self.inner, self.factor * factor)
 
+    def kernel_key(self):
+        return (ScaledKernel, *self.inner.kernel_key())
+
     def perturbed(self, shift, stretch, horizon):
         return ScaledCost(self.inner.perturbed(shift, stretch, horizon * self.factor),
                           self.factor)
@@ -690,6 +781,26 @@ class ScaledCost(CostFunction, family="scaled"):
 
     def has_kinks(self):
         return self.inner.has_kinks()
+
+
+def _inner_kernel(costs):
+    """The kernel of the wrappers' inner costs, which share one ``kernel_key``."""
+    inner = [c.inner for c in costs]
+    return inner[0].kernel_key()[0](inner)
+
+
+class ScaledKernel(_Kernel):
+    """ScaledCost wrappers over an array of factors, around their inner costs' kernel."""
+
+    def __init__(self, costs):
+        self.inner = _inner_kernel(costs)
+        self.factor = np.array([c.factor for c in costs], dtype=float)
+
+    def values(self, x):
+        return self.inner.values(x * self.factor)
+
+    def derivative(self, x):
+        return self.factor * self.inner.derivative(x * self.factor)
 
 
 @dataclass(frozen=True)
@@ -727,6 +838,9 @@ class _Extension(CostFunction):
 
     def with_argument_scale(self, factor):
         return type(self)(self.inner.with_argument_scale(factor), self.anchor / factor)
+
+    def kernel_key(self):
+        return (ExtensionKernel, *self.inner.kernel_key())
 
 
 @dataclass(frozen=True)
@@ -768,6 +882,23 @@ class TangentCost(_Extension, family="tangent"):
         return self.inner.has_kinks()
 
 
+class ExtensionKernel(_Kernel):
+    """TruncatedCost and TangentCost wrappers over arrays of anchors and line slopes."""
+
+    def __init__(self, costs):
+        self.inner = _inner_kernel(costs)
+        self.anchor = np.array([c.anchor for c in costs], dtype=float)
+        self.slope = np.array([c._slope() for c in costs], dtype=float)
+
+    def values(self, x):
+        base = self.inner.values(np.minimum(x, self.anchor))
+        return base + np.maximum(x - self.anchor, 0.0) * self.slope
+
+    def derivative(self, x):
+        return np.where(x < self.anchor, self.inner.derivative(np.minimum(x, self.anchor)),
+                        self.slope)
+
+
 class MarginalCost:
     """Marginal cost x * f'(x) + f(x) of a cost f; f's closed-form rule says where it rises."""
 
@@ -781,25 +912,6 @@ class MarginalCost:
     def is_nondecreasing_on(self, hi: float) -> bool:
         """True iff the cost's closed-form rule proves x * f(x) convex on [0, hi]."""
         return self.cost.has_nondecreasing_marginal(hi)
-
-
-class CallKernel:
-    """Costs without a vectorized kernel (MonomialLog, PiecewiseLinear, wrappers), called per object.
-
-    It has no closed-form derivative kernels.
-    """
-
-    derivs = marginal_derivs = None
-
-    def __init__(self, costs):
-        self.costs = tuple(costs)
-
-    def values(self, x):
-        return np.array([c(xi) for c, xi in zip(self.costs, x)])
-
-    def marginals(self, x):
-        slopes = np.array([c.derivative(xi) for c, xi in zip(self.costs, x)])
-        return _marginal(x, self.values(x), slopes)
 
 
 @dataclass(frozen=True)

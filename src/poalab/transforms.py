@@ -43,29 +43,27 @@ def demand_normalize(game: Game, factor: float) -> Game:
 def truncate_extend(game: Game, new_total: float, mode: str = "constant") -> Game:
     """Auxiliary game at total demand new_total with extended cost functions.
 
-    mode="constant" freezes each cost at min(T(d), new_total) and beyond;
-    mode="tangent" continues each cost past T(d) along its tangent there and
-    refuses costs that may have kinks (``has_kinks``).
+    When new_total <= T(d) the costs stay as they are: on [0, new_total] the
+    extended game is the game itself.  Beyond T(d), mode="constant" freezes
+    each cost at its value at T(d), and mode="tangent" continues it along its
+    tangent there and refuses costs that may have kinks (``has_kinks``).
     Demands keep their ratios and are rescaled to sum to new_total.
     """
     if new_total <= 0:
         raise ValueError("new_total must be > 0")
+    if mode not in ("constant", "tangent"):
+        raise ValueError(f"unknown extension mode {mode!r}")
     t_base = game.total_demand
     demands = game.demands * (new_total / t_base)
-    if mode == "constant":
-        anchor = min(t_base, new_total)
-        costs = tuple(TruncatedCost(c, anchor) for c in game.costs)
-    elif mode == "tangent":
-        if new_total <= t_base:
-            costs = game.costs
-        else:
-            bad = [type(c).__name__ for c in game.costs if c.has_kinks()]
-            if bad:
-                raise ValueError(
-                    f"tangent extension needs differentiable costs, got {bad}")
-            costs = tuple(TangentCost(c, t_base) for c in game.costs)
+    if new_total <= t_base:
+        costs = game.costs
+    elif mode == "constant":
+        costs = tuple(TruncatedCost(c, t_base) for c in game.costs)
     else:
-        raise ValueError(f"unknown extension mode {mode!r}")
+        bad = [type(c).__name__ for c in game.costs if c.has_kinks()]
+        if bad:
+            raise ValueError(f"tangent extension needs differentiable costs, got {bad}")
+        costs = tuple(TangentCost(c, t_base) for c in game.costs)
     return Game(game.structure, costs, demands)
 
 

@@ -50,11 +50,19 @@ BASE_COSTS = st.one_of(
     piecewise_linear(),
 )
 
-COSTS = st.one_of(
-    BASE_COSTS,
+WRAPPED_COSTS = st.one_of(
     st.builds(ScaledCost, BASE_COSTS, POSITIVE),
     st.builds(TruncatedCost, BASE_COSTS, POSITIVE),
     st.builds(TangentCost, BASE_COSTS, POSITIVE),
+)
+
+COSTS = st.one_of(
+    BASE_COSTS,
+    WRAPPED_COSTS,
+    # two levels: each wrapper's kernel delegates to another wrapper's
+    st.builds(ScaledCost, WRAPPED_COSTS, POSITIVE),
+    st.builds(TruncatedCost, WRAPPED_COSTS, POSITIVE),
+    st.builds(TangentCost, WRAPPED_COSTS, POSITIVE),
 )
 
 FLOW = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
@@ -67,6 +75,17 @@ def costs_and_flows(draw):
     return costs, x
 
 
+def assert_matches_per_object(costs, x):
+    """The table's values and marginals, and each kernel's tau', have the per-object bits."""
+    table = ArcCostTable(costs)
+    assert table.values(x).tobytes() == np.array([c(xi) for c, xi in zip(costs, x)]).tobytes()
+    assert (table.marginals(x).tobytes()
+            == np.array([MarginalCost(c)(xi) for c, xi in zip(costs, x)]).tobytes())
+    for idx, kernel in table.groups:
+        slopes = [costs[i].derivative(x[i]) for i in idx]
+        assert kernel.derivative(x[idx]).tobytes() == np.array(slopes).tobytes()
+
+
 class TestArcCostTable:
     @settings(max_examples=300, deadline=None)
     @given(data=costs_and_flows())
@@ -76,6 +95,12 @@ class TestArcCostTable:
         assert np.array_equal(table.values(x), np.array([c(xi) for c, xi in zip(costs, x)]))
         assert np.array_equal(table.marginals(x),
                               np.array([MarginalCost(c)(xi) for c, xi in zip(costs, x)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=costs_and_flows())
+    def test_kernel_derivatives_match_per_object(self, data):
+        # the wrappers' kernels build their marginals from the inner kernel's tau'
+        assert_matches_per_object(*data)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     def test_bpr_powers_on_a_dense_grid(self, beta):
@@ -88,6 +113,35 @@ class TestArcCostTable:
         assert np.array_equal(table.values(x), np.array([c(xi) for c, xi in zip(costs, x)]))
         assert np.array_equal(table.marginals(x),
                               np.array([MarginalCost(c)(xi) for c, xi in zip(costs, x)]))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_monomial_log_powers_on_a_dense_grid(self, beta, alpha):
+        # one kernel per (beta, alpha), with zeta = 0 rows and flows at 0,
+        # where tau'(0) is 0, zeta (alpha + beta) or infinite
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 20.0, 2000)
+        x[::40] = 0.0
+        zeta = rng.uniform(0.0, 3.0, 2000)
+        zeta[::7] = 0.0
+        costs = [MonomialLog(z, beta, alpha) for z in zeta]
+        assert len(ArcCostTable(costs).groups) == 1
+        assert_matches_per_object(costs, x)
+
+    def test_piecewise_linear_at_and_past_breakpoints(self):
+        # rows of 1, 2 and 4 breakpoints in one padded matrix, at every
+        # breakpoint, between them and past the last one
+        shapes = [PiecewiseLinear((0.0,), (0.7,)),
+                  PiecewiseLinear((0.0, 1.5), (0.2, 1.1)),
+                  PiecewiseLinear((0.0, 0.3, 1.1, 2.6), (0.1, 0.4, 0.4, 2.9))]
+        costs, x = [], []
+        for cost in shapes:
+            bps = cost.breakpoints
+            flows = [*bps, *(0.5 * (a + b) for a, b in zip(bps, bps[1:])), bps[-1] + 0.9, 40.0]
+            costs += [cost] * len(flows)
+            x += flows
+        assert len(ArcCostTable(costs).groups) == 1
+        assert_matches_per_object(costs, np.array(x))
 
     @settings(max_examples=100, deadline=None)
     @given(data=costs_and_flows(), at=st.integers(0, 7), neg=st.floats(-5.0, -1e-300))
@@ -105,7 +159,7 @@ class TestArcCostTable:
                  Affine(1.0, 0.5), MonomialLog(1.0, 1.0, 1.0), BPR(3.0, 1.0, 0.2))
         groups = [(list(idx), type(kernel).__name__) for idx, kernel in ArcCostTable(costs).groups]
         assert groups == [([0, 2], "BPRKernel"), ([1, 4, 6], "PolynomialKernel"),
-                          ([3], "BPRKernel"), ([5], "CallKernel")]
+                          ([3], "BPRKernel"), ([5], "MonomialLogKernel")]
 
 
 SMOOTH_COSTS = st.one_of(

@@ -18,6 +18,7 @@ from poalab import (
     games_equivalent,
     metric_shrinking_trace,
     poa,
+    solve_so,
     solve_we,
     total_cost,
     truncate_extend,
@@ -109,6 +110,15 @@ class TestTruncateExtend:
     def test_equivalence_when_not_extending(self, pigou):
         g = truncate_extend(pigou, 1.0)
         assert games_equivalent(pigou, g)
+
+    def test_not_extending_keeps_the_certified_optimum(self, two_link):
+        # a TruncatedCost anchored at T(d) has a marginal that falls there, which
+        # leaves the SO uncertified; on [0, T(d)] no cost needs an extension
+        base = Game(two_link, (BPR(1.0, 2.0, 0.0), Affine(1.0, 0.2)), np.array([1.0]))
+        g = truncate_extend(base, 1.0)
+        so = solve_so(g)
+        assert so.optimality_certified is True
+        assert abs(so.total_cost - solve_so(base).total_cost) <= 1e-12
 
     def test_tangent_mode_needs_differentiable_costs(self, two_link):
         from poalab import PiecewiseLinear
