@@ -19,16 +19,14 @@ Every cost method maps a scalar to a Python float and an array to an array of
 its shape, through one decorator, ``_pointwise``; the ``__call__`` of Constant,
 Affine, Polynomial and BPR inline that rule for speed (see ``_pointwise``).
 
-For evaluation over many arcs at once, each family names a kernel over its
-parameter arrays through ``kernel_key``: ``PolynomialKernel`` (constant, affine,
-polynomial and linear BPR costs), ``BPRKernel`` (per other BPR exponent),
-``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and
-``ScaledKernel`` and ``ExtensionKernel`` (wrappers, per inner kernel).  A kernel's
-``values``, ``derivative`` and ``marginals`` equal the per-object ``cost(x)``,
-``cost.derivative(x)`` and ``MarginalCost(cost)(x)`` bit for bit.  The first
-two kernels also give the Newton step's ``derivs`` (tau') and ``marginal_derivs``
-(2 tau' + x tau'', the slope of the marginal), except BPR with 0 < beta < 1,
-whose tau'(0) is infinite; every other kernel has them None.
+For many arcs at once, each family names a kernel over parameter arrays by ``kernel_key``:
+``PolynomialKernel`` (constant, affine, polynomial and linear BPR), ``BPRKernel``
+(per other BPR exponent), ``MonomialLogKernel`` (per (beta, alpha)),
+``PiecewiseLinearKernel``, and ``ScaledKernel`` and ``ExtensionKernel`` (wrappers, per
+inner kernel).  Its ``values``, ``derivative`` and ``marginals`` have the bits of the
+per-object ``cost(x)``, ``cost.derivative(x)`` and ``MarginalCost(cost)(x)``.  The first
+two also give the Newton step's ``derivs`` (tau') and ``marginal_derivs`` (2 tau' + x
+tau''), except BPR with 0 < beta < 1 (tau'(0) infinite); other kernels have them None.
 """
 
 from __future__ import annotations
@@ -343,17 +341,11 @@ def _horner(coeffs, x):
 
 
 class _Kernel:
-    """Costs over parameter arrays, with ``values`` and ``derivative`` from the subclass.
-
-    Where every row's tau'(0) is finite (``finite0``), x tau' + tau has ``_marginal``'s bits.
-    """
+    """Costs over parameter arrays, with ``values`` and ``derivative`` from the subclass."""
 
     derivs = marginal_derivs = None
-    finite0 = False
 
     def marginals(self, x):
-        if self.finite0:
-            return x * self.derivative(x) + self.values(x)
         return _marginal(x, self.values(x), self.derivative(x))
 
 
@@ -492,12 +484,11 @@ class BPRKernel:
         return self.q * x**self.beta + self.p
 
     def derivative(self, x):
-        b = self.beta
-        if b == 0.0:
+        if self.beta == 0.0:
             return np.zeros_like(x)
-        if b >= 1.0:
-            return self.qb * x ** (b - 1.0)
-        return np.where(x > 0.0, self.qb * np.maximum(x, _TINY) ** (b - 1.0), self.slope0)
+        if self.beta >= 1.0:
+            return self.qb * x ** (self.beta - 1.0)
+        return np.where(x > 0.0, self.qb * np.maximum(x, _TINY) ** (self.beta - 1.0), self.slope0)
 
     derivs = derivative
 
@@ -594,24 +585,20 @@ class MonomialLog(CostFunction, family="monomial_log"):
 
 
 class MonomialLogKernel(_Kernel):
-    """MonomialLog costs with one (beta, alpha), over an array of zeta; the exponents
-    stay Python floats, as in ``BPRKernel``."""
+    """MonomialLog costs with one (beta, alpha), kept Python floats, over an array of zeta."""
 
     def __init__(self, costs):
         self.beta, self.alpha = costs[0].beta, costs[0].alpha
         self.zeta = np.array([c.zeta for c in costs])
         if self.alpha == 0.0:  # MonomialLog.derivative is BPR's
-            self.bpr = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs])
+            self.derivative = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs]).derivative
         self.slope0 = np.array([c.derivative(0.0) for c in costs])  # the right limit at 0
-        self.finite0 = bool(np.isfinite(self.slope0).all())
 
     def values(self, x):
         return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
 
     def derivative(self, x):
         b, a = self.beta, self.alpha
-        if a == 0.0:
-            return self.bpr.derivative(x)
         pos = np.maximum(x, _TINY)
         lg = np.log1p(pos)
         out = self.zeta * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
@@ -699,9 +686,8 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
 
 class PiecewiseLinearKernel(_Kernel):
-    """PiecewiseLinear costs as rows of one breakpoint matrix, padded with +inf.  A flow's
-    segment is the count of its row's breakpoints <= x, less one; s (x - b) + v there
-    has ``np.interp``'s bits."""
+    """PiecewiseLinear costs as rows of one +inf-padded breakpoint matrix; x's segment
+    counts its row's breakpoints <= x, and s (x - b) + v there has ``np.interp``'s bits."""
 
     def __init__(self, costs):
         self.breakpoints = np.full((len(costs), max(len(c.breakpoints) for c in costs)), np.inf)
@@ -722,7 +708,7 @@ class PiecewiseLinearKernel(_Kernel):
     def derivative(self, x):
         return self.rates[self._segments(x)]
 
-    def marginals(self, x):  # tau' is finite: x tau' + tau, on one segment search
+    def marginals(self, x):  # tau' is finite: x tau' + tau has _marginal's bits, one search
         at = self._segments(x)
         rate = self.rates[at]
         return x * rate + (rate * (x - self.breakpoints[at]) + self.heights[at])
@@ -783,17 +769,11 @@ class ScaledCost(CostFunction, family="scaled"):
         return self.inner.has_kinks()
 
 
-def _inner_kernel(costs):
-    """The kernel of the wrappers' inner costs, which share one ``kernel_key``."""
-    inner = [c.inner for c in costs]
-    return inner[0].kernel_key()[0](inner)
-
-
 class ScaledKernel(_Kernel):
     """ScaledCost wrappers over an array of factors, around their inner costs' kernel."""
 
     def __init__(self, costs):
-        self.inner = _inner_kernel(costs)
+        self.inner = costs[0].kernel_key()[1]([c.inner for c in costs])  # key[1:] is the inner key
         self.factor = np.array([c.factor for c in costs], dtype=float)
 
     def values(self, x):
@@ -886,7 +866,7 @@ class ExtensionKernel(_Kernel):
     """TruncatedCost and TangentCost wrappers over arrays of anchors and line slopes."""
 
     def __init__(self, costs):
-        self.inner = _inner_kernel(costs)
+        self.inner = costs[0].kernel_key()[1]([c.inner for c in costs])  # key[1:] is the inner key
         self.anchor = np.array([c.anchor for c in costs], dtype=float)
         self.slope = np.array([c._slope() for c in costs], dtype=float)
 

@@ -164,10 +164,8 @@ class Structure:
 
 
 class ArcCostTable:
-    """Arc costs grouped by ``kernel_key``, each group evaluated by one vectorized kernel.
+    """Arc costs grouped by ``kernel_key``: one vectorized kernel call per group, none per arc.
 
-    Every cost family and wrapper has a kernel over its parameter arrays, so
-    an evaluation makes one call per group, never one per arc.
     ``values(x)`` and ``marginals(x)`` equal ``[c(x_a)]`` and
     ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit.  ``derivs`` and
     ``marginal_derivs`` are None unless every group's kernel has them.

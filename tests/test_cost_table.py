@@ -100,7 +100,10 @@ class TestArcCostTable:
     @given(data=costs_and_flows())
     def test_kernel_derivatives_match_per_object(self, data):
         # the wrappers' kernels build their marginals from the inner kernel's tau'
-        assert_matches_per_object(*data)
+        costs, x = data
+        for idx, kernel in ArcCostTable(costs).groups:
+            slopes = [costs[i].derivative(x[i]) for i in idx]
+            assert kernel.derivative(x[idx]).tobytes() == np.array(slopes).tobytes()
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     def test_bpr_powers_on_a_dense_grid(self, beta):
