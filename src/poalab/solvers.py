@@ -7,10 +7,9 @@ approximation threshold of the current flow, which gives the stopping
 certificate.  Both are computed by one helper as the sum over paths of
 flow times (path cost - the least path cost of its O/D pair): every term
 is non-negative, so no cancellation between large per-pair totals can hide
-or fake a small gap.  Descent steps swap mass between each O/D pair's most
-expensive used path and its cheapest path, with the step length found where
-the directional derivative of the convex slice vanishes.  This converges
-far faster than 2/(i+2) averaging on desk-scale instances.
+or fake a small gap.  A Gauss-Seidel pass swaps mass between each O/D
+pair's most expensive used path and its cheapest path, with the step length
+found where the directional derivative of the convex slice vanishes.
 
 Every swap takes its step length from one safeguarded path-based Newton
 iteration on the slice (Jayakrishnan et al., TRR 1443, 1994).  Its
@@ -20,6 +19,17 @@ Every other game (MonomialLog, PiecewiseLinear, the wrapper costs, BPR with
 0 < beta < 1) takes a secant slope instead (Brent, Algorithms for
 Minimization without Derivatives, 1973).  Where the social optimum's
 convexity is not certified, each step is also checked against the total cost.
+
+WE and certified SO follow each pass that kept the set of used paths U with
+one projected Newton step on U (Bertsekas, SIAM J. Control Optim. 20, 1982;
+Bertsekas and Gafni, Math. Prog. Study 17, 1982).  Its curvature is R_U
+diag(tau') R_U^T, with tau' from the table's derivatives or a difference
+quotient, plus a ridge of _RIDGE times the largest diagonal entry: a
+least-norm step where used paths outnumber arcs.  A ratio test keeps f >= 0,
+the Newton line search runs along the step, and each pair's sum is set back
+to its demand.  Rows with one free direction (used paths less the pairs
+they serve) skip it: the swap is their Newton step.  A used path with at
+most _ACTIVE_SHARE of its demand, dearer than its pair's least, stays out of U.
 
 Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
 through the game's compiled ``ArcCostTable``.  The arc costs at the current
@@ -192,12 +202,60 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
     return alpha, tau
 
 
+_ACTIVE_SHARE = 1e-3  # the epsilon-active set of the used-path Newton step
+_RIDGE = 1e-12  # its ridge, relative to the largest diagonal entry
+
+
+def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
+                      floor, tol, run):
+    """(f, arc_f, tau, path_costs), rows `run` allows after a Newton step on their used paths U.
+
+    Rows are games.  The KKT system [R_U diag(tau') R_U^T, E^T; E, 0] has identity
+    rows for the paths outside U and the pairs without a used path.
+    """
+    owner, n_s, n = st.path_owner, st.n_paths, st.n_paths + len(st.pair_starts)
+    excess = path_costs - np.minimum.reduceat(path_costs, st.pair_starts, axis=1)[:, owner]
+    share = demands[:, owner]
+    used = (f > floor) & ((f > _ACTIVE_SHARE * share) | (excess <= 0.0))
+    pairs = np.logical_or.reduceat(used, st.pair_starts, axis=1)
+    run &= (used.sum(axis=1) - pairs.sum(axis=1) >= 2) & (_flow_gap(st, path_costs, f) > tol)
+    if not run.any():
+        return f, arc_f, tau, path_costs
+    up = arc_f + 1e-8 * (arc_f + demands.sum(axis=1, keepdims=True))  # secant tables' tau'
+    curv = arc_slope(arc_f) if arc_slope is not None else (arc_eval(up) - tau) / (up - arc_f)
+    u, rows = used[run], st.path_arcs
+    link = (owner == np.arange(n - n_s)[:, None]) & u[:, None, :]  # E on U
+    kkt = np.zeros((len(u), n, n))
+    kkt[:, :n_s, :n_s] = (rows * curv[run][:, None, :]) @ rows.T * (u[:, :, None] & u[:, None, :])
+    kkt[:, n_s:, :n_s], kkt[:, :n_s, n_s:] = link, link.transpose(0, 2, 1)
+    diag = kkt.reshape(len(u), -1)[:, ::n + 1]  # a view of each row's diagonal
+    top = diag[:, :n_s].max(axis=1, keepdims=True)  # 0: the ridge 1 makes a gradient step
+    diag += np.concatenate([np.where(top > 0.0, _RIDGE * top, 1.0) + ~u, ~pairs[run]], axis=1)
+    rhs = np.concatenate([-excess[run] * u, np.zeros((len(u), n - n_s))], axis=1)
+    d, fr = np.linalg.solve(kkt, rhs[..., None])[:, :n_s, 0], f[run]
+    block = -d > fr  # paths a full step would empty: the ratios there lie in [0, 1)
+    s = np.zeros_like(f)
+    s[run] = d * np.min(np.where(block, fr / np.where(block, -d, 1.0), 1.0), axis=1)[:, None]
+    stop = 0.05 * tol / len(st.pair_starts) * _dot(np.abs(s), 1.0 / np.maximum(share, 1e-300))
+    slope = (lambda x: curv) if arc_slope is None else (lambda x: arc_slope(np.maximum(x, 0.0)))
+    alpha, _ = _newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)), slope, arc_f, s @ rows, tau,
+                             stop, run)  # trial arc flows along s may round below 0
+    g = np.maximum(f + alpha[:, None] * s, 0.0)  # with each pair's sum set back to its demand:
+    g *= (demands / np.maximum(np.add.reduceat(g, st.pair_starts, axis=1), 1e-300))[:, owner]
+    moved = (alpha > 0.0)[:, None]
+    f = np.where(moved, g, f)
+    arc_f = f @ rows
+    tau = np.where(moved, arc_eval(arc_f), tau)
+    return f, arc_f, tau, tau @ st.incidence
+
+
 def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
              objective=None) -> tuple[np.ndarray, float, int, bool]:
     """Shared FW loop; arc_eval maps arc flows to per-arc gradient values.
 
     arc_slope maps arc flows to the derivatives of arc_eval's values, or is
-    None; every swap takes one _newton_step and keeps the costs it returns.
+    None; every swap takes one _newton_step and keeps the costs it returns,
+    and without `objective` a _used_path_newton step follows each pass.
     When `objective` is given (non-certified optimum search) every step is
     validated against it, since the directional-derivative root is only the
     minimizer of a convex slice.
@@ -215,12 +273,13 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     stop_per_mass = 0.1 * tol / len(demands)
     f = _initial_flow(game, start)
     arc_f, tau, path_costs = _price(st, arc_eval, f)  # tau is kept until a move changes arc_f
+    newton = objective is None and st.n_paths - len(demands) >= 2
     it = 0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)
         if gap <= tol:
             return f, gap, it, True
-        progressed = False
+        progressed, support = False, newton and f > floor
         for k, (lo, hi) in enumerate(st.path_slices):
             d_k = demands[k]
             if d_k <= 0.0:
@@ -264,6 +323,11 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             tau = arc_eval(arc_f) if moved_tau is None else moved_tau
             path_costs = rows @ tau
             progressed = True
+        if newton:  # as the one row of a batch
+            f, arc_f, tau, path_costs = (a[0] for a in _used_path_newton(
+                st, lambda x: arc_eval(x[0])[None], arc_slope and (lambda x: arc_slope(x[0])[None]),
+                f[None], arc_f[None], tau[None], path_costs[None], game.demands[None], floor, tol,
+                np.array_equal(support, f > floor)))
         if not progressed:
             break
     gap = _flow_gap(st, path_costs, f)
@@ -332,7 +396,7 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
         active &= gap > tol
         if not active.any():
             break
-        progressed = np.zeros(len(f), dtype=bool)
+        progressed, support = np.zeros(len(f), dtype=bool), f > floor
         for k, (lo, hi) in enumerate(st.path_slices):
             seg = path_costs[:, lo:hi]
             used_cost = np.where(f[:, lo:hi] > floor, seg, -np.inf)
@@ -358,6 +422,10 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
             tau = np.where(step[:, None], moved_tau, tau)
             path_costs = tau @ inc
             progressed |= step
+        if st.n_paths - demands.shape[1] >= 2:  # some row may have two free directions
+            f, arc_f, tau, path_costs = _used_path_newton(
+                st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands, floor, tol,
+                active & (support == (f > floor)).all(axis=1))
         active &= progressed
     if active.any():  # out of iterations
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)

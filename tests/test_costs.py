@@ -1,6 +1,7 @@
 """Cost family behavior: closed forms, bounds, and certified distances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from poalab import (
     interval_bound,
     sup_distance,
 )
+from poalab.costs import _marginal
 
 FAMILY_STRATEGIES = st.one_of(
     st.builds(Constant, st.floats(0.1, 5.0)),
@@ -200,6 +202,20 @@ class TestMarginal:
             m = cost.marginal()
             assert m(0.0) == cost(0.0)
             assert np.array_equal(m(np.array([0.0, 0.0])), cost(np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize("slope", [math.inf, math.nan, 0.0, -1.5, -math.inf, 2.0])
+    def test_marginal_rule_without_errstate(self, slope):
+        # the rule every caller shares gives the bits of x * f' + f masked at x <= 0,
+        # computed under errstate, and raises no warning of its own
+        x = np.array([0.0, -0.0, 5e-324, 1e-300, 0.7, 3.0])
+        value = np.linspace(0.1, 1.0, len(x))
+        slopes = np.full(len(x), slope)
+        with np.errstate(invalid="ignore"):
+            want = np.where(x > 0.0, x * slopes, 0.0) + value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _marginal(x, value, slopes)
+        assert got.tobytes() == want.tobytes()
 
     def test_nonconvex_pwl_flagged(self):
         # slope drops 3 -> 0.1, the marginal jumps down at the kink

@@ -16,6 +16,7 @@ from poalab import (
     MetricValue,
     MonomialLog,
     PiecewiseLinear,
+    Polynomial,
     certificate_cost_slice,
     certificate_demand_slice,
     certificate_exponent_one,
@@ -183,15 +184,46 @@ class TestBatchedSweep:
         _assert_matches(records, alone)
 
     def test_unconverged_rows_as_per_sample(self, shared_arc):
-        # 19 iterations solve the base cold, but not every wide sample from its warm start
+        # 2 iterations solve the base cold, but not every wide sample from its warm start
         base = Game(shared_arc,
-                    (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
-                    np.array([1.0, 1.5]))
-        records, rows, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=19)
+                    (BPR(1.6, 3, 0.39), Affine(1.3, 0.43), BPR(1.5, 1, 0.34), Affine(0.7, 0.18)),
+                    np.array([1.5, 1.5]))
+        records, rows, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=2)
         assert rows == 2 * len(records)
         unconverged = [math.isnan(r.pert_poa) for r in records]
         assert 0 < sum(unconverged) < len(records)
         _assert_matches(records, alone)
+
+    def test_three_link_rows_take_the_newton_step(self, three_link):
+        # three used links leave two free directions, so the batch's rows take
+        # the used-path Newton step, as the per-sample solves do
+        base = Game(three_link, (Affine(1, 0.1), Affine(0.5, 0.3), Polynomial((0.05, 0.2, 1.0))),
+                    np.array([2.0]))
+        real, stepped = solvers._used_path_newton, []
+
+        def spy(st_, arc_eval, arc_slope, f, *rest):
+            out = real(st_, arc_eval, arc_slope, f, *rest)
+            stepped.append(len(f) > 1 and not np.array_equal(out[0], f))  # a batch moved
+            return out
+
+        with mock.patch.object(solvers, "_used_path_newton", spy):
+            records, rows, alone = _sweeps(base, "joint", [1e-1, 1e-2], 4, 3, max_iter=5)
+        assert any(stepped)
+        assert rows == 2 * len(records)
+        assert all(math.isfinite(r.pert_poa) for r in records)
+        _assert_matches(records, alone)
+
+    def test_flat_links_batch_matches_alone(self, three_link):
+        # every row starts with flow on a dearer flat link, which the step's ratio
+        # test must empty: one pass solves each row, in lockstep or alone
+        games = [Game(three_link, (Constant(1.0), Constant(c), BPR(1.0, 2.0, 0.1)), np.array([2.0]))
+                 for c in (1.1, 1.2, 1.3, 1.4)]
+        starts = [(np.array([0.3, 0.2, 1.5]),) * 2] * len(games)
+        lockstep = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)
+        with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
+            alone = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)
+        assert all(math.isfinite(rho) for rho in lockstep)
+        assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-10)
 
     def test_final_flows_are_checked(self, pigou):
         # a batch's final flows pass the feasibility check of a single solve's flow

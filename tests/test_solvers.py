@@ -16,6 +16,7 @@ from poalab import (
     PathFlow,
     PiecewiseLinear,
     Polynomial,
+    Structure,
     TruncatedCost,
     approximation_threshold,
     check_approximation_bounds,
@@ -160,6 +161,54 @@ class TestNewtonStep:
         rep = solve_so(g, tol=1e-12, max_iter=1000)
         assert rep.iterations < 1000
         assert rep.duality_gap < 1e-11
+
+
+# netgen.generate(4, 2, 3, 2, 6) of the benchmark's size ladder, written out: BPR(q, 4, p) arcs
+LADDER_PATHS = ((("a3", "a4"), ("a4", "a5"), ("a1", "a4")),
+                (("a0", "a4"), ("a0", "a1"), ("a2", "a5")))
+LADDER_Q = (0.9785298167304846, 1.8377082650749372, 0.930288457279894, 0.7363583859038125,
+            1.1991252123451923, 1.0476003042727309)
+LADDER_P = (0.57060645270149, 0.5177873593062353, 0.5918288033392025, 1.6948814964104753,
+            1.4006387200804649, 0.8532176625177637)
+LADDER_DEMANDS = np.array([1.4232737963202609, 0.5071619463498722])
+
+
+def bpr4_gap(structure, flow, marginal):
+    """Approximation threshold of a ladder flow from the BPR closed form, not the cost table."""
+    inc = structure.incidence
+    x = inc @ flow
+    cost = inc.T @ ((5.0 if marginal else 1.0) * np.array(LADDER_Q) * x**4 + np.array(LADDER_P))
+    return sum(float((cost[lo:hi] - cost[lo:hi].min()) @ flow[lo:hi])
+               for lo, hi in structure.path_slices)
+
+
+class TestUsedPathNewton:
+    def test_ladder_network_converges_in_few_iterations(self):
+        # swaps alone take 613 WE and 423 SO iterations on this network
+        st_ = Structure(tuple(f"a{i}" for i in range(6)), ("k0", "k1"), LADDER_PATHS)
+        game = Game(st_, tuple(BPR(q, 4.0, p) for q, p in zip(LADDER_Q, LADDER_P)),
+                    LADDER_DEMANDS)
+        # the cold start with every pair's demand off by 3e-10, inside the feasibility tolerance
+        start = np.zeros(st_.n_paths)
+        start[st_.pair_starts] = LADDER_DEMANDS * (1.0 + 3e-10)
+        for solve, marginal in ((solve_we, False), (solve_so, True)):
+            rep = solve(game, tol=1e-8, start=start)
+            assert rep.converged and rep.iterations <= 30, rep.iterations
+            assert bpr4_gap(st_, rep.flow.values, marginal) <= 1e-8
+            # the step sets each pair's sum back to its demand
+            routed = np.add.reduceat(rep.flow.values, st_.pair_starts)
+            assert np.all(np.abs(routed - LADDER_DEMANDS) <= 4 * np.spacing(LADDER_DEMANDS))
+
+    @pytest.mark.parametrize("solve, total", [(solve_we, 2.0), (solve_so, 1.6713664654969003)])
+    def test_two_used_flat_arcs(self, three_link, solve, total):
+        # all three links start used: two with tau' = 0 leave the KKT system
+        # singular but for its ridge, and the dearer one must be emptied
+        game = Game(three_link, (Constant(1.0), Constant(1.2), BPR(1.0, 2.0, 0.1)),
+                    np.array([2.0]))
+        rep = solve(game, tol=1e-10, start=np.array([0.3, 0.2, 1.5]))
+        assert rep.converged and rep.iterations <= 2, rep.iterations
+        assert abs(rep.total_cost - total) <= 1e-10  # the swaps alone reach these totals
+        assert rep.flow.values[1] == 0.0
 
 
 class TestPoA:
