@@ -592,22 +592,9 @@ class MonomialLogKernel(_Kernel):
         if self.alpha == 0.0:  # MonomialLog.derivative is BPR's
             self.derivative = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs]).derivative
         self.slope0 = np.array([c.derivative(0.0) for c in costs])  # the right limit at 0
-        t = np.full(1, _TINY)  # derivative's log1p and powers where max(x, _TINY) = _TINY
-        self.pow0, self.log0, self.logpow0 = t**self.beta, np.log1p(t), np.log1p(t)**self.alpha
 
     def values(self, x):
         return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
-
-    def marginals(self, x):  # values and derivative, sharing log1p(x) and the powers of x
-        if self.alpha == 0.0:  # derivative is BPRKernel's
-            return _Kernel.marginals(self, x)
-        b, a, big = self.beta, self.alpha, x >= _TINY  # big: derivative's max(x, _TINY) is x
-        lg, xb = np.log1p(x), x**b
-        lga = lg**a
-        pos, pb, lga_pos, lg = (np.where(big, x, _TINY), np.where(big, xb, self.pow0),
-                                np.where(big, lga, self.logpow0), np.where(big, lg, self.log0))
-        out = self.zeta * (b * pos ** (b - 1.0) * lga_pos + a * pb * lg ** (a - 1.0) / (pos + 1.0))
-        return _marginal(x, self.zeta * xb * lga, np.where(x > 0.0, out, self.slope0))
 
     def derivative(self, x):
         b, a = self.beta, self.alpha

@@ -206,6 +206,15 @@ _ACTIVE_SHARE = 1e-3  # the epsilon-active set of the used-path Newton step
 _RIDGE = 1e-12  # its ridge, relative to the largest diagonal entry
 
 
+def _two_free(n_used, n_pairs):
+    """Whether n_used paths serving n_pairs pairs leave two free directions for the Newton step.
+
+    With one, the swap already is the Newton step.  Over every path and pair of
+    a structure it bounds each row's count, so a loop can skip the step at once.
+    """
+    return n_used - n_pairs >= 2
+
+
 def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
                       floor, tol, run):
     """(f, arc_f, tau, path_costs), rows `run` allows after a Newton step on their used paths U.
@@ -218,7 +227,7 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     share = demands[:, owner]
     used = (f > floor) & ((f > _ACTIVE_SHARE * share) | (excess <= 0.0))
     pairs = np.logical_or.reduceat(used, st.pair_starts, axis=1)
-    run &= (used.sum(axis=1) - pairs.sum(axis=1) >= 2) & (_flow_gap(st, path_costs, f) > tol)
+    run &= _two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_flow_gap(st, path_costs, f) > tol)
     if not run.any():
         return f, arc_f, tau, path_costs
     up = arc_f + 1e-8 * (arc_f + demands.sum(axis=1, keepdims=True))  # secant tables' tau'
@@ -273,7 +282,7 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     stop_per_mass = 0.1 * tol / len(demands)
     f = _initial_flow(game, start)
     arc_f, tau, path_costs = _price(st, arc_eval, f)  # tau is kept until a move changes arc_f
-    newton = objective is None and st.n_paths - len(demands) >= 2
+    newton = objective is None and _two_free(st.n_paths, len(demands))
     it = 0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)
@@ -391,12 +400,13 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
     path_costs = tau @ inc
     gap = np.zeros(len(f))
     active = np.ones(len(f), dtype=bool)
+    newton = _two_free(st.n_paths, demands.shape[1])
     for _ in range(max_iter):
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
         active &= gap > tol
         if not active.any():
             break
-        progressed, support = np.zeros(len(f), dtype=bool), f > floor
+        progressed, support = np.zeros(len(f), dtype=bool), newton and f > floor
         for k, (lo, hi) in enumerate(st.path_slices):
             seg = path_costs[:, lo:hi]
             used_cost = np.where(f[:, lo:hi] > floor, seg, -np.inf)
@@ -422,10 +432,11 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
             tau = np.where(step[:, None], moved_tau, tau)
             path_costs = tau @ inc
             progressed |= step
-        if st.n_paths - demands.shape[1] >= 2:  # some row may have two free directions
+        if newton:  # a row no swap moved leaves with the gap of the flow the step left
             f, arc_f, tau, path_costs = _used_path_newton(
                 st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands, floor, tol,
                 active & (support == (f > floor)).all(axis=1))
+            np.copyto(gap, _flow_gap(st, path_costs, f), where=active & ~progressed)
         active &= progressed
     if active.any():  # out of iterations
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)

@@ -225,6 +225,19 @@ class TestBatchedSweep:
         assert all(math.isfinite(rho) for rho in lockstep)
         assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-10)
 
+    def test_stalled_rows_leave_with_the_gap_after_the_step(self, three_link):
+        # at tol 1e-14 the swaps stall at the costs' float resolution, and in that
+        # last pass the Newton step closes the gap: lockstep rows, like the solves
+        # alone, must be judged on the flow the step left
+        game = Game(three_link, (BPR(100, 4, 0.8), BPR(10, 1, 0.5), Affine(10, 0.6)),
+                    np.array([3.0]))
+        games, starts = [game] * 4, [(np.ones(3), np.ones(3))] * 4
+        lockstep = solvers._solve_poas(games, [1e-14] * 4, 200, starts)
+        with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
+            alone = solvers._solve_poas(games, [1e-14] * 4, 200, starts)
+        assert all(math.isfinite(rho) for rho in alone)
+        assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-14)
+
     def test_final_flows_are_checked(self, pigou):
         # a batch's final flows pass the feasibility check of a single solve's flow
         descend = solvers._descend_batch
