@@ -209,8 +209,8 @@ _RIDGE = 1e-12  # its ridge, relative to the largest diagonal entry
 def _two_free(n_used, n_pairs):
     """Whether n_used paths serving n_pairs pairs leave two free directions for the Newton step.
 
-    With one, the swap already is the Newton step.  Over every path and pair of
-    a structure it bounds each row's count, so a loop can skip the step at once.
+    With one, the swap already is the Newton step.  Asked of all a structure's
+    paths and pairs, it is false only if it is false for every flow on it.
     """
     return n_used - n_pairs >= 2
 
@@ -436,7 +436,8 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
             f, arc_f, tau, path_costs = _used_path_newton(
                 st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands, floor, tol,
                 active & (support == (f > floor)).all(axis=1))
-            np.copyto(gap, _flow_gap(st, path_costs, f), where=active & ~progressed)
+            if (active & ~progressed).any():
+                np.copyto(gap, _flow_gap(st, path_costs, f), where=active & ~progressed)
         active &= progressed
     if active.any():  # out of iterations
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
