@@ -3,11 +3,11 @@
 Going down, strictly-positive Lipschitz costs force poa - 1 <= c * T with an
 explicit constant.  Going up, regularly varying costs with a common index
 that stay mutually comparable force poa -> 1 at a rate controlled by how
-fast the normalized costs approach their limiting monomials; that proximity
-w(T) is measured on a grid and bounded in closed form for the
-monomial-times-log family.  Both directions solve rescaled unit-demand
-instances (the PoA is invariant under the rescaling), which keeps the
-solvers well conditioned at extreme demand levels.
+fast the normalized costs approach their limiting monomials.  That proximity
+w(T) is the metric distance from the rescaled game to its monomial game, also
+bounded in closed form for the monomial-times-log family.  Both directions
+solve rescaled unit-demand instances (the PoA is invariant under the
+rescaling), which keeps the solvers well conditioned at extreme demand levels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import BPR, GRID_N, Constant
+from .costs import BPR, Constant
 from .games import Game
 from .metric import dist
 from .regression import loglog_fit
@@ -152,27 +152,26 @@ def regular_variation_params(game: Game) -> tuple[float, float, np.ndarray]:
     return beta, alpha, coeffs
 
 
+def _unit_pair(game: Game, total: float) -> tuple[Game, Game]:
+    """The game at `total` with unit demand and arc 0's cost there as the unit, and its
+    limiting monomial game: costs lambda_a x**beta, lambda_a = c_a / c_0, same demands."""
+    beta, _alpha, coeffs = regular_variation_params(game)
+    scaled = game.with_demands(game.demands * (total / game.total_demand))
+    hat = cost_normalize(demand_normalize(scaled, total), float(game.costs[0](total)))
+    monomial = Game(game.structure, tuple(BPR(lam, beta, 0.0) for lam in coeffs / coeffs[0]),
+                    hat.demands.copy())
+    return hat, monomial
+
+
 def normalized_monomial_gap(game: Game, total: float) -> tuple[float, float]:
-    """Sup gap on [0, 1] between rescaled costs and their limit monomials.
+    """w(T), the sup gap on [0, 1] between rescaled costs and their limit monomials.
 
     Costs are rescaled by the reference arc's value at `total`; the reference
-    arc is the lexicographically-first arc.  The gap is taken on GRID_N points.
-    Returns (estimate, error_bound).
+    arc is arc 0 in structure order.  w is ``dist`` of the rescaled game and its
+    monomial game, exact where ``sup_distance`` is.  Returns (value, error_bound).
     """
-    beta, _alpha, coeffs = regular_variation_params(game)
-    lam = coeffs / coeffs[0]
-    tau_ref = float(game.costs[0](total))
-    xs = np.linspace(0.0, 1.0, GRID_N)
-    est = 0.0
-    lip = 0.0
-    for cost, lam_a in zip(game.costs, lam):
-        vals = cost(total * xs) / tau_ref
-        est = max(est, float(np.max(np.abs(vals - lam_a * xs**beta))))
-        lip_a = total * cost.lipschitz_on(total) / tau_ref
-        lip_mono = lam_a * beta if beta >= 1 else math.inf
-        lip = max(lip, lip_a + lip_mono)
-    err = lip / (2.0 * (GRID_N - 1))
-    return est, float(err)
+    mv = dist(*_unit_pair(game, total))
+    return mv.value, mv.error_bound
 
 
 def monomial_log_gap_bound(game: Game, total: float) -> float:
@@ -193,31 +192,20 @@ def converge_up(game: Game, schedule: DemandSchedule,
     the limiting monomial game; points whose monomial gap exceeds that
     certificate's validity radius carry bound None.
     """
-    beta, alpha, coeffs = regular_variation_params(game)
-    lam = coeffs / coeffs[0]
+    beta, alpha, _coeffs = regular_variation_params(game)
 
     points = []
     for i, total in enumerate(schedule.totals):
         scaled = game.with_demands(schedule.demands_at(i))
-        t = scaled.total_demand
-        hat = cost_normalize(demand_normalize(scaled, t), float(game.costs[0](t)))
-        rho = poa(hat, tol=tol)
-        gap = rho - 1.0
-
-        w_est, w_err = normalized_monomial_gap(scaled, t)
-        w_closed = monomial_log_gap_bound(scaled, t) if alpha > 0 else None
-
+        hat, monomial = _unit_pair(scaled, scaled.total_demand)
+        w = dist(hat, monomial)
         bound = None
         if beta >= 1:
-            monomial = Game(game.structure,
-                            tuple(BPR(l, beta, 0.0) for l in lam),
-                            hat.demands.copy())
             cert = _demand_slice(monomial, lambda: _base_quantities(monomial, tol))
-            w_hi = w_est + w_err
-            if w_hi <= cert.radius:
-                bound = cert.bound(w_hi)
-        points.append(RatePoint(total, gap, bound,
-                                w=w_est, w_error=w_err, w_closed_form=w_closed))
+            bound = cert.bound(w.upper()) if w.upper() <= cert.radius else None
+        w_closed = monomial_log_gap_bound(scaled, scaled.total_demand) if alpha > 0 else None
+        points.append(RatePoint(total, poa(hat, tol=tol) - 1.0, bound, w=w.value,
+                                w_error=w.error_bound, w_closed_form=w_closed))
     return points
 
 
@@ -236,6 +224,8 @@ def fit_rate(points, direction: str = "down", censor: float = 1e-11) -> RateFit:
     Points with poa - 1 at or below `censor` are excluded; with fewer than 4
     usable points the fit is reported as degenerate.
     """
+    if direction not in ("down", "up"):
+        raise ValueError(f"unknown direction {direction!r}")
     xs, ys = [], []
     for p in points:
         if p.poa_minus_one > censor:

@@ -11,7 +11,8 @@ two costs on a compact interval.
 Each family's rules live in its class, and other modules ask the cost rather
 than test its type: its JSON name (``family``; the dataclass fields are the
 params), its move inside a metric ball (``perturbed``), ``regular_variation``,
-``has_kinks`` and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
+``has_kinks``, ``sup_points(other, hi)``, where |f - g| peaks against its own
+family, and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
 sample, that x f(x) is convex on [0, hi].  Constant, Affine and Polynomial derive
 their calculus, interval bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
 
@@ -195,6 +196,9 @@ class CostFunction:
     def has_kinks(self) -> bool:
         """True when the cost may fail to be continuously differentiable."""
         return False
+
+    def sup_points(self, other: "CostFunction", hi: float):
+        """Points of [0, hi] that hold the max of |self - other| by a closed form, else None."""
 
 
 class _PolynomialCost(CostFunction):
@@ -461,6 +465,10 @@ class BPR(CostFunction, family="bpr"):
     def has_nondecreasing_marginal(self, hi):
         return True  # (beta+1) q x**beta + p
 
+    def sup_points(self, other, hi):
+        same = isinstance(other, BPR) and other.beta == self.beta
+        return (0.0, hi) if same else None  # then dq x**beta + dp is monotone
+
 
 class BPRKernel:
     """BPR costs with one shared exponent, over arrays of q and p.
@@ -582,6 +590,11 @@ class MonomialLog(CostFunction, family="monomial_log"):
         # as (b+1) L >= u >= (1-a) u: true for every zeta, beta, alpha >= 0.
         return True
 
+    def sup_points(self, other, hi):
+        same = (isinstance(other, MonomialLog)
+                and (other.beta, other.alpha) == (self.beta, self.alpha))
+        return (0.0, hi) if same else None  # then |dzeta| x**beta ln(x+1)**alpha is monotone
+
 
 class MonomialLogKernel(_Kernel):
     """MonomialLog costs with one (beta, alpha), kept Python floats, over an array of zeta."""
@@ -682,6 +695,12 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     def has_kinks(self):
         return True
+
+    def sup_points(self, other, hi):
+        if not isinstance(other, PiecewiseLinear):
+            return None
+        knots = np.unique(np.concatenate([self._breakpoints, other._breakpoints, [0.0, hi]]))
+        return knots[knots <= hi]  # |self - other| is linear between them; breakpoints are >= 0
 
 
 class PiecewiseLinearKernel(_Kernel):
@@ -962,11 +981,11 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
     """Max of |f - g| on [0, hi] with a certified error bound.
 
     Returns (estimate, error_bound) so that the true sup lies in
-    [estimate, estimate + error_bound].  Exact (error 0) when the difference
-    has closed-form extrema: polynomial differences of degree <= 3, piecewise
-    linear pairs, and same-shape BPR / MonomialLog pairs.  The result does not
-    depend on the order of f and g, bit for bit: every branch takes |f - g|
-    or a commutative sum, and the polynomial one fixes the sign of f - g.
+    [estimate, estimate + error_bound].  Exact (error 0) for polynomial differences
+    of degree <= 3 and where f's family rule ``sup_points(g, hi)`` names the points
+    of the max: piecewise-linear pairs, same-shape BPR and MonomialLog pairs.  The
+    result does not depend on the order of f and g, bit for bit: the rules' points
+    are symmetric in f and g, and the polynomial one fixes the sign of f - g.
     """
     if hi < 0:
         raise ValueError("hi must be >= 0")
@@ -983,19 +1002,10 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
         if len(d) <= 4:
             return _poly_sup(d, hi), 0.0
 
-    if isinstance(f, PiecewiseLinear) and isinstance(g, PiecewiseLinear):
-        knots = np.unique(np.concatenate([f._breakpoints, g._breakpoints, [0.0, hi]]))
-        knots = knots[(knots >= 0.0) & (knots <= hi)]
-        return float(np.max(np.abs(f(knots) - g(knots)))), 0.0
-
-    if (isinstance(f, MonomialLog) and isinstance(g, MonomialLog)
-            and f.beta == g.beta and f.alpha == g.alpha):
-        # difference is (zf - zg) x**b ln(x+1)**a, monotone in |.|
-        return float(abs(f(hi) - g(hi))), 0.0
-
-    if (isinstance(f, BPR) and isinstance(g, BPR) and f.beta == g.beta):
-        # difference dq x**b + dp is monotone
-        return float(max(abs(f(0.0) - g(0.0)), abs(f(hi) - g(hi)))), 0.0
+    points = f.sup_points(g, hi)
+    if points is not None:
+        xs = np.asarray(points, dtype=float)
+        return float(np.max(np.abs(f(xs) - g(xs)))), 0.0
 
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")

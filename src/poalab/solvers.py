@@ -63,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import MarginalCost
 from .games import (
     ArcCostTable,
     Game,
@@ -569,7 +568,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
 def _so_certified(game: Game) -> bool:
     """True when each cost's closed-form rule proves its marginal non-decreasing on [0, T(d)]."""
     T = game.total_demand
-    return all(MarginalCost(c).is_nondecreasing_on(T) for c in game.costs)
+    return all(c.has_nondecreasing_marginal(T) for c in game.costs)
 
 
 def approximation_threshold(game: Game, flow: PathFlow) -> float:

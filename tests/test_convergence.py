@@ -131,6 +131,23 @@ class TestConvergeUp:
             closed = monomial_log_gap_bound(g, total)
             assert w_est <= closed + w_err
 
+    @pytest.mark.parametrize("costs", [
+        (Affine(1.0, 1.0), Affine(2.0, 0.5)),
+        (BPR(1.0, 4.0, 0.15), BPR(0.5, 4.0, 1.0)),
+        (Polynomial((1.0, 0.5, 1.0)), Polynomial((0.5, 1.0, 2.0))),
+    ])
+    def test_monomial_gap_exact_on_polynomial_games(self, two_link, costs):
+        g = Game(two_link, costs, np.array([1.0]))
+        beta, _alpha, coeffs = regular_variation_params(g)
+        xs = np.linspace(0.0, 1.0, 1_000_001)
+        for total in (10.0, 1e3):
+            w, err = normalized_monomial_gap(g, total)
+            ref = costs[0](total)
+            grid = max(float(np.max(np.abs(c(total * xs) / ref - lam * xs**beta)))
+                       for c, lam in zip(costs, coeffs / coeffs[0]))
+            assert err == 0.0
+            assert abs(w - grid) <= 1e-12
+
     def test_normalization_chain_preserves_poa(self, two_link):
         g = Game(two_link, (MonomialLog(1.0, 1.0, 1.0), MonomialLog(2.0, 1.0, 1.0)),
                  np.array([1.0]))
@@ -161,6 +178,11 @@ class TestFitRate:
         pts = self._points(lambda t: 0.0, (1e-1, 1e-2, 1e-3, 1e-4))
         fit = fit_rate(pts, "down")
         assert fit.degenerate
+
+    def test_unknown_direction_rejected(self):
+        pts = self._points(lambda t: t, (1e-1, 1e-2, 1e-3, 1e-4))
+        with pytest.raises(ValueError, match="direction"):
+            fit_rate(pts, "Up")
 
     def test_up_direction_uses_log_variable(self):
         totals = (10.0, 100.0, 1e3, 1e4)

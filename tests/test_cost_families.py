@@ -143,31 +143,47 @@ class TestJson:
         assert cost_from_dict(doc) == Affine(1.0, 0.5)
 
 
-def _family_isinstance_calls(tree):
-    """(line, name) of each isinstance/issubclass call whose class argument names a family."""
+def _family_type_tests(tree):
+    """(line, name) of each isinstance/issubclass call or ``type(_) is F`` comparison that
+    names a cost family F outside F's own class body."""
     families = {cls.__name__ for cls in FAMILIES.values()}
+    owner = {id(sub): node.name for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) for sub in ast.walk(node)}
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            targets = [node.args[1]]
+        elif isinstance(node, ast.Compare) and all(
+                isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            if not any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+                       and o.func.id == "type" for o in operands):
+                continue
+            targets = operands
+        else:
             continue
-        for sub in ast.walk(node.args[1]):
+        for sub in (s for t in targets for s in ast.walk(t)):
             name = sub.id if isinstance(sub, ast.Name) else \
                 sub.attr if isinstance(sub, ast.Attribute) else None
-            if name in families:
+            if name in families and name != owner.get(id(node)):
                 yield node.lineno, name
 
 
 def test_only_costs_module_tests_cost_families():
+    """A family's type is tested only inside its own class, by its own rules."""
     src = pathlib.Path(poalab.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "costs.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.name}:{line} {name}" for line, name in _family_isinstance_calls(tree)]
+        found += [f"{path.name}:{line} {name}" for line, name in _family_type_tests(tree)]
     assert not found, f"ask the cost instead of testing its family: {found}"
 
 
 def test_family_guard_sees_a_ladder():
-    tree = ast.parse("if isinstance(c, (Affine, costs.BPR)):\n    pass\n")
-    assert [name for _, name in _family_isinstance_calls(tree)] == ["Affine", "BPR"]
+    tree = ast.parse("if isinstance(c, (Affine, costs.BPR)) or type(c) is MonomialLog:\n"
+                     "    pass\n"
+                     "class BPR:\n"
+                     "    def same(self, other):\n"
+                     "        return isinstance(other, BPR) and type(other) != Affine\n")
+    assert [name for _, name in _family_type_tests(tree)] == [
+        "Affine", "BPR", "MonomialLog", "Affine"]

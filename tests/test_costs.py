@@ -379,6 +379,20 @@ class TestSupDistance:
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert est <= true <= est + err
 
+    @pytest.mark.parametrize("f, g", [
+        (BPR(1.0, 1.5, 0.3), BPR(2.0, 1.5, 0.1)),
+        (BPR(0.5, 2.5, 0.0), BPR(0.2, 2.5, 1.0)),  # |f - g| peaks at 0
+        (MonomialLog(1.0, 1.0, 0.5), MonomialLog(2.5, 1.0, 0.5)),
+        (MonomialLog(2.0, 2.0, 1.0), MonomialLog(0.5, 2.0, 1.0)),
+    ])
+    def test_same_shape_pairs_exact(self, f, g):
+        xs = np.linspace(0, 2, 1_000_001)
+        true = float(np.max(np.abs(f(xs) - g(xs))))
+        for pair in ((f, g), (g, f)):
+            est, err = sup_distance(*pair, 2.0)
+            assert err == 0.0
+            assert est >= true - 1e-12
+
     def test_pwl_pair_exact(self):
         f = PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 1.5))
         g = PiecewiseLinear((0.0, 0.5, 2.0), (0.2, 0.4, 2.0))
