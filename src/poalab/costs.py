@@ -20,14 +20,16 @@ Every cost method maps a scalar to a Python float and an array to an array of
 its shape, through one decorator, ``_pointwise``; the ``__call__`` of Constant,
 Affine, Polynomial and BPR inline that rule for speed (see ``_pointwise``).
 
-For many arcs at once, each family names a kernel over parameter arrays by ``kernel_key``:
-``PolynomialKernel`` (constant, affine, polynomial and linear BPR), ``BPRKernel``
-(per other BPR exponent), ``MonomialLogKernel`` (per (beta, alpha)),
-``PiecewiseLinearKernel``, and ``ScaledKernel`` and ``ExtensionKernel`` (wrappers, per
-inner kernel).  Its ``values``, ``derivative`` and ``marginals`` have the bits of the
-per-object ``cost(x)``, ``cost.derivative(x)`` and ``MarginalCost(cost)(x)``.  The first
-two also give the Newton step's ``derivs`` (tau') and ``marginal_derivs`` (2 tau' + x
-tau''), except BPR with 0 < beta < 1 (tau'(0) infinite); other kernels have them None.
+Each family names a kernel over parameter arrays by ``kernel_key``: ``PolynomialKernel``
+(constant, affine, polynomial and linear BPR), ``BPRKernel`` (per other BPR exponent),
+``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and ``ScaledKernel``
+and ``ExtensionKernel`` (wrappers, per inner kernel).  Only the kernel writes a family's
+tau' (``derivative``) and marginal x tau' + tau (``marginals``): a cost's ``derivative``,
+its ``MarginalCost`` and the ``__call__`` of MonomialLog and the wrappers read the cost's
+cached one-row kernel, ``_row``.  The kernels' ``values`` are tested against the other
+``__call__``s, the inlined four and ``PiecewiseLinear``'s ``np.interp``.  The polynomial and
+BPR kernels also give the Newton step's ``derivs`` (tau') and ``marginal_derivs`` (2 tau'
++ x tau''), except BPR with 0 < beta < 1 (tau'(0) infinite); others have them None.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ GRID_N = 4097  # grid points of a sup distance without closed form: the metric's
 def _domain(x):
     """Common argument handling: costs are defined for x >= 0."""
     xs = np.asarray(x, dtype=float)
-    if xs.size and xs.min() < 0.0:
+    # a scalar's .item() is about 1.5 us cheaper than .min(), on every per-object call
+    if (xs.item() if xs.size == 1 else xs.min(initial=0.0)) < 0.0:
         raise ValueError("cost functions are defined for x >= 0")
     return xs
 
@@ -84,11 +87,12 @@ def _pointwise(method):
     A scalar argument (a Python float or int, a numpy scalar or a 0-d array)
     returns a Python float, and an array returns an array of its shape.
 
-    The ``__call__`` of Constant, Affine, Polynomial and BPR inlines the rule
-    (``val if xs.ndim else float(val)``): those per-object scalar calls are on
-    the sweep's hot path (``Game`` validation probes inside ``sample_ball``,
-    the ``dist`` endpoints, ``poa_upper_bound``), where this wrapper cost 5-10%
-    of a criterion-07 sweep's records per second in 4 of 4 benchmark pairs.
+    The base ``__call__`` and ``derivative`` apply it to the one-row kernel.  The
+    ``__call__`` of Constant, Affine, Polynomial and BPR inlines the rule (``val if
+    xs.ndim else float(val)``): those per-object scalar calls are on the sweep's hot
+    path (``Game`` validation probes inside ``sample_ball``, the ``dist`` endpoints,
+    ``poa_upper_bound``), where this wrapper cost 5-10% of a criterion-07 sweep's
+    records per second in 4 of 4 benchmark pairs.
     """
 
     @functools.wraps(method)
@@ -134,12 +138,22 @@ class CostFunction:
             cls.family = family
             FAMILIES[family] = cls
 
-    def __call__(self, x):
-        raise NotImplementedError
+    @functools.cached_property
+    def _row(self):
+        """This cost as a one-row kernel, built at the first call that needs it."""
+        return self.kernel_key()[0]([self])
 
+    @_pointwise
+    def __call__(self, x):
+        return self._row.values(_domain(x))
+
+    @_pointwise
     def derivative(self, x):
         """Right-derivative; at kinks and at 0 the right limit is used."""
-        raise NotImplementedError
+        x = _domain(x)
+        slope = self._row.derivative(x)
+        # _horner, on the solvers' hot path, leaves a degree <= 1 row's tau' unbroadcast
+        return slope if slope.shape == x.shape else np.repeat(slope, x.size)
 
     def antiderivative(self, x):
         """Integral of the cost from 0 to x."""
@@ -203,12 +217,6 @@ class CostFunction:
 
 class _PolynomialCost(CostFunction):
     """Base of Constant, Affine and Polynomial: their calculus, from ``as_polynomial()``."""
-
-    @_pointwise
-    def derivative(self, x):
-        c = self.as_polynomial()
-        dc = c[1:] * np.arange(1, len(c))
-        return np.polyval(dc[::-1], x)  # zeros for a constant, whose dc is empty
 
     @_pointwise
     def antiderivative(self, x):
@@ -405,16 +413,6 @@ class BPR(CostFunction, family="bpr"):
         return val if xs.ndim else float(val)
 
     @_pointwise
-    def derivative(self, x):
-        b = self.beta
-        if b == 0 or self.q == 0:
-            return np.zeros_like(x)
-        if b >= 1:
-            return self.q * b * x ** (b - 1.0)
-        # derivative diverges at 0 for beta < 1
-        return np.where(x > 0, self.q * b * np.maximum(x, _TINY) ** (b - 1.0), np.inf)
-
-    @_pointwise
     def antiderivative(self, x):
         return self.q * x ** (self.beta + 1.0) / (self.beta + 1.0) + self.p * x
 
@@ -485,7 +483,7 @@ class BPRKernel:
         self.qb = self.q * self.beta
         if 0.0 < self.beta < 1.0:  # tau'(0) is infinite: no closed-form derivatives
             self.derivs = self.marginal_derivs = None
-            self.slope0 = np.where(self.q == 0.0, 0.0, np.inf)  # BPR.derivative at 0
+            self.slope0 = np.where(self.q == 0.0, 0.0, np.inf)  # the right limit at 0
 
     def values(self, x):
         return self.q * x**self.beta + self.p
@@ -522,24 +520,6 @@ class MonomialLog(CostFunction, family="monomial_log"):
         object.__setattr__(self, "zeta", _require_nonneg("zeta", self.zeta))
         object.__setattr__(self, "beta", _require_nonneg("beta", self.beta))
         object.__setattr__(self, "alpha", _require_nonneg("alpha", self.alpha))
-
-    @_pointwise
-    def __call__(self, x):
-        x = _domain(x)
-        lg = np.log1p(x)
-        return self.zeta * x**self.beta * lg**self.alpha
-
-    @_pointwise
-    def derivative(self, x):
-        z, b, a = self.zeta, self.beta, self.alpha
-        if a == 0:
-            return BPR(z, b, 0.0).derivative(x)
-        pos = np.maximum(x, _TINY)
-        lg = np.log1p(pos)
-        out = z * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
-        # right limit at 0: x**(b-1)*ln(x+1)**a ~ x**(a+b-1)
-        lim0 = 0.0 if a + b > 1 else (z * (a + b) if a + b == 1 else math.inf)
-        return np.where(x > 0, out, lim0)
 
     @_pointwise
     def antiderivative(self, x):
@@ -602,9 +582,11 @@ class MonomialLogKernel(_Kernel):
     def __init__(self, costs):
         self.beta, self.alpha = costs[0].beta, costs[0].alpha
         self.zeta = np.array([c.zeta for c in costs])
-        if self.alpha == 0.0:  # MonomialLog.derivative is BPR's
+        if self.alpha == 0.0:  # zeta x**beta: BPR's tau'
             self.derivative = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs]).derivative
-        self.slope0 = np.array([c.derivative(0.0) for c in costs])  # the right limit at 0
+        else:  # tau'(0) is the right limit: x**(b-1) ln(x+1)**a ~ x**(a+b-1)
+            ab = self.alpha + self.beta
+            self.slope0 = 0.0 if ab > 1.0 else self.zeta * ab if ab == 1.0 else math.inf
 
     def values(self, x):
         return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
@@ -652,10 +634,6 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     @_pointwise
     def __call__(self, x):
         return np.interp(_domain(x), self.breakpoints, self.values)
-
-    @_pointwise
-    def derivative(self, x):
-        return self._slopes[np.maximum(np.searchsorted(self._breakpoints, x, side="right") - 1, 0)]
 
     @_pointwise
     def antiderivative(self, x):
@@ -744,14 +722,6 @@ class ScaledCost(CostFunction, family="scaled"):
             raise ValueError("argument scale factor must be > 0")
 
     @_pointwise
-    def __call__(self, x):
-        return self.inner(x * self.factor)
-
-    @_pointwise
-    def derivative(self, x):
-        return self.factor * self.inner.derivative(x * self.factor)
-
-    @_pointwise
     def antiderivative(self, x):
         return self.inner.antiderivative(x * self.factor) / self.factor
 
@@ -811,16 +781,6 @@ class _Extension(CostFunction):
     def __post_init__(self):
         if self.anchor <= 0:
             raise ValueError("anchor must be > 0")
-
-    @_pointwise
-    def __call__(self, x):
-        base = self.inner(np.minimum(x, self.anchor))
-        return base + np.maximum(x - self.anchor, 0.0) * self._slope()
-
-    @_pointwise
-    def derivative(self, x):
-        return np.where(x < self.anchor,
-                        self.inner.derivative(np.minimum(x, self.anchor)), self._slope())
 
     @_pointwise
     def antiderivative(self, x):
@@ -905,7 +865,7 @@ class MarginalCost:
 
     @_pointwise
     def __call__(self, x):
-        return _marginal(x, self.cost(x), self.cost.derivative(x))
+        return self.cost._row.marginals(_domain(x))
 
     def is_nondecreasing_on(self, hi: float) -> bool:
         """True iff the cost's closed-form rule proves x * f(x) convex on [0, hi]."""

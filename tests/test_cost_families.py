@@ -21,6 +21,7 @@ from poalab import (
     certificate_exponent_one,
     truncate_extend,
 )
+from poalab import costs
 from poalab.costs import FAMILIES, MarginalCost
 from poalab.io import InputError, cost_from_dict, cost_to_dict
 
@@ -50,10 +51,15 @@ def _methods(cost):
     return {"call": cost, "derivative": cost.derivative, "antiderivative": cost.antiderivative}
 
 
-@pytest.mark.parametrize(
-    "cost", EVERY_FAMILY + tuple(MarginalCost(c) for c in EVERY_FAMILY),
-    ids=lambda c: f"marginal-{type(c.cost).__name__}" if isinstance(c, MarginalCost)
-    else type(c).__name__)
+def _cost_id(cost):
+    return (f"marginal-{type(cost.cost).__name__}" if isinstance(cost, MarginalCost)
+            else type(cost).__name__)
+
+
+WITH_MARGINALS = EVERY_FAMILY + tuple(MarginalCost(c) for c in EVERY_FAMILY)
+
+
+@pytest.mark.parametrize("cost", WITH_MARGINALS, ids=_cost_id)
 def test_scalar_and_array_rule(cost):
     """A scalar gives a Python float with the bits of the 1-element array call;
     an array gives an array of its shape."""
@@ -65,6 +71,17 @@ def test_scalar_and_array_rule(cost):
         for xs in (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 6).reshape(2, 3)):
             out = method(xs)
             assert isinstance(out, np.ndarray) and out.shape == xs.shape, name
+
+
+@pytest.mark.parametrize("cost", WITH_MARGINALS, ids=_cost_id)
+def test_negative_flow_rejected(cost):
+    """The cost, its derivative and its marginal are defined for x >= 0 only."""
+    methods = _methods(cost)
+    methods.pop("antiderivative", None)
+    for name, method in methods.items():
+        for x in (-1.0, np.array([0.5, -1e-300]), np.array([[0.0], [-2.0]])):
+            with pytest.raises(ValueError):
+                method(x)
 
 
 def test_polynomial_lipschitz_bound_has_the_derivative_bits():
@@ -187,3 +204,42 @@ def test_family_guard_sees_a_ladder():
                      "        return isinstance(other, BPR) and type(other) != Affine\n")
     assert [name for _, name in _family_type_tests(tree)] == [
         "Affine", "BPR", "MonomialLog", "Affine"]
+
+
+# the inlined hot-path __call__s, and PiecewiseLinear's np.interp; the kernels are tested
+# against them
+OWN_CALL = {"Constant", "Affine", "Polynomial", "BPR", "PiecewiseLinear"}
+
+
+def _own_calculus(tree, cost_classes):
+    """(class, method) of each ``derivative`` and of each ``__call__`` outside OWN_CALL
+    defined in the body of a class named in cost_classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in cost_classes:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "derivative"
+                        or item.name == "__call__" and node.name not in OWN_CALL):
+                    yield node.name, item.name
+
+
+def test_cost_classes_read_their_kernel():
+    """tau' and the marginal are written only in the kernels: no cost class has its own
+    ``derivative``, and only OWN_CALL have their own ``__call__``."""
+    tree = ast.parse(pathlib.Path(costs.__file__).read_text(encoding="utf-8"))
+    subclasses = {name for name, obj in vars(costs).items() if isinstance(obj, type)
+                  and issubclass(obj, costs.CostFunction) and obj is not costs.CostFunction}
+    assert {"_PolynomialCost", "_Extension", "ScaledCost"} <= subclasses
+    assert not list(_own_calculus(tree, subclasses))
+
+
+def test_calculus_guard_sees_a_copy():
+    tree = ast.parse("class BPR:\n"
+                     "    def __call__(self, x): pass\n"
+                     "    def derivative(self, x): pass\n"
+                     "class ScaledCost:\n"
+                     "    def __call__(self, x): pass\n"
+                     "class MarginalCost:\n"
+                     "    def __call__(self, x): pass\n")
+    assert list(_own_calculus(tree, {"BPR", "ScaledCost"})) == [
+        ("BPR", "derivative"), ("ScaledCost", "__call__")]

@@ -1,5 +1,12 @@
 """The compiled arc-cost table against the per-object cost API, bit for bit.
 
+The table's values are checked against each family's own ``__call__``: the inlined ones
+of Constant, Affine, Polynomial and BPR, and PiecewiseLinear's ``np.interp``.  A cost's
+``derivative``, its ``MarginalCost`` and the other ``__call__``s read a one-row kernel of
+the same class, so their bit tests here check that grouping rows, padding them and
+delegating to inner kernels keep each row's bits; the oracles for tau' and the marginal
+apart from the kernels are the finite differences in ``test_costs.py``.
+
 Also the derivative kernels, and the Newton step they feed against the
 secant step that tables without them take.
 """

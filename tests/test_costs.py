@@ -21,7 +21,7 @@ from poalab import (
     interval_bound,
     sup_distance,
 )
-from poalab.costs import _marginal
+from poalab.costs import MarginalCost, _marginal
 
 FAMILY_STRATEGIES = st.one_of(
     st.builds(Constant, st.floats(0.1, 5.0)),
@@ -72,6 +72,39 @@ CONVEXITY_FAMILIES = st.booleans().flatmap(lambda kinked: GRID_PWL if kinked els
     FAMILY_STRATEGIES,
     st.builds(BPR, st.floats(0.1, 3.0), st.floats(0.0, 4.0), st.floats(0.0, 2.0)),
     st.builds(MonomialLog, st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0))))
+
+
+SMOOTH_BASES = ("family", "bpr-root", "pwl")
+
+
+@st.composite
+def smooth_points(draw, kinds=SMOOTH_BASES + ("scaled", "truncated", "tangent")):
+    """(cost, x) where the cost is smooth around x > 0: a family of FAMILY_STRATEGIES, BPR
+    with 0 < beta < 1, a PiecewiseLinear inside a piece, and one wrapper around any of
+    these; the extensions away from their anchor."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "family":
+        return draw(FAMILY_STRATEGIES), draw(st.floats(0.05, 3.0))
+    if kind == "bpr-root":
+        return (draw(st.builds(BPR, st.floats(0.1, 3.0), st.sampled_from([0.25, 0.5, 0.75]),
+                               st.floats(0.0, 2.0))), draw(st.floats(0.05, 3.0)))
+    if kind == "pwl":
+        cost = draw(PWL_STRATEGY)
+        ends = (*cost.breakpoints, cost.breakpoints[-1] + 1.0)  # and past the last one
+        j = draw(st.integers(0, len(ends) - 2))
+        return cost, ends[j] + draw(st.floats(0.1, 0.9)) * (ends[j + 1] - ends[j])
+    inner, x = draw(smooth_points(SMOOTH_BASES))
+    if kind == "scaled":
+        factor = draw(st.floats(0.25, 3.0))
+        return ScaledCost(inner, factor), x / factor
+    offset = draw(st.floats(0.05, 2.0))
+    anchor = x - offset if draw(st.booleans()) and x > offset else x + offset
+    return (TruncatedCost if kind == "truncated" else TangentCost)(inner, anchor), x
+
+
+def _central_difference(f, x):
+    h = 1e-5 * max(1.0, x)
+    return (f(x + h) - f(x - h)) / (2 * h)
 
 
 def _marginal_values(cost, xs):
@@ -163,6 +196,16 @@ class TestIntegralAndDerivative:
         numeric = (cost(x + h) - cost(x - h)) / (2 * h)
         exact = cost.derivative(x)
         assert exact == pytest.approx(numeric, rel=1e-6, abs=1e-8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=smooth_points())
+    def test_derivative_and_marginal_match_finite_differences_on_every_family(self, point):
+        # oracles apart from the kernels: central differences of tau and of x tau(x)
+        cost, x = point
+        assert cost.derivative(x) == pytest.approx(_central_difference(cost, x),
+                                                   rel=1e-6, abs=1e-8)
+        assert MarginalCost(cost)(x) == pytest.approx(
+            _central_difference(lambda y: y * cost(y), x), rel=1e-6, abs=1e-8)
 
     @settings(max_examples=40, deadline=None)
     @given(cost=FAMILY_STRATEGIES, hi=st.floats(0.1, 4.0))
