@@ -65,6 +65,7 @@ from .sensitivity import (
     certificate_cost_slice,
     certificate_demand_slice,
     certificate_exponent_one,
+    check_game,
     fit_hoelder,
     max_delta_by_radius,
     sweep,

@@ -4,18 +4,21 @@ Subcommands: solve, poa, dist, sweep, holder-fit, converge, check.  Results
 go to stdout as JSON (or to CSV files for sweeps and rate runs); errors are
 emitted as machine-readable JSON on stderr.  Exit codes: 0 ok, 2 input
 error, 3 solver unconverged, 4 invariant violation.
+
+``check`` runs ``sensitivity.check_game``: it solves the game once and confirms
+the PoA on six cost- and demand-normalized copies, each solved from the game's
+WE and SO flows mapped onto the copy's demands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
 from .convergence import DemandSchedule, converge_down, converge_up
-from .games import GameValidationError, PathFlow, StructureMismatchError
+from .games import GameValidationError, StructureMismatchError
 from .io import (
     InputError,
     RunManifest,
@@ -24,20 +27,9 @@ from .io import (
     write_rate_csv,
     write_sweep_csv,
 )
-from .metric import check_metric_axioms, dist, sample_ball
-from .sensitivity import fit_hoelder, sweep
-from .solvers import (
-    InvariantError,
-    UnconvergedError,
-    _solve_poa,
-    approximation_threshold,
-    check_approximation_bounds,
-    total_cost_sandwich,
-    poa,
-    solve_so,
-    solve_we,
-)
-from .transforms import cost_normalize, demand_normalize
+from .metric import dist
+from .sensitivity import check_game, fit_hoelder, sweep
+from .solvers import InvariantError, UnconvergedError, _solve_poa, solve_so, solve_we
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -130,48 +122,11 @@ def _cmd_converge(args) -> int:
 
 def _cmd_check(args) -> int:
     game = load_game(args.game)
-    tol = args.tol
-    failures: list[str] = []
-
     try:
-        base, we, so = _solve_poa(game, tol=tol)
+        base, failures = check_game(game, args.tol)
     except UnconvergedError:
         _emit_error("unconverged", "solves did not converge during check")
         return EXIT_UNCONVERGED
-    ok, lower, upper = total_cost_sandwich(game, so.total_cost, we.total_cost)
-    if not ok:
-        failures.append(f"cost sandwich violated: {lower} / {so.total_cost} / "
-                        f"{we.total_cost} / {upper}")
-
-    t = game.total_demand
-    lip = max(c.lipschitz_on(t) for c in game.costs)
-    if math.isfinite(lip):
-        # nudge a little mass off each O/D pair's first path and verify the
-        # approximation inequalities at the resulting near-equilibrium flow
-        nudged = we.flow.values.copy()
-        for lo, hi in game.structure.path_slices:
-            shift = min(0.01 * t, 0.5 * nudged[lo])
-            nudged[lo] -= shift
-            nudged[lo + 1] += shift
-        flow = PathFlow(nudged)
-        eps = approximation_threshold(game, flow) + max(10.0 * tol, 1e-12)
-        report = check_approximation_bounds(game, flow, we.flow, eps, lip)
-        if not report.all_ok:
-            failures.append("approximation inequalities failed near the solved flow")
-
-    for seed in (1, 2):
-        pert_a = sample_ball(game, min(0.05, t / 4), kind="joint", seed=seed).game
-        pert_b = sample_ball(game, min(0.05, t / 4), kind="cost", seed=seed + 10).game
-        axioms = check_metric_axioms(game, pert_a, pert_b)
-        if not axioms.all_ok:
-            failures.append(f"metric axioms failed for sampled triple (seed {seed})")
-
-    for factor in (0.5, 2.0, 10.0):
-        if abs(poa(cost_normalize(game, factor), tol=tol) - base) > 1e-6:
-            failures.append(f"PoA not invariant under cost normalization {factor}")
-        if abs(poa(demand_normalize(game, factor), tol=tol) - base) > 1e-6:
-            failures.append(f"PoA not invariant under demand normalization {factor}")
-
     json.dump({"ok": not failures, "poa": base, "failures": failures},
               sys.stdout, indent=2)
     sys.stdout.write("\n")

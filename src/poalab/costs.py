@@ -16,9 +16,10 @@ family, and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
 sample, that x f(x) is convex on [0, hi].  Constant, Affine and Polynomial derive
 their calculus, interval bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
 
-Every cost method maps a scalar to a Python float and an array to an array of
-its shape, through one decorator, ``_pointwise``; the ``__call__`` of Constant,
-Affine, Polynomial and BPR inline that rule for speed (see ``_pointwise``).
+Every cost method rejects a negative flow and maps a scalar to a Python float and
+an array to an array of its shape, through one decorator, ``_pointwise``; the
+``__call__`` of Constant, Affine, Polynomial and BPR inline that rule for speed (see
+``_pointwise``).
 
 Each family names a kernel over parameter arrays by ``kernel_key``: ``PolynomialKernel``
 (constant, affine, polynomial and linear BPR), ``BPRKernel`` (per other BPR exponent),
@@ -82,7 +83,8 @@ def _domain(x):
 
 
 def _pointwise(method):
-    """The scalar/array rule of a cost method: its body runs on a 1-d float array.
+    """The scalar/array rule of a cost method: its body runs on a 1-d float array,
+    after ``_domain`` has rejected a negative flow.
 
     A scalar argument (a Python float or int, a numpy scalar or a 0-d array)
     returns a Python float, and an array returns an array of its shape.
@@ -97,7 +99,7 @@ def _pointwise(method):
 
     @functools.wraps(method)
     def pointwise(self, x):
-        xs = np.asarray(x, dtype=float)
+        xs = _domain(x)
         out = method(self, xs.reshape(-1))
         return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
@@ -145,12 +147,11 @@ class CostFunction:
 
     @_pointwise
     def __call__(self, x):
-        return self._row.values(_domain(x))
+        return self._row.values(x)
 
     @_pointwise
     def derivative(self, x):
         """Right-derivative; at kinks and at 0 the right limit is used."""
-        x = _domain(x)
         slope = self._row.derivative(x)
         # _horner, on the solvers' hot path, leaves a degree <= 1 row's tau' unbroadcast
         return slope if slope.shape == x.shape else np.repeat(slope, x.size)
@@ -195,9 +196,10 @@ class CostFunction:
 
         `shift` moves the intercept-like parameter, `stretch` scales the flow-
         dependent part so that its value change at the horizon is |stretch|.
-        Monotonicity is preserved by construction.
+        Monotonicity is preserved by construction.  A family without a sound
+        rule (TangentCost: its slope beyond the anchor would move) raises ValueError.
         """
-        raise TypeError(f"cannot perturb cost family {type(self).__name__}")
+        raise ValueError(f"cannot perturb cost family {self.family!r}: it has no sound rule")
 
     def regular_variation(self) -> tuple[float, float, float] | None:
         """(beta, alpha, coefficient) of the growth x**beta ln(x+1)**alpha, or None."""
@@ -633,7 +635,7 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     @_pointwise
     def __call__(self, x):
-        return np.interp(_domain(x), self.breakpoints, self.values)
+        return np.interp(x, self.breakpoints, self.values)
 
     @_pointwise
     def antiderivative(self, x):
@@ -813,6 +815,12 @@ class TruncatedCost(_Extension, family="truncated"):
             return 0.0
         return self.inner.deriv_min_on(hi)
 
+    def perturbed(self, shift, stretch, horizon):
+        # both costs are frozen beyond the anchor at their values there, and the anchor
+        # lies in [0, min(horizon, anchor)], where inner's rule bounds the distance
+        return TruncatedCost(self.inner.perturbed(shift, stretch, min(horizon, self.anchor)),
+                             self.anchor)
+
     def has_nondecreasing_marginal(self, hi):
         # beyond the anchor the marginal is inner(anchor): it falls there unless inner is flat
         return (self.inner.has_nondecreasing_marginal(min(hi, self.anchor))
@@ -865,7 +873,7 @@ class MarginalCost:
 
     @_pointwise
     def __call__(self, x):
-        return self.cost._row.marginals(_domain(x))
+        return self.cost._row.marginals(x)
 
     def is_nondecreasing_on(self, hi: float) -> bool:
         """True iff the cost's closed-form rule proves x * f(x) convex on [0, hi]."""

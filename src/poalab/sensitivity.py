@@ -36,6 +36,10 @@ so they give a sample the same PoA within its solve tolerance.
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
 fitted exponent is consistent.
+
+``check_game``, the invariant suite of ``poalab check``, takes the same warm start
+for the game's six normalized copies: a cost-normalized copy has the game's WE and
+SO flows, and a demand-normalized one has them divided by the factor.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, PathFlow
-from .metric import MetricValue, sample_ball
+from .metric import MetricValue, check_metric_axioms, sample_ball
 from .regression import loglog_fit
 # poa stays bound here for perfbench's tracer, which patches each binding of it
 from .solvers import _solve_poa, _solve_poas, poa  # noqa: F401
+from .solvers import approximation_threshold, check_approximation_bounds, total_cost_sandwich
+from .transforms import cost_normalize, demand_normalize
 
 __all__ = [
     "HoelderCertificate",
@@ -61,6 +67,7 @@ __all__ = [
     "HoelderFit",
     "fit_hoelder",
     "max_delta_by_radius",
+    "check_game",
 ]
 
 
@@ -266,6 +273,52 @@ def _warm_start(base: Game, flow: PathFlow, game: Game) -> np.ndarray:
     f = flow.values * scale[st.path_owner]
     f[st.pair_starts[~routed]] = game.demands[~routed]
     return f
+
+
+def check_game(game: Game, tol: float = 1e-10) -> tuple[float, list[str]]:
+    """``poalab check``'s invariant suite on one solve: (PoA, the invariants that failed).
+
+    Each of the six normalized copies is solved from the game's WE and SO flows
+    mapped by ``_warm_start``, with a cold solve's gap certificate at tol and checks;
+    UnconvergedError and InvariantError propagate from any solve.
+    """
+    failures: list[str] = []
+    base, we, so = _solve_poa(game, tol)
+    ok, lower, upper = total_cost_sandwich(game, so.total_cost, we.total_cost)
+    if not ok:
+        failures.append(f"cost sandwich violated: {lower} / {so.total_cost} / "
+                        f"{we.total_cost} / {upper}")
+
+    t = game.total_demand
+    lip = max(c.lipschitz_on(t) for c in game.costs)
+    if math.isfinite(lip):
+        # nudge a little mass off each O/D pair's first path and verify the
+        # approximation inequalities at the resulting near-equilibrium flow
+        nudged = we.flow.values.copy()
+        for lo, hi in game.structure.path_slices:
+            shift = min(0.01 * t, 0.5 * nudged[lo])
+            nudged[lo] -= shift
+            nudged[lo + 1] += shift
+        flow = PathFlow(nudged)
+        eps = approximation_threshold(game, flow) + max(10.0 * tol, 1e-12)
+        report = check_approximation_bounds(game, flow, we.flow, eps, lip)
+        if not report.all_ok:
+            failures.append("approximation inequalities failed near the solved flow")
+
+    for seed in (1, 2):
+        pert_a = sample_ball(game, min(0.05, t / 4), kind="joint", seed=seed).game
+        pert_b = sample_ball(game, min(0.05, t / 4), kind="cost", seed=seed + 10).game
+        axioms = check_metric_axioms(game, pert_a, pert_b)
+        if not axioms.all_ok:
+            failures.append(f"metric axioms failed for sampled triple (seed {seed})")
+
+    for factor in (0.5, 2.0, 10.0):
+        for name, normalize in (("cost", cost_normalize), ("demand", demand_normalize)):
+            copy = normalize(game, factor)
+            starts = (_warm_start(game, we.flow, copy), _warm_start(game, so.flow, copy))
+            if abs(_solve_poa(copy, tol, starts=starts)[0] - base) > 1e-6:
+                failures.append(f"PoA not invariant under {name} normalization {factor}")
+    return base, failures
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,9 @@ def test_scalar_and_array_rule(cost):
 
 @pytest.mark.parametrize("cost", WITH_MARGINALS, ids=_cost_id)
 def test_negative_flow_rejected(cost):
-    """The cost, its derivative and its marginal are defined for x >= 0 only."""
-    methods = _methods(cost)
-    methods.pop("antiderivative", None)
-    for name, method in methods.items():
+    """The cost, its derivative, its antiderivative and its marginal are defined for
+    x >= 0 only."""
+    for name, method in _methods(cost).items():
         for x in (-1.0, np.array([0.5, -1e-300]), np.array([[0.0], [-2.0]])):
             with pytest.raises(ValueError):
                 method(x)
@@ -243,3 +242,23 @@ def test_calculus_guard_sees_a_copy():
                      "    def __call__(self, x): pass\n")
     assert list(_own_calculus(tree, {"BPR", "ScaledCost"})) == [
         ("BPR", "derivative"), ("ScaledCost", "__call__")]
+
+
+@pytest.mark.parametrize("anchor", [0.75, 3.0], ids=["anchor-below", "anchor-above"])
+def test_truncated_perturbation_stays_in_its_ball(anchor):
+    """A truncated cost moves by inner's rule on [0, min(horizon, anchor)]; beyond the
+    anchor both costs are frozen, so the sup distance on [0, horizon] stays in the ball,
+    and at min(horizon, anchor) the BPR inner moves by shift + stretch."""
+    cost, horizon = TruncatedCost(BPR(1.0, 2.0, 0.1), anchor), 2.0
+    for shift, stretch in ((0.05, 0.0), (0.0, 0.05), (-0.03, 0.04), (0.02, -0.05)):
+        moved = cost.perturbed(shift, stretch, horizon)
+        assert isinstance(moved, TruncatedCost) and moved.anchor == anchor
+        est, err = costs.sup_distance(cost, moved, horizon)
+        assert abs(shift + stretch) - 1e-12 <= est, (shift, stretch)
+        assert est <= abs(shift) + abs(stretch) + err + 1e-12, (shift, stretch)
+
+
+def test_tangent_cost_refuses_to_perturb():
+    """Beyond the anchor a tangent's slope follows inner's, so no rule is sound."""
+    with pytest.raises(ValueError, match="tangent"):
+        TangentCost(BPR(1.0, 2.0, 0.1), 1.0).perturbed(0.01, 0.01, 2.0)

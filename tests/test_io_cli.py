@@ -1,6 +1,8 @@
 """Game-spec files, CSV round trips, and the command-line surface."""
 
+import dataclasses
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -13,12 +15,17 @@ from poalab import (
     Constant,
     Game,
     MonomialLog,
+    TangentCost,
+    check_game,
     fit_hoelder,
     games_equivalent,
+    poa,
     sweep,
 )
+from poalab import cli, sensitivity, solvers
 from poalab.io import (
     InputError,
+    cost_to_dict,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -237,12 +244,89 @@ class TestCli:
         assert doc["ok"]
 
     def test_invariant_error_exit_code(self, game_files, monkeypatch, capsys):
-        from poalab import InvariantError, cli
+        from poalab import InvariantError
 
-        def broken_poa(game, tol):
-            raise InvariantError("PoA 0.5 fell below 1")
+        checked = solvers._checked_poa
+        calls = []
 
-        monkeypatch.setattr(cli, "poa", broken_poa)
+        def broken_checked_poa(game, rho, tol):
+            calls.append(game)
+            if len(calls) > 1:  # the base solve passes; its normalized copies do not
+                raise InvariantError("PoA 0.5 fell below 1")
+            return checked(game, rho, tol)
+
+        monkeypatch.setattr(solvers, "_checked_poa", broken_checked_poa)
         assert cli.main(["check", "--game", str(game_files["pigou"])]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "invariant"
+        assert len(calls) == 2
+
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+
+
+class TestCheckGame:
+    """``check_game`` solves a game once and its six normalized copies from its flows."""
+
+    @pytest.mark.parametrize("path", [*sorted(DATA.glob("*.json")), None],
+                             ids=lambda p: "pigou" if p is None else p.stem)
+    def test_warm_copies_match_cold_solves(self, path, pigou, monkeypatch):
+        game = pigou if path is None else load_game(path)
+        solved = []  # (game, starts, PoA) of each _solve_poa call
+
+        def recording(copy, tol, max_iter=100_000, starts=(None, None)):
+            out = solvers._solve_poa(copy, tol, max_iter, starts)
+            solved.append((copy, starts, out[0]))
+            return out
+
+        monkeypatch.setattr(sensitivity, "_solve_poa", recording)
+        assert check_game(game)[1] == []
+        (base, cold, _), copies = solved[0], solved[1:]
+        assert base is game and cold == (None, None) and len(copies) == 6
+        for copy, _, rho in copies:
+            assert rho == pytest.approx(poa(copy), abs=1e-9)
+
+    def test_each_copy_solve_starts_from_the_mapped_flows(self, pigou, monkeypatch):
+        calls = {"we": [], "so": []}  # (game, start, report) of each solve
+        for kind, log in calls.items():
+            def recording(game, tol, max_iter, start, real=getattr(solvers, f"solve_{kind}"),
+                          log=log):
+                report = real(game, tol=tol, max_iter=max_iter, start=start)
+                log.append((game, start, report))
+                return report
+            monkeypatch.setattr(solvers, f"solve_{kind}", recording)
+
+        check_game(pigou)
+        for log in calls.values():
+            (base, start, report), copies = log[0], log[1:]
+            assert base is pigou and start is None and len(copies) == 6
+            for copy, start, _ in copies:
+                assert start is not None
+                np.testing.assert_array_equal(
+                    start, sensitivity._warm_start(pigou, report.flow, copy))
+
+    def test_unconverged_copy_exits_3(self, game_files, monkeypatch, capsys):
+        real = solvers.solve_so
+
+        def stalled_on_copies(game, tol, max_iter, start):
+            report = real(game, tol=tol, max_iter=max_iter, start=start)
+            return report if start is None else dataclasses.replace(report, converged=False)
+
+        monkeypatch.setattr(solvers, "solve_so", stalled_on_copies)
+        assert cli.main(["check", "--game", str(game_files["pigou"])]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "unconverged"
+
+    def test_truncated_arc_game_passes(self, capsys):
+        assert cli.main(["check", "--game", str(DATA / "shared_arc_truncated.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_tangent_arc_game_is_an_input_error(self, tmp_path, capsys):
+        """The metric-axiom triples perturb every arc, and a tangent cost has no rule."""
+        doc = json.loads((DATA / "shared_arc_mixed.json").read_text())
+        doc["costs"]["d"] = cost_to_dict(TangentCost(BPR(1.0, 2.0, 0.1), 1.0))
+        path = tmp_path / "tangent.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", "--game", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "input" and "tangent" in err["message"]
