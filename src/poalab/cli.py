@@ -13,6 +13,7 @@ WE and SO flows mapped onto the copy's demands.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,8 +81,10 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    game = load_game(args.game)
     radii = _parse_floats(args.radii)
+    if args.samples < 1 or not radii:
+        raise ValueError(f"--samples must be >= 1 and --radii non-empty: {args.samples}, {radii}")
+    game = load_game(args.game)
     records = sweep(game, kind=args.kind, radii=radii,
                     samples_per_radius=args.samples, seed=args.seed)
     write_sweep_csv(records, args.out)
@@ -136,6 +139,7 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: in-process callers run one command after another
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poalab",

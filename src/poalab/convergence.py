@@ -56,8 +56,8 @@ class DemandSchedule:
         if any(v <= 0 for v in direction):
             raise ValueError("base direction must be strictly positive")
         totals = tuple(float(t) for t in self.totals)
-        if any(t <= 0 for t in totals):
-            raise ValueError("totals must be strictly positive")
+        if not totals or not all(0.0 < t < math.inf for t in totals):
+            raise ValueError(f"totals must be non-empty, finite and > 0, got {totals}")
         if self.pattern not in ("fixed-ratio", "drifting-ratio"):
             raise ValueError(f"unknown pattern {self.pattern!r}")
         object.__setattr__(self, "base_direction", direction)

@@ -28,9 +28,9 @@ and ``ExtensionKernel`` (wrappers, per inner kernel).  Only the kernel writes a 
 tau' (``derivative``) and marginal x tau' + tau (``marginals``): a cost's ``derivative``,
 its ``MarginalCost`` and the ``__call__`` of MonomialLog and the wrappers read the cost's
 cached one-row kernel, ``_row``.  The kernels' ``values`` are tested against the other
-``__call__``s, the inlined four and ``PiecewiseLinear``'s ``np.interp``.  The polynomial and
-BPR kernels also give the Newton step's ``derivs`` (tau') and ``marginal_derivs`` (2 tau'
-+ x tau''), except BPR with 0 < beta < 1 (tau'(0) infinite); others have them None.
+``__call__``s, the inlined four and ``PiecewiseLinear``'s ``np.interp``.  Every kernel also
+gives the Newton step's curvature in closed form: ``derivs`` (tau', read as 0 at a zero flow
+where tau'(0+) is infinite) and ``marginal_derivs`` (2 tau' + x tau'').
 """
 
 from __future__ import annotations
@@ -354,12 +354,14 @@ def _horner(coeffs, x):
 
 
 class _Kernel:
-    """Costs over parameter arrays, with ``values`` and ``derivative`` from the subclass."""
-
-    derivs = marginal_derivs = None
+    """Costs over parameter arrays; the subclass gives values, derivative and marginal_derivs."""
 
     def marginals(self, x):
         return _marginal(x, self.values(x), self.derivative(x))
+
+    def derivs(self, x):  # tau', read as 0 where infinite: a zero flow, an exponent below 1
+        slope = self.derivative(x)
+        return np.where(slope < np.inf, slope, 0.0)
 
 
 class PolynomialKernel:
@@ -470,7 +472,7 @@ class BPR(CostFunction, family="bpr"):
         return (0.0, hi) if same else None  # then dq x**beta + dp is monotone
 
 
-class BPRKernel:
+class BPRKernel(_Kernel):
     """BPR costs with one shared exponent, over arrays of q and p.
 
     The exponent stays a Python float: numpy raises an array to a scalar
@@ -483,9 +485,9 @@ class BPRKernel:
         self.q = np.array([c.q for c in costs])
         self.p = np.array([c.p for c in costs])
         self.qb = self.q * self.beta
-        if 0.0 < self.beta < 1.0:  # tau'(0) is infinite: no closed-form derivatives
-            self.derivs = self.marginal_derivs = None
+        if 0.0 < self.beta < 1.0:  # tau'(0) is infinite, and _Kernel's derivs reads it as 0
             self.slope0 = np.where(self.q == 0.0, 0.0, np.inf)  # the right limit at 0
+            self.derivs = super().derivs
 
     def values(self, x):
         return self.q * x**self.beta + self.p
@@ -507,7 +509,7 @@ class BPRKernel:
         b = self.beta
         if b >= 1.0:
             return x * (self.qb * x ** (b - 1.0)) + self.values(x)
-        return _marginal(x, self.values(x), self.derivative(x))  # tau'(0) may be infinite
+        return super().marginals(x)  # tau'(0) may be infinite
 
 
 @dataclass(frozen=True)
@@ -584,8 +586,9 @@ class MonomialLogKernel(_Kernel):
     def __init__(self, costs):
         self.beta, self.alpha = costs[0].beta, costs[0].alpha
         self.zeta = np.array([c.zeta for c in costs])
-        if self.alpha == 0.0:  # zeta x**beta: BPR's tau'
-            self.derivative = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs]).derivative
+        if self.alpha == 0.0:  # zeta x**beta: BPR's tau' and marginal slope
+            bpr = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs])
+            self.derivative, self.marginal_derivs = bpr.derivative, bpr.marginal_derivs
         else:  # tau'(0) is the right limit: x**(b-1) ln(x+1)**a ~ x**(a+b-1)
             ab = self.alpha + self.beta
             self.slope0 = 0.0 if ab > 1.0 else self.zeta * ab if ab == 1.0 else math.inf
@@ -599,6 +602,16 @@ class MonomialLogKernel(_Kernel):
         lg = np.log1p(pos)
         out = self.zeta * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
         return np.where(x > 0.0, out, self.slope0)
+
+    def marginal_derivs(self, x):
+        """(2 + s - (b + a w**2 (1 + L)) / s) tau' = 2 tau' + x tau'', from the log-derivative
+        s = x (ln tau)' = b + a w, where L = ln(x + 1) and w = x / ((x + 1) L) lies in (0, 1]."""
+        b, a = self.beta, self.alpha
+        pos = np.maximum(x, _TINY)
+        lg = np.log1p(pos)
+        w = pos / ((pos + 1.0) * lg)
+        s = b + a * w
+        return (2.0 + s - (b + a * w * w * (1.0 + lg)) / s) * self.derivs(x)
 
 
 @dataclass(frozen=True)
@@ -706,6 +719,11 @@ class PiecewiseLinearKernel(_Kernel):
     def derivative(self, x):
         return self.rates[self._segments(x)]
 
+    derivs = derivative
+
+    def marginal_derivs(self, x):  # tau'' is 0 inside a piece
+        return 2.0 * self.derivative(x)
+
     def marginals(self, x):  # tau' is finite: x tau' + tau has _marginal's bits, one search
         at = self._segments(x)
         rate = self.rates[at]
@@ -771,6 +789,9 @@ class ScaledKernel(_Kernel):
 
     def derivative(self, x):
         return self.factor * self.inner.derivative(x * self.factor)
+
+    def marginal_derivs(self, x):  # the marginal of tau(factor x) is m(factor x)
+        return self.factor * self.inner.marginal_derivs(x * self.factor)
 
 
 @dataclass(frozen=True)
@@ -863,6 +884,10 @@ class ExtensionKernel(_Kernel):
     def derivative(self, x):
         return np.where(x < self.anchor, self.inner.derivative(np.minimum(x, self.anchor)),
                         self.slope)
+
+    def marginal_derivs(self, x):  # beyond the anchor the marginal is 2 slope x + a constant
+        return np.where(x < self.anchor, self.inner.marginal_derivs(np.minimum(x, self.anchor)),
+                        2.0 * self.slope)
 
 
 class MarginalCost:

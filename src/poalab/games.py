@@ -167,8 +167,8 @@ class ArcCostTable:
     """Arc costs grouped by ``kernel_key``: one vectorized kernel call per group, none per arc.
 
     ``values(x)`` and ``marginals(x)`` equal ``[c(x_a)]`` and
-    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit.  ``derivs`` and
-    ``marginal_derivs`` are None unless every group's kernel has them.
+    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit; ``derivs`` and
+    ``marginal_derivs`` give every family's Newton curvature in closed form.
     """
 
     def __init__(self, costs):
@@ -177,8 +177,6 @@ class ArcCostTable:
             groups.setdefault(cost.kernel_key(), []).append(i)
         self.groups = tuple((np.array(idx), key[0]([costs[i] for i in idx]))
                             for key, idx in groups.items())
-        if not all(kernel.derivs for _, kernel in self.groups):
-            self.derivs = self.marginal_derivs = None
 
     def values(self, x) -> np.ndarray:
         """Cost of every arc at the arc flows x."""
@@ -197,13 +195,11 @@ class ArcCostTable:
         return self._evaluate("marginal_derivs", _domain(x))
 
     def _unchecked(self, name: str):
-        """The method `name` without the x >= 0 check, or None where the table lacks it.
+        """The method `name` without the x >= 0 check.
 
         Only for float arrays of flows that are non-negative by construction,
         as the solvers' are.
         """
-        if getattr(self, name) is None:
-            return None
         if len(self.groups) == 1:
             return getattr(self.groups[0][1], name)
         return partial(self._evaluate, name)

@@ -170,8 +170,8 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
     """
     if kind not in _WEIGHTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"radius must be finite and >= 0, got {radius}")
     zero = MetricValue(0.0, 0.0, 0.0, 0.0)
     if radius == 0.0:
         return Perturbation(kind, 0.0, seed, base, zero, False)

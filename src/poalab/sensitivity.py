@@ -23,13 +23,11 @@ so warm samples take fewer iterations; the base game itself is solved cold.
 A sweep first draws all its samples, then solves them together.  The
 paper's metric compares games on one structure only, so every sample is
 the base structure with other costs and demands, and the samples whose
-costs have derivative kernels and whose social optimum is certified convex
-are solved in lockstep, as rows of one batch, when there are at least four
-of them.  The rest take the per-sample path, one ``_solve_poa`` each: all
-samples of a base with MonomialLog, PiecewiseLinear, wrapper or
-sublinear-BPR costs (no derivative kernels), the samples with an
-uncertified social optimum, and batches too small to gain, since the
-lockstep loop is 1.8 to 5.4 times slower than a single solve at one row
+social optimum is certified convex are solved in lockstep, as rows of one
+batch, when there are at least four of them, whatever their cost families.
+The rest take the per-sample path, one ``_solve_poa`` each: the samples
+with an uncertified social optimum, and batches too small to gain, since
+the lockstep loop is 1.8 to 5.4 times slower than a single solve at one row
 (see ``poalab.solvers``).  Both paths take the same solver steps up to rounding,
 so they give a sample the same PoA within its solve tolerance.
 

@@ -12,19 +12,14 @@ pair's most expensive used path and its cheapest path, with the step length
 found where the directional derivative of the convex slice vanishes.
 
 Every swap takes its step length from one safeguarded path-based Newton
-iteration on the slice (Jayakrishnan et al., TRR 1443, 1994).  Its
-curvature is exact where the game's cost table has closed-form derivatives:
-constant, affine, polynomial and BPR costs with beta = 0 or beta >= 1.
-Every other game (MonomialLog, PiecewiseLinear, the wrapper costs, BPR with
-0 < beta < 1) takes a secant slope instead (Brent, Algorithms for
-Minimization without Derivatives, 1973).  Where the social optimum's
-convexity is not certified, each step is also checked against the total cost.
+iteration on the slice (Jayakrishnan et al., TRR 1443, 1994), with the exact
+curvature the game's cost table gives for every family.  Where the social
+optimum's convexity is not certified, each step is checked against the total cost.
 
 WE and certified SO follow each pass that kept the set of used paths U with
 one projected Newton step on U (Bertsekas, SIAM J. Control Optim. 20, 1982;
 Bertsekas and Gafni, Math. Prog. Study 17, 1982).  Its curvature is R_U
-diag(tau') R_U^T, with tau' from the table's derivatives or a difference
-quotient, plus a ridge of _RIDGE times the largest diagonal entry: a
+diag(tau') R_U^T, plus a ridge of _RIDGE times the largest diagonal entry: a
 least-norm step where used paths outnumber arcs.  A ratio test keeps f >= 0,
 the Newton line search runs along the step, and each pair's sum is set back
 to its demand.  Rows with one free direction (used paths less the pairs
@@ -46,10 +41,9 @@ in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
 (B, |A|) arrays, one ``ArcCostTable`` prices all B |A| arcs per call, and
 ``_descend_batch`` runs the same Gauss-Seidel pair loop and Newton step on
 every row at once, each row with its own tolerance, bracket and stopping
-rule.  A game whose cost table has no derivative kernels (the secant
-games) or whose social optimum is not certified convex is solved alone,
-as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call overhead
-on every step, for all rows together, so it only wins with enough rows:
+rule.  A game whose social optimum is not certified convex is solved
+alone, as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call
+overhead on every step, for all rows together, so it only wins with enough rows:
 measured on the criterion-07 games and on the 6- to 12-arc BPR networks
 of the benchmark, one game alone runs 1.8 to 5.4 times slower in it than
 in ``_descend``, and the two break even at 3 to 5 games.  So single solves keep ``_descend``, and a
@@ -162,13 +156,12 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
     """(alpha, arc_eval(arc_f + alpha h)) with alpha in [0, 1] where the slice's slope vanishes.
 
     The slope is phi'(alpha) = h @ arc_eval(arc_f + alpha h), tau =
-    arc_eval(arc_f), and the curvature (h * h) @ arc_slope(arc_f + alpha h)
-    or, without arc_slope, the secant slope of phi' through the last two
-    trials (0 at the first, which therefore goes to 1).  Newton steps,
-    clipped to [0, 1], run until |phi'| <= stop or alpha = 1 with phi' <= 0;
-    at zero curvature with phi' < 0 the step goes to 1.  A step that leaves
-    the bracket [lo, hi] known to hold the root (hi open until phi' > 0 is
-    seen) is replaced by bisection, and the loop ends when alpha stops moving.
+    arc_eval(arc_f), and the curvature (h * h) @ arc_slope(arc_f + alpha h).
+    Newton steps, clipped to [0, 1], run until |phi'| <= stop or alpha = 1
+    with phi' <= 0; at zero curvature with phi' < 0 the step goes to 1.  A
+    step that leaves the bracket [lo, hi] known to hold the root (hi open
+    until phi' > 0 is seen) is replaced by bisection, and the loop ends when
+    alpha stops moving.
     """
     alpha, slope = 0.0, float(h @ tau)
     if slope >= 0.0:
@@ -176,7 +169,6 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
     hh = h * h
     lo, hi = 0.0, math.inf
     x = arc_f
-    last = None  # (alpha, phi') at the trial before, for the secant
     for _ in range(_NEWTON_MAX_STEPS):
         if abs(slope) <= stop or (alpha == 1.0 and slope <= 0.0):
             break
@@ -184,11 +176,7 @@ def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
             lo = alpha
         else:
             hi = alpha
-        if arc_slope is not None:
-            curv = float(hh @ arc_slope(x))
-        else:
-            curv = 0.0 if last is None else (slope - last[1]) / (alpha - last[0])
-            last = alpha, slope
+        curv = float(hh @ arc_slope(x))
         nxt = min(max(alpha - slope / curv, 0.0), 1.0) if curv > 0.0 else 1.0
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + min(hi, 1.0))
@@ -229,12 +217,10 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     run &= _two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_flow_gap(st, path_costs, f) > tol)
     if not run.any():
         return f, arc_f, tau, path_costs
-    up = arc_f + 1e-8 * (arc_f + demands.sum(axis=1, keepdims=True))  # secant tables' tau'
-    curv = arc_slope(arc_f) if arc_slope is not None else (arc_eval(up) - tau) / (up - arc_f)
-    u, rows = used[run], st.path_arcs
+    curv, u, rows = arc_slope(arc_f)[run], used[run], st.path_arcs
     link = (owner == np.arange(n - n_s)[:, None]) & u[:, None, :]  # E on U
     kkt = np.zeros((len(u), n, n))
-    kkt[:, :n_s, :n_s] = (rows * curv[run][:, None, :]) @ rows.T * (u[:, :, None] & u[:, None, :])
+    kkt[:, :n_s, :n_s] = (rows * curv[:, None, :]) @ rows.T * (u[:, :, None] & u[:, None, :])
     kkt[:, n_s:, :n_s], kkt[:, :n_s, n_s:] = link, link.transpose(0, 2, 1)
     diag = kkt.reshape(len(u), -1)[:, ::n + 1]  # a view of each row's diagonal
     top = diag[:, :n_s].max(axis=1, keepdims=True)  # 0: the ridge 1 makes a gradient step
@@ -245,8 +231,8 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     s = np.zeros_like(f)
     s[run] = d * np.min(np.where(block, fr / np.where(block, -d, 1.0), 1.0), axis=1)[:, None]
     stop = 0.05 * tol / len(st.pair_starts) * _dot(np.abs(s), 1.0 / np.maximum(share, 1e-300))
-    slope = (lambda x: curv) if arc_slope is None else (lambda x: arc_slope(np.maximum(x, 0.0)))
-    alpha, _ = _newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)), slope, arc_f, s @ rows, tau,
+    alpha, _ = _newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)),
+                             lambda x: arc_slope(np.maximum(x, 0.0)), arc_f, s @ rows, tau,
                              stop, run)  # trial arc flows along s may round below 0
     g = np.maximum(f + alpha[:, None] * s, 0.0)  # with each pair's sum set back to its demand:
     g *= (demands / np.maximum(np.add.reduceat(g, st.pair_starts, axis=1), 1e-300))[:, owner]
@@ -261,8 +247,8 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
              objective=None) -> tuple[np.ndarray, float, int, bool]:
     """Shared FW loop; arc_eval maps arc flows to per-arc gradient values.
 
-    arc_slope maps arc flows to the derivatives of arc_eval's values, or is
-    None; every swap takes one _newton_step and keeps the costs it returns,
+    arc_slope maps arc flows to the derivatives of arc_eval's values; every
+    swap takes one _newton_step and keeps the costs it returns,
     and without `objective` a _used_path_newton step follows each pass.
     When `objective` is given (non-certified optimum search) every step is
     validated against it, since the directional-derivative root is only the
@@ -333,7 +319,7 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             progressed = True
         if newton:  # as the one row of a batch
             f, arc_f, tau, path_costs = (a[0] for a in _used_path_newton(
-                st, lambda x: arc_eval(x[0])[None], arc_slope and (lambda x: arc_slope(x[0])[None]),
+                st, lambda x: arc_eval(x[0])[None], lambda x: arc_slope(x[0])[None],
                 f[None], arc_f[None], tau[None], path_costs[None], game.demands[None], floor, tol,
                 np.array_equal(support, f > floor)))
         if not progressed:
@@ -453,14 +439,12 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
 
     tols and starts hold, per game, its tolerance and its WE and SO start
     flows.  The games whose SO is certified convex are solved in lockstep by
-    _descend_batch when there are at least _LOCKSTEP_MIN_ROWS of them and
-    their costs have derivative kernels; the others go through _solve_poa
-    one at a time.  Either way each PoA passes the checks of _solve_poa.
+    _descend_batch when there are at least _LOCKSTEP_MIN_ROWS of them; the
+    others go through _solve_poa one at a time.  Either way each PoA passes
+    the checks of _solve_poa.
     """
-    batch = [i for i, game in enumerate(games) if _so_certified(game)]
-    table = ArcCostTable([c for i in batch for c in games[i].costs])
-    if len(batch) < _LOCKSTEP_MIN_ROWS or table.derivs is None:
-        batch = []
+    certified = [i for i, game in enumerate(games) if _so_certified(game)]
+    batch = certified if len(certified) >= _LOCKSTEP_MIN_ROWS else []
     out = [math.nan] * len(games)
     for i in sorted(set(range(len(games))).difference(batch)):
         try:
@@ -470,6 +454,7 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     if not batch:
         return out
     st = games[batch[0]].structure
+    table = ArcCostTable([c for i in batch for c in games[i].costs])
     demands = np.array([games[i].demands for i in batch])
     tol = np.array([tols[i] for i in batch])
 

@@ -47,6 +47,9 @@ class TestSchedule:
             DemandSchedule((0.0,), (1.0,))
         with pytest.raises(ValueError):
             DemandSchedule((1.0,), (0.0,))
+        for totals in ((), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="totals"):
+                DemandSchedule((1.0,), totals)
 
 
 class TestConvergeDown:

@@ -23,6 +23,7 @@ from poalab import (
 )
 from poalab import costs
 from poalab.costs import FAMILIES, MarginalCost
+from poalab.games import ArcCostTable
 from poalab.io import InputError, cost_from_dict, cost_to_dict
 
 KINKED = PiecewiseLinear((0.0, 0.5, 2.0), (0.2, 0.4, 2.0))
@@ -81,6 +82,22 @@ def test_negative_flow_rejected(cost):
         for x in (-1.0, np.array([0.5, -1e-300]), np.array([[0.0], [-2.0]])):
             with pytest.raises(ValueError):
                 method(x)
+
+
+# tau'(0+) is infinite for these: their Newton curvature at a zero flow is 0
+INFINITE_SLOPE_AT_ZERO = (BPR(1.0, 0.25, 0.0), MonomialLog(1.0, 0.2, 0.3),
+                          ScaledCost(TruncatedCost(BPR(2.0, 0.5, 0.1), 1.0), 2.0))
+
+
+@pytest.mark.parametrize("cost", EVERY_FAMILY + INFINITE_SLOPE_AT_ZERO, ids=_cost_id)
+def test_newton_curvature_is_finite_at_zero_flow(cost):
+    """Every family's table gives tau' and the marginal's slope at x = 0 as finite numbers."""
+    table = ArcCostTable([cost, cost])
+    for name in ("derivs", "marginal_derivs"):
+        at_zero = getattr(table, name)(np.zeros(2))
+        assert np.all(np.isfinite(at_zero)), name
+        if cost in INFINITE_SLOPE_AT_ZERO:
+            assert np.all(at_zero == 0.0), name
 
 
 def test_polynomial_lipschitz_bound_has_the_derivative_bits():

@@ -7,8 +7,8 @@ the same class, so their bit tests here check that grouping rows, padding them a
 delegating to inner kernels keep each row's bits; the oracles for tau' and the marginal
 apart from the kernels are the finite differences in ``test_costs.py``.
 
-Also the derivative kernels, and the Newton step they feed against the
-secant step that tables without them take.
+Also the derivative kernels of every family against finite differences, and
+solves through a wrapper against solves of the costs it wraps.
 """
 
 import numpy as np
@@ -172,19 +172,50 @@ class TestArcCostTable:
                           ([3], "BPRKernel"), ([5], "MonomialLogKernel")]
 
 
-SMOOTH_COSTS = st.one_of(
-    st.builds(Constant, PARAM),
-    st.builds(Affine, PARAM, PARAM),
-    st.builds(lambda cs: Polynomial(tuple(cs)), st.lists(PARAM, min_size=1, max_size=5)),
-    st.builds(BPR, PARAM, st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.0]), PARAM),
+@st.composite
+def inside_a_piece(draw):
+    """A piecewise-linear cost and a flow at least a tenth of a piece from its breakpoints."""
+    cost = draw(piecewise_linear())
+    bps = cost.breakpoints + (cost.breakpoints[-1] + 2.0,)
+    k = draw(st.integers(0, len(bps) - 2))
+    return cost, bps[k] + draw(st.floats(0.1, 0.9)) * (bps[k + 1] - bps[k])
+
+
+SMOOTH_BASE = st.one_of(  # (cost, flow) where the cost is twice differentiable
+    st.tuples(st.one_of(
+        st.builds(Constant, PARAM),
+        st.builds(Affine, PARAM, PARAM),
+        st.builds(lambda cs: Polynomial(tuple(cs)), st.lists(PARAM, min_size=1, max_size=5)),
+        st.builds(BPR, PARAM, st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 4.0]), PARAM),
+    ), FLOW),
+    st.tuples(st.one_of(  # tau'(0+) may be infinite: x > 0
+        st.builds(BPR, PARAM, st.sampled_from([0.25, 0.5]), PARAM),
+        st.builds(MonomialLog, PARAM, st.sampled_from([0.2, 1.0, 2.0]),
+                  st.sampled_from([0.0, 0.5, 1.0])),
+    ), st.floats(1e-3, 20.0)),
+    inside_a_piece(),
 )
 
 
 @st.composite
+def wrapped_smooth(draw):
+    """A wrapper around a SMOOTH_BASE pair; its flow is >= 0.05 below or >= 1.1 times the anchor."""
+    cost, x = draw(SMOOTH_BASE)
+    u = draw(st.floats(0.1, 2.0))
+    wrapper = draw(st.sampled_from([ScaledCost, TruncatedCost, TangentCost]))
+    if wrapper is ScaledCost:
+        return ScaledCost(cost, u), x / u
+    beyond = x > 0.0 and draw(st.booleans())
+    return wrapper(cost, x / (1.0 + u) if beyond else x * (1.0 + u) + 0.05), x
+
+
+SMOOTH_COSTS = st.one_of(SMOOTH_BASE, wrapped_smooth())
+
+
+@st.composite
 def smooth_costs_and_flows(draw):
-    costs = draw(st.lists(SMOOTH_COSTS, min_size=1, max_size=8))
-    x = np.array(draw(st.lists(FLOW, min_size=len(costs), max_size=len(costs))))
-    return costs, x
+    costs, x = zip(*draw(st.lists(SMOOTH_COSTS, min_size=1, max_size=8)))
+    return costs, np.array(x)
 
 
 class TestDerivativeKernels:
@@ -200,14 +231,6 @@ class TestDerivativeKernels:
         step = 1e-6 * (1.0 + x)
         slope = (table.marginals(x + 2.0 * step) - table.marginals(x)) / (2.0 * step)
         assert np.allclose(table.marginal_derivs(x + step), slope, rtol=1e-5, atol=5e-3)
-
-    @pytest.mark.parametrize("cost", [BPR(1.0, 0.5, 0.1), MonomialLog(1.0, 1.0, 1.0),
-                                      PiecewiseLinear((0.0, 1.0), (0.1, 0.5)),
-                                      ScaledCost(Affine(1.0, 0.1), 1.0)])
-    def test_none_unless_every_group_has_them(self, cost):
-        table = ArcCostTable((Affine(1.0, 0.2), BPR(1.0, 4.0, 0.1), cost))
-        assert table.derivs is None and table.marginal_derivs is None
-        assert ArcCostTable((Affine(1.0, 0.2), BPR(1.0, 4.0, 0.1))).derivs is not None
 
     def test_bpr_beta_zero_is_exactly_flat(self):
         x = np.array([0.0, 1e-300, 1.0, 20.0])
@@ -226,17 +249,17 @@ GAME_COSTS = st.lists(st.one_of(
 ), min_size=4, max_size=4)
 
 
-class TestNewtonAgainstSecant:
+class TestWrapperConsistency:
     @settings(max_examples=60, deadline=None)
     @given(costs=GAME_COSTS, demands=st.lists(st.floats(0.05, 3.0), min_size=2, max_size=2))
     def test_same_totals(self, shared_arc, costs, demands):
         tol = 1e-10
         game = unit_scale(Game(shared_arc, tuple(costs), np.array(demands)))
-        # ScaledCost(c, 1.0) is c evaluated per object, through secant steps
+        # ScaledCost(c, 1.0) is c through the wrapper's kernel: values, tau' and the
+        # marginal's slope all pass through ScaledKernel, and both solve by Newton steps
         wrapped = game.with_costs(ScaledCost(c, 1.0) for c in game.costs)
-        assert game.cost_table.derivs is not None and wrapped.cost_table.derivs is None
         for solve in (solve_we, solve_so):
-            newton, brent = solve(game, tol=tol), solve(wrapped, tol=tol)
-            assert newton.converged and brent.converged
-            assert newton.optimality_certified and brent.optimality_certified
-            assert abs(newton.total_cost - brent.total_cost) <= tol
+            plain, through = solve(game, tol=tol), solve(wrapped, tol=tol)
+            assert plain.converged and through.converged
+            assert plain.optimality_certified and through.optimality_certified
+            assert abs(plain.total_cost - through.total_cost) <= tol

@@ -210,6 +210,20 @@ class TestCli:
         fit = json.loads(res2.stdout)
         assert fit["gamma"] >= 0.9
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--samples", "0", "--samples"), ("--samples", "-3", "--samples"),
+        ("--radii", ",", "--radii"), ("--radii", "nan", "radius"),
+        ("--radii", "1e-2,inf", "radius")])
+    def test_sweep_rejects_empty_or_non_finite_input(self, game_files, capsys, flag, value,
+                                                      named):
+        out = game_files["dir"] / "sweep.csv"
+        opts = {"--radii": "1e-2", "--samples": "4", flag: value}
+        argv = ["sweep", "--game", str(game_files["pigou"]), "--kind", "cost", "--out", str(out)]
+        assert cli.main(argv + [tok for opt in opts.items() for tok in opt]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "input" and named in err["message"]
+        assert not out.exists()
+
     def test_converge_down(self, game_files, two_link):
         g = Game(two_link, (Affine(1.0, 1.0), Constant(2.0)), np.array([1.0]))
         gpath = game_files["dir"] / "down.json"

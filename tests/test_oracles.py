@@ -3,8 +3,9 @@
 PoA <= 4/3 for affine costs (Roughgarden & Tardos, JACM 2002) and PoA <=
 alpha(p) for non-negative polynomials of degree <= p (Roughgarden, JCSS 2003),
 on any structure; the WE and SO of the two-link and Braess games in closed
-form; and the same for two-link games whose cost tables have no derivative
-kernels, which take the secant step.
+form; and the same for two-link games of the other families, two of them
+with tau'(0+) infinite, where the Newton step reads the curvature at a zero
+flow as 0.
 """
 
 import math
@@ -28,9 +29,6 @@ from poalab import (
     solve_so,
     solve_we,
 )
-from poalab.games import ArcCostTable
-from poalab.solvers import _newton_step
-
 from conftest import unit_scale
 
 TOL = 1e-12
@@ -140,8 +138,10 @@ def root_in_0_2(fn) -> float:
 LN2 = math.log(2.0)
 
 # (upper cost, lower cost, demand, upper WE flow, upper SO flow or None)
-NO_DERIVS = [
+TWO_LINK_ORACLES = [
     pytest.param(BPR(1.0, 0.5, 0.0), Constant(0.5), 1.0, 0.25, 1.0 / 9.0, id="sqrt"),
+    # x**0.25 = 0.8 and 1.25 x**0.25 = 0.8
+    pytest.param(BPR(1.0, 0.25, 0.0), Constant(0.8), 1.0, 0.8**4, 0.64**4, id="fourth-root"),
     pytest.param(PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 3.0)), Constant(1.5), 2.0,
                  1.25, None, id="piecewise-linear"),
     # SO: where the marginal of the total cost, x^2 ln(x + 1) or x ln(x + 1), meets ln 2
@@ -150,39 +150,24 @@ NO_DERIVS = [
                  id="monomial-log"),
     pytest.param(MonomialLog(1.0, 0.0, 1.0), Constant(LN2), 2.0, 1.0,
                  root_in_0_2(lambda x: math.log1p(x) + x / (x + 1.0) - LN2), id="log"),
+    # alpha + beta < 1; the marginal is tau(x) (1.2 + 0.3 x / ((x + 1) ln(x + 1)))
+    pytest.param(MonomialLog(1.0, 0.2, 0.3), Constant(LN2**0.3), 2.0, 1.0,
+                 root_in_0_2(lambda x: x**0.2 * math.log1p(x) ** 0.3 * (
+                     1.2 + (0.3 * x / ((x + 1.0) * math.log1p(x)) if x else 0.3)) - LN2**0.3),
+                 id="monomial-log-sublinear"),
     pytest.param(ScaledCost(Affine(1.0, 0.0), 2.0), Constant(1.0), 1.0, 0.5, 0.25, id="scaled"),
 ]
 
 
-class TestNoDerivativeKernels:
-    @pytest.mark.parametrize("upper, lower, d, x_we, x_so", NO_DERIVS)
+class TestTwoLinkOracles:
+    @pytest.mark.parametrize("upper, lower, d, x_we, x_so", TWO_LINK_ORACLES)
     def test_two_link(self, two_link, upper, lower, d, x_we, x_so):
         game = Game(two_link, (upper, lower), np.array([d]))
-        assert game.cost_table.derivs is None
         # each solution splits the demand with at least 1/9 on either link and
-        # cost slopes >= 1/2 nearby, so a gap of TOL moves the flow by < 1e-9
+        # cost slopes >= 1/3 nearby, so a gap of TOL moves the flow by < 1e-9
         solves = [(solve_we, x_we)] + ([(solve_so, x_so)] if x_so is not None else [])
         for solve, x in solves:
             report = solve(game, tol=TOL)
             assert report.converged and report.optimality_certified
             assert report.flow.values[0] == pytest.approx(x, abs=1e-9)
 
-
-class TestSecantStep:
-    def test_affine_slope_stops_at_the_root(self):
-        # phi'(alpha) = 3 alpha - 2.25 on this slice: alpha = 1, then the secant
-        # through phi'(0) and phi'(1) lands on the root 0.75
-        table = ArcCostTable([ScaledCost(Affine(2.0, 0.5), 1.0), ScaledCost(Affine(1.0, 0.25), 1.0)])
-        assert table.derivs is None
-        values = table._unchecked("values")
-        calls = []
-
-        def arc_eval(x):
-            calls.append(x.copy())
-            return values(x)
-
-        arc_f, h = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
-        alpha, tau = _newton_step(arc_eval, None, arc_f, h, values(arc_f), 1e-12)
-        assert alpha == 0.75
-        assert len(calls) <= 2
-        assert tau.tobytes() == values(arc_f + alpha * h).tobytes()
