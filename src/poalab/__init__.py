@@ -7,14 +7,12 @@ from .costs import (
     Affine,
     Constant,
     CostFunction,
-    IntervalBound,
     MonomialLog,
     PiecewiseLinear,
     Polynomial,
     ScaledCost,
     TangentCost,
     TruncatedCost,
-    interval_bound,
     sup_distance,
 )
 from .games import (

@@ -21,7 +21,7 @@ from .costs import BPR, Constant
 from .games import Game
 from .metric import dist
 from .regression import loglog_fit
-from .sensitivity import _base_quantities, _demand_slice
+from .sensitivity import certificate_demand_slice
 from .solvers import poa
 from .transforms import cost_normalize, demand_normalize
 
@@ -53,8 +53,8 @@ class DemandSchedule:
 
     def __post_init__(self):
         direction = tuple(float(v) for v in self.base_direction)
-        if any(v <= 0 for v in direction):
-            raise ValueError("base direction must be strictly positive")
+        if not all(0.0 < v < math.inf for v in direction):
+            raise ValueError(f"base direction must be finite and > 0, got {direction}")
         totals = tuple(float(t) for t in self.totals)
         if not totals or not all(0.0 < t < math.inf for t in totals):
             raise ValueError(f"totals must be non-empty, finite and > 0, got {totals}")
@@ -201,7 +201,7 @@ def converge_up(game: Game, schedule: DemandSchedule,
         w = dist(hat, monomial)
         bound = None
         if beta >= 1:
-            cert = _demand_slice(monomial, lambda: _base_quantities(monomial, tol))
+            cert = certificate_demand_slice(monomial, tol)
             bound = cert.bound(w.upper()) if w.upper() <= cert.radius else None
         w_closed = monomial_log_gap_bound(scaled, scaled.total_demand) if alpha > 0 else None
         points.append(RatePoint(total, poa(hat, tol=tol) - 1.0, bound, w=w.value,

@@ -14,7 +14,7 @@ params), its move inside a metric ball (``perturbed``), ``regular_variation``,
 ``has_kinks``, ``sup_points(other, hi)``, where |f - g| peaks against its own
 family, and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
 sample, that x f(x) is convex on [0, hi].  Constant, Affine and Polynomial derive
-their calculus, interval bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
+their Lipschitz bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
 
 Every cost method rejects a negative flow and maps a scalar to a Python float and
 an array to an array of its shape, through one decorator, ``_pointwise``; the
@@ -25,12 +25,13 @@ Each family names a kernel over parameter arrays by ``kernel_key``: ``Polynomial
 (constant, affine, polynomial and linear BPR), ``BPRKernel`` (per other BPR exponent),
 ``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and ``ScaledKernel``
 and ``ExtensionKernel`` (wrappers, per inner kernel).  Only the kernel writes a family's
-tau' (``derivative``) and marginal x tau' + tau (``marginals``): a cost's ``derivative``,
-its ``MarginalCost`` and the ``__call__`` of MonomialLog and the wrappers read the cost's
-cached one-row kernel, ``_row``.  The kernels' ``values`` are tested against the other
-``__call__``s, the inlined four and ``PiecewiseLinear``'s ``np.interp``.  Every kernel also
-gives the Newton step's curvature in closed form: ``derivs`` (tau', read as 0 at a zero flow
-where tau'(0+) is infinite) and ``marginal_derivs`` (2 tau' + x tau'').
+tau' (``derivative``), integral from 0 (``antiderivs``) and marginal x tau' + tau
+(``marginals``): a cost's ``derivative`` and ``antiderivative``, its ``MarginalCost`` and
+the ``__call__`` of MonomialLog and the wrappers read the cost's cached one-row kernel,
+``_row``.  The kernels' ``values`` are tested against the other ``__call__``s, the inlined
+four and ``PiecewiseLinear``'s ``np.interp``.  Every kernel also gives the Newton step's
+curvature in closed form: ``derivs`` (tau', read as 0 at a zero flow where tau'(0+) is
+infinite) and ``marginal_derivs`` (2 tau' + x tau'').
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ __all__ = [
     "PiecewiseLinearKernel",
     "ScaledKernel",
     "ExtensionKernel",
-    "IntervalBound",
-    "interval_bound",
     "sup_distance",
 ]
 
@@ -156,9 +155,10 @@ class CostFunction:
         # _horner, on the solvers' hot path, leaves a degree <= 1 row's tau' unbroadcast
         return slope if slope.shape == x.shape else np.repeat(slope, x.size)
 
+    @_pointwise
     def antiderivative(self, x):
         """Integral of the cost from 0 to x."""
-        raise NotImplementedError
+        return self._row.antiderivs(x)
 
     def lipschitz_on(self, hi: float) -> float:
         """Upper bound on sup |f'| over [0, hi]; math.inf if not Lipschitz."""
@@ -183,9 +183,6 @@ class CostFunction:
         stores the composition in a wrapper.
         """
         return ScaledCost(self, factor)
-
-    def marginal(self) -> "MarginalCost":
-        return MarginalCost(self)
 
     def kernel_key(self) -> tuple:
         """Costs with equal keys share one kernel, built as ``key[0](costs)``."""
@@ -218,13 +215,7 @@ class CostFunction:
 
 
 class _PolynomialCost(CostFunction):
-    """Base of Constant, Affine and Polynomial: their calculus, from ``as_polynomial()``."""
-
-    @_pointwise
-    def antiderivative(self, x):
-        c = self.as_polynomial()
-        ac = np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
-        return np.polyval(ac[::-1], x)
+    """Base of Constant, Affine and Polynomial: bounds and kernel from ``as_polynomial()``."""
 
     def lipschitz_on(self, hi):
         c = self.as_polynomial()
@@ -397,6 +388,10 @@ class PolynomialKernel:
     def marginal_derivs(self, x):
         return 2.0 * self.derivs(x) + x * _horner(self.bends, x)
 
+    def antiderivs(self, x):  # Horner on each row's c_k / (k + 1), padded like coeffs, then 0
+        integrals = self.coeffs / np.arange(self.coeffs.shape[1], 0, -1)
+        return _horner(np.pad(integrals, ((0, 0), (0, 1))), x)
+
 
 @dataclass(frozen=True)
 class BPR(CostFunction, family="bpr"):
@@ -415,10 +410,6 @@ class BPR(CostFunction, family="bpr"):
         xs = _domain(x)
         val = self.q * xs**self.beta + self.p
         return val if xs.ndim else float(val)
-
-    @_pointwise
-    def antiderivative(self, x):
-        return self.q * x ** (self.beta + 1.0) / (self.beta + 1.0) + self.p * x
 
     def lipschitz_on(self, hi):
         b = self.beta
@@ -511,6 +502,9 @@ class BPRKernel(_Kernel):
             return x * (self.qb * x ** (b - 1.0)) + self.values(x)
         return super().marginals(x)  # tau'(0) may be infinite
 
+    def antiderivs(self, x):
+        return self.q * x ** (self.beta + 1.0) / (self.beta + 1.0) + self.p * x
+
 
 @dataclass(frozen=True)
 class MonomialLog(CostFunction, family="monomial_log"):
@@ -524,16 +518,6 @@ class MonomialLog(CostFunction, family="monomial_log"):
         object.__setattr__(self, "zeta", _require_nonneg("zeta", self.zeta))
         object.__setattr__(self, "beta", _require_nonneg("beta", self.beta))
         object.__setattr__(self, "alpha", _require_nonneg("alpha", self.alpha))
-
-    @_pointwise
-    def antiderivative(self, x):
-        # no elementary antiderivative for real alpha; adaptive quadrature
-        out = np.zeros_like(x)
-        for i, xi in enumerate(x):
-            if xi != 0.0 and self.zeta != 0.0:
-                val, _ = integrate.quad(self, 0.0, xi, epsabs=1e-14, epsrel=1e-12, limit=200)
-                out[i] = val
-        return out
 
     def lipschitz_on(self, hi):
         z, b, a = self.zeta, self.beta, self.alpha
@@ -613,6 +597,16 @@ class MonomialLogKernel(_Kernel):
         s = b + a * w
         return (2.0 + s - (b + a * w * w * (1.0 + lg)) / s) * self.derivs(x)
 
+    def antiderivs(self, x):  # no elementary antiderivative for real alpha: adaptive quadrature
+        b, a = self.beta, self.alpha
+        out = np.zeros_like(x)
+        # a one-row kernel integrates its cost at any number of flows
+        for i, (z, xi) in enumerate(zip(np.broadcast_to(self.zeta, x.shape).tolist(), x.tolist())):
+            if xi != 0.0 and z != 0.0:
+                out[i] = integrate.quad(lambda t: z * t**b * math.log1p(t) ** a, 0.0, xi,
+                                        epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        return out
+
 
 @dataclass(frozen=True)
 class PiecewiseLinear(CostFunction, family="piecewise_linear"):
@@ -628,6 +622,8 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
             raise ValueError("breakpoints and values must match and be non-empty")
         if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        if not all(math.isfinite(b) for b in bps):
+            raise ValueError(f"breakpoints must be finite, got {bps}")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         if any(v2 < v1 for v1, v2 in zip(vals, vals[1:])):
@@ -649,15 +645,6 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     @_pointwise
     def __call__(self, x):
         return np.interp(x, self.breakpoints, self.values)
-
-    @_pointwise
-    def antiderivative(self, x):
-        b, v = self._breakpoints, np.asarray(self.values)
-        seg = np.concatenate([[0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(b))])
-        idx = np.maximum(np.searchsorted(b, x, side="right") - 1, 0)
-        dx = x - b[idx]
-        mid = self(b[idx]) + 0.5 * self.derivative(b[idx]) * dx
-        return seg[idx] + mid * dx
 
     def lipschitz_on(self, hi):
         return float(np.max(self._slopes[self._breakpoints < hi], initial=0.0))  # slopes are >= 0
@@ -729,6 +716,16 @@ class PiecewiseLinearKernel(_Kernel):
         rate = self.rates[at]
         return x * rate + (rate * (x - self.breakpoints[at]) + self.heights[at])
 
+    def antiderivs(self, x):
+        """The trapezoids up to x's segment, 0-wide in the padding, and that segment's part."""
+        last = np.max(self.breakpoints, axis=1, where=self.breakpoints < np.inf, initial=0.0)
+        widths = np.diff(np.minimum(self.breakpoints, last[:, None]), axis=1)
+        areas = np.cumsum(0.5 * (self.heights[:, :-1] + self.heights[:, 1:]) * widths, axis=1)
+        at = self._segments(x)
+        dx = x - self.breakpoints[at]
+        part = (self.heights[at] + 0.5 * self.rates[at] * dx) * dx
+        return np.pad(areas, ((0, 0), (1, 0)))[at] + part
+
 
 @dataclass(frozen=True)
 class ScaledCost(CostFunction, family="scaled"):
@@ -738,12 +735,8 @@ class ScaledCost(CostFunction, family="scaled"):
     factor: float
 
     def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError("argument scale factor must be > 0")
-
-    @_pointwise
-    def antiderivative(self, x):
-        return self.inner.antiderivative(x * self.factor) / self.factor
+        if not 0.0 < self.factor < math.inf:
+            raise ValueError(f"argument scale factor must be finite and > 0, got {self.factor}")
 
     def lipschitz_on(self, hi):
         return self.factor * self.inner.lipschitz_on(self.factor * hi)
@@ -793,6 +786,9 @@ class ScaledKernel(_Kernel):
     def marginal_derivs(self, x):  # the marginal of tau(factor x) is m(factor x)
         return self.factor * self.inner.marginal_derivs(x * self.factor)
 
+    def antiderivs(self, x):
+        return self.inner.antiderivs(x * self.factor) / self.factor
+
 
 @dataclass(frozen=True)
 class _Extension(CostFunction):
@@ -802,14 +798,8 @@ class _Extension(CostFunction):
     anchor: float
 
     def __post_init__(self):
-        if self.anchor <= 0:
-            raise ValueError("anchor must be > 0")
-
-    @_pointwise
-    def antiderivative(self, x):
-        base = self.inner.antiderivative(np.minimum(x, self.anchor))
-        dx = np.maximum(x - self.anchor, 0.0)
-        return base + dx * self.inner(self.anchor) + 0.5 * self._slope() * dx * dx
+        if not 0.0 < self.anchor < math.inf:
+            raise ValueError(f"anchor must be finite and > 0, got {self.anchor}")
 
     def lipschitz_on(self, hi):
         return self.inner.lipschitz_on(min(hi, self.anchor))
@@ -889,9 +879,14 @@ class ExtensionKernel(_Kernel):
         return np.where(x < self.anchor, self.inner.marginal_derivs(np.minimum(x, self.anchor)),
                         2.0 * self.slope)
 
+    def antiderivs(self, x):
+        dx = np.maximum(x - self.anchor, 0.0)
+        return (self.inner.antiderivs(np.minimum(x, self.anchor))
+                + dx * self.inner.values(self.anchor) + 0.5 * self.slope * dx * dx)
+
 
 class MarginalCost:
-    """Marginal cost x * f'(x) + f(x) of a cost f; f's closed-form rule says where it rises."""
+    """Marginal cost x * f'(x) + f(x) of a cost f, from f's one-row kernel."""
 
     def __init__(self, cost: CostFunction):
         self.cost = cost
@@ -899,36 +894,6 @@ class MarginalCost:
     @_pointwise
     def __call__(self, x):
         return self.cost._row.marginals(x)
-
-    def is_nondecreasing_on(self, hi: float) -> bool:
-        """True iff the cost's closed-form rule proves x * f(x) convex on [0, hi]."""
-        return self.cost.has_nondecreasing_marginal(hi)
-
-
-@dataclass(frozen=True)
-class IntervalBound:
-    """Lipschitz data of a cost on [lo, hi]; M is sound, never an underestimate."""
-
-    lo: float
-    hi: float
-    lipschitz: float
-    deriv_min: float
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("lo must be <= hi")
-        if self.deriv_min < 0 or self.lipschitz < self.deriv_min:
-            raise ValueError("need lipschitz >= deriv_min >= 0")
-
-    def clamped_lipschitz(self) -> float:
-        """Lipschitz constant clamped up to 1 (a Lipschitz constant stays valid)."""
-        return max(1.0, self.lipschitz)
-
-
-def interval_bound(cost: CostFunction, lo: float, hi: float) -> IntervalBound:
-    if lo != 0.0:
-        raise ValueError("interval bounds are computed from 0")
-    return IntervalBound(lo, hi, cost.lipschitz_on(hi), cost.deriv_min_on(hi))
 
 
 def _poly_sup(d: list[float], hi: float) -> float:

@@ -166,9 +166,10 @@ class Structure:
 class ArcCostTable:
     """Arc costs grouped by ``kernel_key``: one vectorized kernel call per group, none per arc.
 
-    ``values(x)`` and ``marginals(x)`` equal ``[c(x_a)]`` and
-    ``[MarginalCost(c)(x_a)]`` over the arcs bit for bit; ``derivs`` and
-    ``marginal_derivs`` give every family's Newton curvature in closed form.
+    ``values(x)``, ``marginals(x)`` and ``antiderivs(x)`` equal ``[c(x_a)]``,
+    ``[MarginalCost(c)(x_a)]`` and ``[c.antiderivative(x_a)]`` over the arcs bit for
+    bit; ``derivs`` and ``marginal_derivs`` give every family's Newton curvature in
+    closed form.
     """
 
     def __init__(self, costs):
@@ -193,6 +194,10 @@ class ArcCostTable:
     def marginal_derivs(self, x) -> np.ndarray:
         """Derivative 2 c'(x) + x c''(x) of every arc's marginal cost at the arc flows x."""
         return self._evaluate("marginal_derivs", _domain(x))
+
+    def antiderivs(self, x) -> np.ndarray:
+        """Integral of every arc cost from 0 to the arc flows x."""
+        return self._evaluate("antiderivs", _domain(x))
 
     def _unchecked(self, name: str):
         """The method `name` without the x >= 0 check.

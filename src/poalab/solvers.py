@@ -503,8 +503,8 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     The returned flow satisfies approximation_threshold(game, flow) <= tol
     when converged; otherwise an unconverged report is returned (no raise).
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     table = game.cost_table
     f, gap, iters, conv = _descend(game, table._unchecked("values"), table._unchecked("derivs"),
@@ -520,8 +520,8 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     non-decreasing on [0, T(d)] (convex objective, never sampled); otherwise the best of
     the first descent and _MULTISTARTS random restarts (seed 0) is reported uncertified.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     certified = _so_certified(game)
     table = game.cost_table
     marginals, values = table._unchecked("marginals"), table._unchecked("values")
@@ -565,7 +565,7 @@ def potential(game: Game, flow: PathFlow) -> float:
     """Sum over arcs of the cost antiderivative at the arc flow."""
     check_feasible(game, flow)
     arc_f = game.structure.incidence @ flow.values
-    return float(sum(c.antiderivative(x) for c, x in zip(game.costs, arc_f)))
+    return float(game.cost_table.antiderivs(arc_f).sum())
 
 
 def _cost_range(game: Game) -> tuple[float, float]:

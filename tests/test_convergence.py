@@ -50,6 +50,9 @@ class TestSchedule:
         for totals in ((), (1.0, math.nan), (1.0, math.inf)):
             with pytest.raises(ValueError, match="totals"):
                 DemandSchedule((1.0,), totals)
+        for direction in ((1.0, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="direction"):
+                DemandSchedule(direction, (1.0,))
 
 
 class TestConvergeDown:

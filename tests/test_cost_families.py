@@ -228,20 +228,21 @@ OWN_CALL = {"Constant", "Affine", "Polynomial", "BPR", "PiecewiseLinear"}
 
 
 def _own_calculus(tree, cost_classes):
-    """(class, method) of each ``derivative`` and of each ``__call__`` outside OWN_CALL
-    defined in the body of a class named in cost_classes."""
+    """(class, method) of each ``derivative`` and ``antiderivative``, and of each ``__call__``
+    outside OWN_CALL, defined in the body of a class named in cost_classes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name in cost_classes:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and (
-                        item.name == "derivative"
+                        item.name in ("derivative", "antiderivative")
                         or item.name == "__call__" and node.name not in OWN_CALL):
                     yield node.name, item.name
 
 
 def test_cost_classes_read_their_kernel():
-    """tau' and the marginal are written only in the kernels: no cost class has its own
-    ``derivative``, and only OWN_CALL have their own ``__call__``."""
+    """tau', its antiderivative and the marginal are written only in the kernels: no cost
+    class has its own ``derivative`` or ``antiderivative``, and only OWN_CALL have their
+    own ``__call__``."""
     tree = ast.parse(pathlib.Path(costs.__file__).read_text(encoding="utf-8"))
     subclasses = {name for name, obj in vars(costs).items() if isinstance(obj, type)
                   and issubclass(obj, costs.CostFunction) and obj is not costs.CostFunction}
@@ -255,10 +256,11 @@ def test_calculus_guard_sees_a_copy():
                      "    def derivative(self, x): pass\n"
                      "class ScaledCost:\n"
                      "    def __call__(self, x): pass\n"
+                     "    def antiderivative(self, x): pass\n"
                      "class MarginalCost:\n"
                      "    def __call__(self, x): pass\n")
     assert list(_own_calculus(tree, {"BPR", "ScaledCost"})) == [
-        ("BPR", "derivative"), ("ScaledCost", "__call__")]
+        ("BPR", "derivative"), ("ScaledCost", "__call__"), ("ScaledCost", "antiderivative")]
 
 
 @pytest.mark.parametrize("anchor", [0.75, 3.0], ids=["anchor-below", "anchor-above"])

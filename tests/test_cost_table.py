@@ -2,10 +2,11 @@
 
 The table's values are checked against each family's own ``__call__``: the inlined ones
 of Constant, Affine, Polynomial and BPR, and PiecewiseLinear's ``np.interp``.  A cost's
-``derivative``, its ``MarginalCost`` and the other ``__call__``s read a one-row kernel of
-the same class, so their bit tests here check that grouping rows, padding them and
-delegating to inner kernels keep each row's bits; the oracles for tau' and the marginal
-apart from the kernels are the finite differences in ``test_costs.py``.
+``derivative``, its ``antiderivative``, its ``MarginalCost`` and the other ``__call__``s
+read a one-row kernel of the same class, so their bit tests here check that grouping rows,
+padding them and delegating to inner kernels keep each row's bits; the oracles for tau',
+the integral and the marginal apart from the kernels are the finite differences and
+quadratures in ``test_costs.py``.
 
 Also the derivative kernels of every family against finite differences, and
 solves through a wrapper against solves of the costs it wraps.
@@ -111,6 +112,15 @@ class TestArcCostTable:
         for idx, kernel in ArcCostTable(costs).groups:
             slopes = [costs[i].derivative(x[i]) for i in idx]
             assert kernel.derivative(x[idx]).tobytes() == np.array(slopes).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=costs_and_flows())
+    def test_antiderivs_match_per_object(self, data):
+        # grouping rows and padding their integrated coefficients and trapezoid areas
+        # keep each row's bits
+        costs, x = data
+        assert (ArcCostTable(costs).antiderivs(x).tobytes()
+                == np.array([c.antiderivative(xi) for c, xi in zip(costs, x)]).tobytes())
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     def test_bpr_powers_on_a_dense_grid(self, beta):

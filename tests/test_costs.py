@@ -17,8 +17,6 @@ from poalab import (
     ScaledCost,
     TangentCost,
     TruncatedCost,
-    IntervalBound,
-    interval_bound,
     sup_distance,
 )
 from poalab.costs import MarginalCost, _marginal
@@ -226,23 +224,23 @@ class TestIntegralAndDerivative:
 
 class TestMarginal:
     def test_constant_marginal_is_itself(self):
-        m = Constant(2.0).marginal()
+        m = MarginalCost(Constant(2.0))
         assert m(0.5) == pytest.approx(2.0)
 
     def test_bpr_marginal_closed_form(self):
         q, beta, p = 1.5, 2.0, 0.3
-        m = BPR(q, beta, p).marginal()
+        m = MarginalCost(BPR(q, beta, p))
         for x in (0.0, 0.4, 1.7):
             assert m(x) == pytest.approx((beta + 1) * q * x**beta + p)
 
     def test_affine_marginal(self):
-        m = Affine(2.0, 0.5).marginal()
+        m = MarginalCost(Affine(2.0, 0.5))
         assert m(1.0) == pytest.approx(2 * 2.0 * 1.0 + 0.5)
 
     def test_marginal_at_zero_is_the_cost_there(self):
         # x f'(x) -> 0 at 0 even where f'(0) is infinite: no 0 * inf = nan
         for cost in (BPR(1.0, 0.5, 0.2), MonomialLog(1.0, 0.2, 0.3), BPR(2.0, 2.0, 0.3)):
-            m = cost.marginal()
+            m = MarginalCost(cost)
             assert m(0.0) == cost(0.0)
             assert np.array_equal(m(np.array([0.0, 0.0])), cost(np.array([0.0, 0.0])))
 
@@ -263,12 +261,12 @@ class TestMarginal:
     def test_nonconvex_pwl_flagged(self):
         # slope drops 3 -> 0.1, the marginal jumps down at the kink
         f = PiecewiseLinear((0.0, 1.0, 3.0), (0.0, 3.0, 3.2))
-        assert not f.marginal().is_nondecreasing_on(3.0)
+        assert not f.has_nondecreasing_marginal(3.0)
 
     def test_smooth_families_certified(self):
         for cost in (Constant(1.0), Affine(1.0, 1.0), BPR(2.0, 3.0, 0.1),
                      Polynomial((0.1, 0.2, 0.3))):
-            assert cost.marginal().is_nondecreasing_on(5.0)
+            assert cost.has_nondecreasing_marginal(5.0)
 
     @pytest.mark.parametrize("wrap", [lambda c, k: c, ScaledCost, TruncatedCost, TangentCost,
                                       lambda c, k: TangentCost(ScaledCost(c, k), 1.0 / k)],
@@ -297,9 +295,7 @@ class TestLipschitz:
         assert BPR(1.0, 2.0, 0.0).lipschitz_on(1.0) == pytest.approx(2.0)
 
     def test_constant_zero_and_clamp(self):
-        b = interval_bound(Constant(3.0), 0.0, 1.0)
-        assert b.lipschitz == 0.0
-        assert b.clamped_lipschitz() == 1.0
+        assert Constant(3.0).lipschitz_on(1.0) == 0.0
 
     def test_pwl_max_slope(self):
         f = PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
@@ -320,12 +316,6 @@ class TestLipschitz:
             if b - a > 1e-6:
                 slope = abs(cost(b) - cost(a)) / (b - a)
                 assert slope <= m * (1 + 1e-9) + 1e-9
-
-    def test_interval_bound_invariants(self):
-        with pytest.raises(ValueError):
-            IntervalBound(1.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            IntervalBound(0.0, 1.0, 0.5, 1.0)
 
 
 class TestSupDistance:
@@ -481,6 +471,20 @@ class TestValidation:
             Polynomial((1.0, -0.5))
         with pytest.raises(ValueError):
             BPR(-1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: PiecewiseLinear((0.0, v), (0.5, 1.0)),
+        lambda v: PiecewiseLinear((0.0, 1.0, v), (0.5, 1.0, 1.5)),
+        lambda v: ScaledCost(Affine(1.0, 0.5), v),
+        lambda v: TruncatedCost(Affine(1.0, 0.5), v),
+        lambda v: TangentCost(Affine(1.0, 0.5), v),
+    ], ids=["pwl-breakpoint", "pwl-last-breakpoint", "scaled-factor", "truncated-anchor",
+            "tangent-anchor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, make, value):
+        # NaN and inf pass sign checks such as "factor <= 0 raises"
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
     def test_pwl_must_be_nondecreasing(self):
         with pytest.raises(ValueError):

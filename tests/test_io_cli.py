@@ -224,6 +224,26 @@ class TestCli:
         assert err["code"] == "input" and named in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_an_input_error(self, game_files, capsys, tol):
+        # an infinite tol would stop every solve at once as converged (Pigou's PoA read 1.0),
+        # and a NaN one would never converge
+        assert cli.main(["poa", "--game", str(game_files["pigou"]), "--tol", tol]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "input" and "tol" in err["message"]
+
+    @pytest.mark.parametrize("command", ["poa", "check"])
+    def test_nan_cost_parameter_is_an_input_error(self, game_files, capsys, command):
+        # Python's json reads NaN, and a NaN passes a comparison such as factor <= 0
+        doc = pigou_doc()
+        doc["costs"]["l"] = {"family": "scaled",
+                             "params": {"inner": doc["costs"]["l"], "factor": float("nan")}}
+        path = game_files["dir"] / "nan_factor.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--game", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "schema" and "factor" in err["message"]
+
     def test_converge_down(self, game_files, two_link):
         g = Game(two_link, (Affine(1.0, 1.0), Constant(2.0)), np.array([1.0]))
         gpath = game_files["dir"] / "down.json"

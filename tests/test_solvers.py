@@ -131,6 +131,25 @@ class TestSocialOptimum:
         g = Game(two_link, (frozen, Constant(1.2)), np.array([demand]))
         assert solve_so(g, tol=1e-9).optimality_certified is certified
 
+    @pytest.mark.parametrize("kinked, bpr, demand", [
+        (PiecewiseLinear((0.0, 0.57, 2.34), (0.24, 0.55, 1.2)), BPR(1.19, 2.0, 0.32), 0.95),
+        (PiecewiseLinear((0.0, 0.7, 1.175, 1.23), (0.09, 1.4, 1.95, 2.0)), BPR(1.83, 2.0, 0.99),
+         1.235)], ids=["three-breakpoints", "four-breakpoints"])
+    def test_uncertified_so_finds_the_global_optimum(self, two_link, kinked, bpr, demand):
+        # a slope that falls at a breakpoint leaves the SO uncertified; with Newton's step
+        # alone as the step candidate, the descent stops 7.8e-4 and 6.5e-3 above the minimum
+        g = Game(two_link, (kinked, bpr), np.array([demand]))
+        rep = solve_so(g)
+        assert not rep.optimality_certified
+        assert rep.total_cost <= so_grid_oracle_two_link(g, resolution=5e-6)[0] + 1e-9
+
+    @pytest.mark.parametrize("solve", [solve_we, solve_so])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, pigou, solve, tol):
+        # an infinite tol would stop both solves at once as converged, and Pigou's PoA read 1
+        with pytest.raises(ValueError, match="tol"):
+            solve(pigou, tol=tol)
+
 
 class TestNewtonStep:
     @pytest.fixture()
