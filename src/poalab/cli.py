@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shlex
 import sys
 
 from . import __version__
@@ -89,7 +90,7 @@ def _cmd_sweep(args) -> int:
                     samples_per_radius=args.samples, seed=args.seed)
     write_sweep_csv(records, args.out)
     manifest = RunManifest.create(
-        command=" ".join(sys.argv), seed=args.seed,
+        command=args.invocation, seed=args.seed,
         tolerances={"sweep_radii": radii}, input_path=args.game)
     manifest.write(str(args.out) + ".manifest.json")
     json.dump({"records": len(records), "out": str(args.out)}, sys.stdout)
@@ -115,7 +116,7 @@ def _cmd_converge(args) -> int:
     points = runner(game, schedule)
     write_rate_csv(points, args.out)
     manifest = RunManifest.create(
-        command=" ".join(sys.argv), seed=None,
+        command=args.invocation, seed=None,
         tolerances={"totals": totals}, input_path=args.game)
     manifest.write(str(args.out) + ".manifest.json")
     json.dump({"points": len(points), "out": str(args.out)}, sys.stdout)
@@ -192,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.invocation = "poalab " + shlex.join(argv)  # the command a run manifest records
     try:
         return args.func(args)
     except (InputError, GameValidationError) as exc:

@@ -26,10 +26,12 @@ the base structure with other costs and demands, and the samples whose
 social optimum is certified convex are solved in lockstep, as rows of one
 batch, when there are at least four of them, whatever their cost families.
 The rest take the per-sample path, one ``_solve_poa`` each: the samples
-with an uncertified social optimum, and batches too small to gain, since
-the lockstep loop is 1.8 to 5.4 times slower than a single solve at one row
-(see ``poalab.solvers``).  Both paths take the same solver steps up to rounding,
-so they give a sample the same PoA within its solve tolerance.
+with an uncertified social optimum, whose ``solve_so`` runs the sample's start
+and its eight seeded restarts in lockstep as a batch of its own, and batches
+too small to gain, since the lockstep loop is 1.8 to 5.4 times slower than a
+single solve at one row (see ``poalab.solvers``).  Both paths take the same
+solver steps up to rounding, so they give a sample the same PoA within its
+solve tolerance.
 
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
@@ -332,8 +334,11 @@ def fit_hoelder(records, min_delta: float | None = None) -> HoelderFit:
 
     Records whose delta is below the numerical floor (solver tolerance, or
     `min_delta` when given) or whose distance is inside its own grid error
-    are censored; at least 8 usable records are required.
+    are censored; at least 8 usable records are required.  min_delta must be
+    None or finite and >= 0: a NaN floor would censor nothing.
     """
+    if min_delta is not None and not 0.0 <= min_delta < math.inf:
+        raise ValueError(f"min_delta must be finite and >= 0, got {min_delta}")
     xs, ys = [], []
     for rec in records:
         delta = rec.delta

@@ -14,7 +14,8 @@ found where the directional derivative of the convex slice vanishes.
 Every swap takes its step length from one safeguarded path-based Newton
 iteration on the slice (Jayakrishnan et al., TRR 1443, 1994), with the exact
 curvature the game's cost table gives for every family.  Where the social
-optimum's convexity is not certified, each step is checked against the total cost.
+optimum's convexity is not certified, each step is checked against the total cost,
+and the start and its seeded restarts descend in lockstep (``solve_so``).
 
 WE and certified SO follow each pass that kept the set of used paths U with
 one projected Newton step on U (Bertsekas, SIAM J. Control Optim. 20, 1982;
@@ -41,13 +42,14 @@ in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
 (B, |A|) arrays, one ``ArcCostTable`` prices all B |A| arcs per call, and
 ``_descend_batch`` runs the same Gauss-Seidel pair loop and Newton step on
 every row at once, each row with its own tolerance, bracket and stopping
-rule.  A game whose social optimum is not certified convex is solved
-alone, as ``_solve_poa`` does.  The lockstep loop pays numpy's per-call
-overhead on every step, for all rows together, so it only wins with enough rows:
-measured on the criterion-07 games and on the 6- to 12-arc BPR networks
-of the benchmark, one game alone runs 1.8 to 5.4 times slower in it than
-in ``_descend``, and the two break even at 3 to 5 games.  So single solves keep ``_descend``, and a
-batch of fewer than ``_LOCKSTEP_MIN_ROWS`` games is solved game by game.
+rule.  A game whose social optimum is not certified convex is left to
+``_solve_poa``, whose ``solve_so`` runs its own nine-row batch.  The lockstep
+loop pays numpy's per-call overhead on every step, for all rows together, so it
+only wins with enough rows: measured on the criterion-07 games and on the 6- to
+12-arc BPR networks of the benchmark, one game alone runs 1.8 to 5.4 times
+slower in it than in ``_descend``, and the two break even at 3 to 5 games.  So
+WE and certified SO solves keep ``_descend``, and a batch of fewer than
+``_LOCKSTEP_MIN_ROWS`` games is solved game by game.
 """
 
 from __future__ import annotations
@@ -243,16 +245,13 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     return f, arc_f, tau, tau @ st.incidence
 
 
-def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
-             objective=None) -> tuple[np.ndarray, float, int, bool]:
-    """Shared FW loop; arc_eval maps arc flows to per-arc gradient values.
+def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int,
+             start) -> tuple[np.ndarray, float, int, bool]:
+    """FW loop of a WE or certified SO; arc_eval maps arc flows to per-arc gradient values.
 
     arc_slope maps arc flows to the derivatives of arc_eval's values; every
-    swap takes one _newton_step and keeps the costs it returns,
-    and without `objective` a _used_path_newton step follows each pass.
-    When `objective` is given (non-certified optimum search) every step is
-    validated against it, since the directional-derivative root is only the
-    minimizer of a convex slice.
+    swap takes one _newton_step and keeps the costs it returns, and a
+    _used_path_newton step follows each pass.
     The loop exits early when no O/D pair has an improving swap left that
     changes a flow.  With discontinuous gradients (piecewise-linear
     marginals) the gap can stay positive at the optimum, and where tol lies
@@ -267,7 +266,7 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
     stop_per_mass = 0.1 * tol / len(demands)
     f = _initial_flow(game, start)
     arc_f, tau, path_costs = _price(st, arc_eval, f)  # tau is kept until a move changes arc_f
-    newton = objective is None and _two_free(st.n_paths, len(demands))
+    newton = _two_free(st.n_paths, len(demands))
     it = 0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)
@@ -295,15 +294,6 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             h = mass * (rows[dst] - rows[src])
             stop = stop_per_mass * mass / d_k
             alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
-            if objective is not None and alpha > 0.0:
-                # nonconvex slice: accept the best of a few candidates, or nothing
-                cands = [a for a in (alpha, 1.0, 0.5, 2.0 / (it + 2.0)) if 0.0 < a <= 1.0]
-                base_val = objective(arc_f)
-                vals = [objective(arc_f + a * h) for a in cands]
-                best = int(np.argmin(vals))
-                chosen = cands[best] if vals[best] < base_val - 1e-15 else 0.0
-                if chosen != alpha:  # the step's costs are not those at the chosen flow
-                    alpha, moved_tau = chosen, None
             if alpha <= 0.0:
                 continue
             moved = alpha * mass
@@ -314,7 +304,7 @@ def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int, start,
             if f[src] < 0.0:
                 f[src] = 0.0
             arc_f = inc @ f
-            tau = arc_eval(arc_f) if moved_tau is None else moved_tau
+            tau = moved_tau
             path_costs = rows @ tau
             progressed = True
         if newton:  # as the one row of a batch
@@ -363,15 +353,20 @@ def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, run):
 
 
 def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
-                   tol: np.ndarray, max_iter: int, f0: np.ndarray):
-    """_descend with Newton steps on B games of one structure at once.
+                   tol: np.ndarray, max_iter: int, f0: np.ndarray, objective=None):
+    """_descend on B games of one structure at once; with `objective`, a nonconvex search.
 
     Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) belongs
     to game b; arc_eval and arc_slope map (B, |A|) arc flows to per-row
-    gradients and their slopes.  Every row takes the steps its own _descend
-    would take, up to the rounding of the incidence products, and leaves the
-    loop on its own rule: converged, stalled (no swap moved a flow) or out of
-    iterations.  Returns the final flows and a per-row converged mask.
+    gradients and their slopes.  Without `objective` every row takes the
+    steps its own _descend would take, up to the rounding of the incidence
+    products.  With it (objective maps (B, |A|) arc flows to one value per
+    row) the used-path Newton step is off, and a row's swap step is the first
+    best of the Newton step, 1, 1/2 and 2/(it + 2) on pass `it`, taken only if
+    it lowers the objective: the directional-derivative root minimizes only a
+    convex slice.  Each row leaves the loop on its own rule: converged,
+    stalled (no swap moved a flow) or out of iterations.  Returns the final
+    flows, each row's gap and the pass at which it left the loop.
     """
     inc, rows = st.incidence, st.path_arcs
     every = np.arange(len(f0))
@@ -384,10 +379,12 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
     tau = arc_eval(arc_f)
     path_costs = tau @ inc
     gap = np.zeros(len(f))
+    passes = np.zeros(len(f), dtype=int)
     active = np.ones(len(f), dtype=bool)
-    newton = _two_free(st.n_paths, demands.shape[1])
-    for _ in range(max_iter):
+    newton = objective is None and _two_free(st.n_paths, demands.shape[1])
+    for it in range(1, max_iter + 1):
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
+        passes[active] = it
         active &= gap > tol
         if not active.any():
             break
@@ -406,6 +403,14 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
             h = mass[:, None] * (rows[dst] - rows[src])  # >= 0 trial flows, as in _descend
             alpha, moved_tau = _newton_steps(arc_eval, arc_slope, arc_f, h, tau,
                                              stop_per_mass * mass / pair_demand[k], swap)
+            stale = None  # rows whose step is not Newton's: the costs it returned are not theirs
+            if objective is not None and (alpha > 0.0).any():
+                cands = np.stack(np.broadcast_arrays(alpha, 1.0, 0.5, 2.0 / (it + 2.0)))
+                vals = np.array([objective(arc_f + a[:, None] * h) for a in cands])
+                best = vals.argmin(axis=0)
+                chosen = np.where((alpha > 0.0) & (vals[best, every] < objective(arc_f) - 1e-15),
+                                  cands[best, every], 0.0)
+                stale, alpha = chosen != alpha, chosen
             moved = alpha * mass
             new_src, new_dst = f_src - moved, f_dst + moved
             step = (alpha > 0.0) & ((new_src != f_src) | (new_dst != f_dst))
@@ -415,6 +420,8 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
             f[every, dst] = np.where(step, new_dst, f_dst)
             arc_f = f @ rows
             tau = np.where(step[:, None], moved_tau, tau)
+            if stale is not None and (step & stale).any():
+                tau = np.where((step & stale)[:, None], arc_eval(arc_f), tau)
             path_costs = tau @ inc
             progressed |= step
         if newton:  # a row no swap moved leaves with the gap of the flow the step left
@@ -426,7 +433,16 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
         active &= progressed
     if active.any():  # out of iterations
         np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
-    return f, gap <= tol
+    return f, gap, passes
+
+
+def _by_row(table: ArcCostTable, name: str):
+    """The table's unchecked method `name` on (B, |A|) arc flows.
+
+    The table's arcs are the arcs of B games on one structure, game after game.
+    """
+    fn = table._unchecked(name)
+    return lambda x: fn(x.reshape(-1)).reshape(x.shape)
 
 
 # Fewest games solved in lockstep: below it, one _descend per game is faster
@@ -457,20 +473,16 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     table = ArcCostTable([c for i in batch for c in games[i].costs])
     demands = np.array([games[i].demands for i in batch])
     tol = np.array([tols[i] for i in batch])
-
-    def by_row(name):  # the table's arcs are the games' arcs, game after game
-        fn = table._unchecked(name)
-        return lambda x: fn(x.reshape(-1)).reshape(x.shape)
-
     flows, done = [], np.ones(len(batch), dtype=bool)
     for which, grad, slope in ((0, "values", "derivs"), (1, "marginals", "marginal_derivs")):
         f0 = np.array([starts[i][which] for i in batch])
         _check_routed(st, demands, f0)
-        f, conv = _descend_batch(st, demands, by_row(grad), by_row(slope), tol, max_iter, f0)
+        f, gap, _ = _descend_batch(st, demands, _by_row(table, grad), _by_row(table, slope),
+                                   tol, max_iter, f0)
         _check_routed(st, demands, f)
         flows.append(f)
-        done &= conv
-    values = by_row("values")
+        done &= gap <= tol
+    values = _by_row(table, "values")
     costs = []
     for f in flows:  # priced as _report prices a flow, on the rows where both solves converged
         arc_f, tau, pc = _price(st, values, f)
@@ -517,37 +529,35 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
     optimality_certified is True iff every cost's closed-form rule proves its marginal
-    non-decreasing on [0, T(d)] (convex objective, never sampled); otherwise the best of
-    the first descent and _MULTISTARTS random restarts (seed 0) is reported uncertified.
+    non-decreasing on [0, T(d)] (convex objective, never sampled).  Otherwise the start and
+    _MULTISTARTS random start flows (seed 0) are descended in lockstep as the rows of one
+    _descend_batch, each step checked against the total cost, and the first row with the
+    least total cost is reported uncertified.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    certified = _so_certified(game)
-    table = game.cost_table
-    marginals, values = table._unchecked("marginals"), table._unchecked("values")
-    slope = table._unchecked("marginal_derivs")
-
-    def objective(arc_f):
-        return float(arc_f @ values(arc_f))
-
-    f, gap, iters, conv = _descend(game, marginals, slope, tol, max_iter, start,
-                                   objective=None if certified else objective)
-    best = _report(game, f, gap, iters, conv, certified)
-    if certified:
-        return best
-    rng = np.random.default_rng(0)
+    if _so_certified(game):
+        table = game.cost_table
+        f, gap, iters, conv = _descend(game, table._unchecked("marginals"),
+                                       table._unchecked("marginal_derivs"), tol, max_iter, start)
+        return _report(game, f, gap, iters, conv, certified=True)
     st = game.structure
-    for _ in range(_MULTISTARTS):
-        f0 = np.zeros(st.n_paths)
+    rng = np.random.default_rng(0)
+    f0 = np.zeros((1 + _MULTISTARTS, st.n_paths))
+    f0[0] = _initial_flow(game, start)
+    for row in f0[1:]:
         for k, (lo, hi) in enumerate(st.path_slices):
-            w = rng.dirichlet(np.ones(hi - lo))
-            f0[lo:hi] = game.demands[k] * w
-        f, gap, iters, conv = _descend(game, marginals, slope, tol, max_iter, f0,
-                                       objective=objective)
-        cand = _report(game, f, gap, iters, conv, certified)
-        if cand.total_cost < best.total_cost:
-            best = cand
-    return best
+            row[lo:hi] = game.demands[k] * rng.dirichlet(np.ones(hi - lo))
+    table = ArcCostTable(game.costs * len(f0))
+    values = _by_row(table, "values")
+    demands = np.tile(game.demands, (len(f0), 1))
+    f, gap, iters = _descend_batch(
+        st, demands, _by_row(table, "marginals"), _by_row(table, "marginal_derivs"),
+        np.full(len(f0), tol), max_iter, f0, objective=lambda x: _dot(x, values(x)))
+    _check_routed(st, demands, f)
+    best = int(np.argmin(_checked_total(f, *_price(st, values, f))))
+    return _report(game, f[best], float(gap[best]), int(iters[best]), bool(gap[best] <= tol),
+                   certified=False)
 
 
 def _so_certified(game: Game) -> bool:

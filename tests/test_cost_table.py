@@ -215,7 +215,7 @@ def wrapped_smooth(draw):
     wrapper = draw(st.sampled_from([ScaledCost, TruncatedCost, TangentCost]))
     if wrapper is ScaledCost:
         return ScaledCost(cost, u), x / u
-    beyond = x > 0.0 and draw(st.booleans())
+    beyond = x / (1.0 + u) > 0.0 and draw(st.booleans())  # a subnormal x would anchor at 0
     return wrapper(cost, x / (1.0 + u) if beyond else x * (1.0 + u) + 0.05), x
 
 

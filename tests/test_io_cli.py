@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -210,15 +211,32 @@ class TestCli:
         fit = json.loads(res2.stdout)
         assert fit["gamma"] >= 0.9
 
+    def test_manifests_record_the_parsed_command(self, game_files, capsys):
+        # the argv main parsed, not the host process's (pytest's command line here)
+        pigou, tmp = str(game_files["pigou"]), game_files["dir"]
+        for argv in (["sweep", "--game", pigou, "--kind", "cost", "--radii", "1e-2",
+                      "--samples", "2", "--out", str(tmp / "sweep.csv")],
+                     ["converge", "--game", str(DATA / "two_link_affine_eps.json"),
+                      "--direction", "up", "--totals", "10", "--out", str(tmp / "rate.csv")]):
+            assert cli.main(argv) == 0
+            manifest = json.loads(pathlib.Path(argv[-1] + ".manifest.json").read_text())
+            assert manifest["command"] == "poalab " + shlex.join(argv)
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--samples", "0", "--samples"), ("--samples", "-3", "--samples"),
         ("--radii", ",", "--radii"), ("--radii", "nan", "radius"),
-        ("--radii", "1e-2,inf", "radius")])
+        ("--radii", "1e-2,inf", "radius"),
+        ("--min-delta", "nan", "min_delta"), ("--min-delta", "inf", "min_delta")])
     def test_sweep_rejects_empty_or_non_finite_input(self, game_files, capsys, flag, value,
                                                       named):
         out = game_files["dir"] / "sweep.csv"
         opts = {"--radii": "1e-2", "--samples": "4", flag: value}
         argv = ["sweep", "--game", str(game_files["pigou"]), "--kind", "cost", "--out", str(out)]
+        if flag == "--min-delta":  # holder-fit's censoring floor, over a sweep's records
+            records = game_files["dir"] / "records.csv"
+            rows = sweep(load_game(game_files["pigou"]), "cost", [1e-1, 1e-2], 8, seed=3)
+            write_sweep_csv(rows, records)
+            argv, opts = ["holder-fit", "--in", str(records)], {flag: value}
         assert cli.main(argv + [tok for opt in opts.items() for tok in opt]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "input" and named in err["message"]

@@ -243,8 +243,8 @@ class TestBatchedSweep:
         descend = solvers._descend_batch
 
         def off_demand(*args):
-            f, converged = descend(*args)
-            return f * (1.0 + 1e-6), converged
+            f, gap, passes = descend(*args)
+            return f * (1.0 + 1e-6), gap, passes
 
         with mock.patch.object(solvers, "_descend_batch", off_demand):
             with pytest.raises(InfeasibleFlowError):
@@ -285,6 +285,17 @@ class TestFit:
     def test_sqrt_rule(self):
         fit = fit_hoelder(_synthetic_records(math.sqrt))
         assert fit.gamma == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("min_delta", [math.nan, math.inf, -1e-9])
+    def test_rejects_a_floor_that_is_not_finite_and_non_negative(self, min_delta):
+        # delta <= nan is False: a NaN floor would let a record below the solver floor in
+        records = _synthetic_records(lambda d: d) + [SweepRecord(
+            seed=40, kind="joint", radius=1e-2, dist=MetricValue(1e-2, 1e-2, 0.0, 0.0),
+            base_poa=1.0, pert_poa=1.0 + 1e-15, delta=1e-15, certificate_bound=None,
+            solve_tol=1e-14)]
+        assert fit_hoelder(records).n_used == 40
+        with pytest.raises(ValueError, match="min_delta"):
+            fit_hoelder(records, min_delta=min_delta)
 
     def test_too_few_records(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Equilibrium and optimum solvers against oracles and approximation bounds."""
 
 import math
+import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from poalab import (
     solve_we,
     total_cost,
 )
+from poalab import solvers
+from poalab.games import ArcCostTable, _dot
+from poalab.io import load_game
 
 from conftest import child_env, make_two_link_affine, random_game, unit_scale
 
@@ -228,6 +233,50 @@ class TestUsedPathNewton:
         assert rep.converged and rep.iterations <= 2, rep.iterations
         assert abs(rep.total_cost - total) <= 1e-10  # the swaps alone reach these totals
         assert rep.flow.values[1] == 0.0
+
+
+def uncertified_games(two_link):
+    """The kinked games of test_uncertified_so_finds_the_global_optimum and two_link_kinked.json."""
+    return [Game(two_link, (PiecewiseLinear((0.0, 0.57, 2.34), (0.24, 0.55, 1.2)),
+                            BPR(1.19, 2.0, 0.32)), np.array([0.95])),
+            Game(two_link, (PiecewiseLinear((0.0, 0.7, 1.175, 1.23), (0.09, 1.4, 1.95, 2.0)),
+                            BPR(1.83, 2.0, 0.99)), np.array([1.235])),
+            load_game(pathlib.Path(__file__).resolve().parents[1] / "data/two_link_kinked.json")]
+
+
+def lockstep_search(game, f0, tol=1e-10, max_iter=3000):
+    """_descend_batch with the total cost as its objective, one row per start flow in f0."""
+    table = ArcCostTable(game.costs * len(f0))
+    values = solvers._by_row(table, "values")
+    return solvers._descend_batch(
+        game.structure, np.tile(game.demands, (len(f0), 1)), solvers._by_row(table, "marginals"),
+        solvers._by_row(table, "marginal_derivs"), np.full(len(f0), tol), max_iter, f0,
+        objective=lambda x: _dot(x, values(x)))
+
+
+class TestLockstepMultistart:
+    def test_rows_are_independent(self, two_link):
+        # each row of the lockstep search takes the steps its start takes alone
+        for game in uncertified_games(two_link):
+            d = game.demands[0]
+            starts = np.array([[d, 0.0], [0.0, d], [0.3 * d, 0.7 * d]])
+            f, gap, passes = lockstep_search(game, starts)
+            assert not solvers._so_certified(game) and passes.max() > 1
+            for b in range(len(starts)):
+                f1, gap1, passes1 = lockstep_search(game, starts[b:b + 1])
+                assert f[b].tolist() == f1[0].tolist()
+                assert (gap[b], passes[b]) == (gap1[0], passes1[0])
+
+    def test_restarts_are_one_batch(self, two_link):
+        # the start and every restart run as the rows of one _descend_batch, none alone
+        batch = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
+        alone = mock.patch.object(solvers, "_descend", wraps=solvers._descend)
+        for game in uncertified_games(two_link):
+            with batch as lockstep, alone as single:
+                rep = solve_so(game)
+            assert not rep.optimality_certified and single.call_count == 0
+            assert lockstep.call_count == 1
+            assert lockstep.call_args.args[6].shape == (1 + solvers._MULTISTARTS, 2)
 
 
 class TestPoA:
