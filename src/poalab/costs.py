@@ -91,9 +91,9 @@ def _pointwise(method):
     The base ``__call__`` and ``derivative`` apply it to the one-row kernel.  The
     ``__call__`` of Constant, Affine, Polynomial and BPR inlines the rule (``val if
     xs.ndim else float(val)``): those per-object scalar calls are on the sweep's hot
-    path (``Game`` validation probes inside ``sample_ball``, the ``dist`` endpoints,
-    ``poa_upper_bound``), where this wrapper cost 5-10% of a criterion-07 sweep's
-    records per second in 4 of 4 benchmark pairs.
+    path (``Game`` validation probes inside ``sample_ball``, the ``dist`` endpoints),
+    where this wrapper cost 5-10% of a criterion-07 sweep's records per second in 4
+    of 4 benchmark pairs.
     """
 
     @functools.wraps(method)

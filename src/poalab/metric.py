@@ -164,9 +164,14 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
     Demand draws are symmetric uniforms; cost draws, applied by each cost's
     ``perturbed`` rule, use per-arc alternating signs with magnitudes bounded
     away from zero so the realized distance responds linearly to the scaling
-    knob.  The knob is set by bisection so the recomputed distance (including
-    its grid error) lands inside the target band; if clipping prevents that,
-    the sample is flagged shrunk.
+    knob t.  The first probe aims a first-order model of dist(t) at the middle
+    of [radius/2, 0.95 radius]: t = radius for ``cost`` and ``joint``, where
+    dist(t)/t is near-constant; for ``demand``, dist(t) ~ t max(max|u|, |sum u|
+    max tau'(T)), its demand and endpoint parts.  A probe whose certified
+    distance misses [radius/2, radius] takes one secant step; a second miss (a
+    clipped demand breaks the model), an invalid game or a zero distance falls
+    back to doubling and bisection, and if clipping prevents the band the
+    sample is flagged shrunk.
     """
     if kind not in _WEIGHTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -208,10 +213,16 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
             return None, None
         return game, dist(base, game)
 
-    lo_band, hi_band = 0.5 * radius, 0.95 * radius
+    lo_band, hi_band, aim = 0.5 * radius, 0.95 * radius, 0.725 * radius  # aim: mid-band
 
     t = radius
+    if kind == "demand":  # t max|u| for the demands, t |sum u| max tau'(T) at the endpoint
+        slope = base.cost_table.derivs(np.full(n_a, horizon)).max()
+        t = aim / max(np.abs(u_dem).max(), abs(u_dem.sum()) * slope)
     game, mv = measure(t)
+    if game is not None and 0.0 < mv.upper() and not lo_band <= mv.upper() <= radius:
+        t *= aim / mv.upper()  # one secant step
+        game, mv = measure(t)
     grow = 0
     while game is not None and mv.upper() < lo_band and grow < 60:
         t *= 2.0

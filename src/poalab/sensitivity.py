@@ -20,9 +20,11 @@ whole demand on its first path.  Nearby games have nearby equilibria
 (Englert, Franke and Olbrich, "Sensitivity of Wardrop equilibria", 2010),
 so warm samples take fewer iterations; the base game itself is solved cold.
 
-A sweep first draws all its samples, then solves them together.  The
-paper's metric compares games on one structure only, so every sample is
-the base structure with other costs and demands, and the samples whose
+A sweep first draws all its samples, then solves them together.  Each draw
+sets ``sample_ball``'s knob from a first-order model of its distance, so it
+costs about one ``dist`` call (see ``poalab.metric``).  The paper's metric
+compares games on one structure only, so every sample is the base structure
+with other costs and demands, and the samples whose
 social optimum is certified convex are solved in lockstep, as rows of one
 batch, when there are at least four of them, whatever their cost families.
 The rest take the per-sample path, one ``_solve_poa`` each: the samples

@@ -211,12 +211,14 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     Rows are games.  The KKT system [R_U diag(tau') R_U^T, E^T; E, 0] has identity
     rows for the paths outside U and the pairs without a used path.
     """
+    if not np.any(run):
+        return f, arc_f, tau, path_costs
     owner, n_s, n = st.path_owner, st.n_paths, st.n_paths + len(st.pair_starts)
     excess = path_costs - np.minimum.reduceat(path_costs, st.pair_starts, axis=1)[:, owner]
     share = demands[:, owner]
     used = (f > floor) & ((f > _ACTIVE_SHARE * share) | (excess <= 0.0))
     pairs = np.logical_or.reduceat(used, st.pair_starts, axis=1)
-    run &= _two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_flow_gap(st, path_costs, f) > tol)
+    run &= _two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_dot(excess, f) > tol)  # the gap
     if not run.any():
         return f, arc_f, tau, path_costs
     curv, u, rows = arc_slope(arc_f)[run], used[run], st.path_arcs
@@ -457,7 +459,7 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     flows.  The games whose SO is certified convex are solved in lockstep by
     _descend_batch when there are at least _LOCKSTEP_MIN_ROWS of them; the
     others go through _solve_poa one at a time.  Either way each PoA passes
-    the checks of _solve_poa.
+    the checks of _solve_poa; a batch prices its a priori bounds with its table.
     """
     certified = [i for i, game in enumerate(games) if _so_certified(game)]
     batch = certified if len(certified) >= _LOCKSTEP_MIN_ROWS else []
@@ -487,8 +489,9 @@ def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     for f in flows:  # priced as _report prices a flow, on the rows where both solves converged
         arc_f, tau, pc = _price(st, values, f)
         costs.append(_checked_total(f[done], arc_f[done], tau[done], pc[done]))
-    for i, we_cost, so_cost in zip(np.array(batch)[done], *costs):
-        out[i] = _checked_poa(games[i], float(we_cost / so_cost), tols[i])
+    bounds = _poa_upper_bounds(st, table, [games[i].total_demand for i in batch])
+    for i, we_cost, so_cost, bound in zip(np.array(batch)[done], *costs, bounds[done]):
+        out[i] = _checked_poa(float(we_cost / so_cost), tols[i], bound)
     return out
 
 
@@ -578,23 +581,32 @@ def potential(game: Game, flow: PathFlow) -> float:
     return float(game.cost_table.antiderivs(arc_f).sum())
 
 
-def _cost_range(game: Game) -> tuple[float, float]:
-    """(min tau_a(T/|S|), max tau_a(T)) over the arcs, for the two a priori bounds."""
-    T = game.total_demand
-    n_s = game.structure.n_paths
-    return min(float(c(T / n_s)) for c in game.costs), max(float(c(T)) for c in game.costs)
+def _cost_range(st: Structure, table: ArcCostTable, totals) -> tuple[np.ndarray, np.ndarray]:
+    """(min tau_a(T/|S|), max tau_a(T)) of each game, for the two a priori bounds.
+
+    table holds the arcs of the games on st, game after game (its values are c(x) bit
+    for bit), and totals their total demands T.
+    """
+    x = np.repeat(totals, len(st.arcs))
+    return (table.values(x / st.n_paths).reshape(len(totals), -1).min(axis=1),
+            table.values(x).reshape(len(totals), -1).max(axis=1))
+
+
+def _poa_upper_bounds(st: Structure, table: ArcCostTable, totals) -> np.ndarray:
+    """poa_upper_bound of each game; the arguments are _cost_range's."""
+    lo, hi = _cost_range(st, table, totals)
+    return len(st.arcs) * st.n_paths * hi / lo
 
 
 def poa_upper_bound(game: Game) -> float:
     """Finite a priori PoA bound |A| |S| max tau(T) / min tau(T/|S|)."""
-    lo, hi = _cost_range(game)
-    return len(game.structure.arcs) * game.structure.n_paths * hi / lo
+    return float(_poa_upper_bounds(game.structure, game.cost_table, [game.total_demand])[0])
 
 
 def total_cost_sandwich(game: Game, so_cost: float, we_cost: float) -> tuple[bool, float, float]:
     """Sandwich 0 < (T/|S|) min tau(T/|S|) <= C* <= WE cost <= |A| T max tau(T), to CHECK_SLACK."""
     T = game.total_demand
-    lo, hi = _cost_range(game)
+    lo, hi = (float(v[0]) for v in _cost_range(game.structure, game.cost_table, [T]))
     lower = (T / game.structure.n_paths) * lo
     upper = len(game.structure.arcs) * T * hi
     ok = (0.0 < lower <= so_cost + CHECK_SLACK
@@ -624,14 +636,14 @@ def _solve_poa(game: Game, tol: float, max_iter: int = 100_000,
     so = solve_so(game, tol=tol, max_iter=max_iter, start=starts[1])
     if not so.converged:
         raise UnconvergedError(so)
-    return _checked_poa(game, we.total_cost / so.total_cost, tol), we, so
+    return _checked_poa(we.total_cost / so.total_cost, tol, poa_upper_bound(game)), we, so
 
 
-def _checked_poa(game: Game, rho: float, tol: float) -> float:
-    """rho, after the checks that every PoA solved at tolerance tol passes."""
+def _checked_poa(rho: float, tol: float, bound: float) -> float:
+    """rho, checked at solve tolerance tol against 1 and bound, its poa_upper_bound."""
     if not rho >= 1.0 - 10.0 * tol:
         raise InvariantError(f"PoA {rho} fell below 1")
-    if not rho <= poa_upper_bound(game) * (1.0 + 1e-9):
+    if not rho <= bound * (1.0 + 1e-9):
         raise InvariantError(f"PoA {rho} exceeds its a priori bound")
     return rho
 

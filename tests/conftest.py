@@ -92,6 +92,20 @@ def random_game(structure, rng, families=None):
     return Game(structure, costs, demands)
 
 
+def criterion7_bases(two_link, three_link, shared_arc):
+    """The five base games of acceptance criterion 7, by name."""
+    return {
+        "pigou": Game(two_link, (BPR(1, 1, 0), Constant(1)), np.array([1.0])),
+        "near-tie": Game(two_link, (BPR(1, 1, 0), Affine(1, 0.01)), np.array([1.0])),
+        "bpr2": Game(two_link, (BPR(1, 2, 0.1), Affine(0.5, 0.4)), np.array([1.0])),
+        "three-link": Game(three_link, (Affine(1, 0.1), Affine(0.5, 0.3),
+                                        Polynomial((0.05, 0.2, 1.0))), np.array([2.0])),
+        "shared-arc": Game(shared_arc, (Affine(1, 0.5), Affine(2, 0.2),
+                                        BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                           np.array([1.0, 1.5])),
+    }
+
+
 def unit_scale(game):
     """The game with its costs divided by the a priori total-cost scale T max_a tau_a(T).
 

@@ -40,7 +40,7 @@ from poalab import (
     total_cost,
 )
 
-from conftest import MIXED_FAMILIES, random_cost, random_game
+from conftest import MIXED_FAMILIES, criterion7_bases, random_cost, random_game
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -162,25 +162,12 @@ def test_criterion_06_no_uniform_hoelder_pair(pigou, two_link):
                   f"while dist shrank by {shrink:.1f}")
 
 
-def _criterion7_bases(two_link, three_link, shared_arc):
-    return {
-        "pigou": Game(two_link, (BPR(1, 1, 0), Constant(1)), np.array([1.0])),
-        "near-tie": Game(two_link, (BPR(1, 1, 0), Affine(1, 0.01)), np.array([1.0])),
-        "bpr2": Game(two_link, (BPR(1, 2, 0.1), Affine(0.5, 0.4)), np.array([1.0])),
-        "three-link": Game(three_link, (Affine(1, 0.1), Affine(0.5, 0.3),
-                                        Polynomial((0.05, 0.2, 1.0))), np.array([2.0])),
-        "shared-arc": Game(shared_arc, (Affine(1, 0.5), Affine(2, 0.2),
-                                        BPR(1, 2, 0.1), Affine(0.5, 0.05)),
-                           np.array([1.0, 1.5])),
-    }
-
-
 def test_criterion_07_certificate_soundness(two_link, three_link, shared_arc):
     t0 = time.perf_counter()
     radii = [1e-1, 1e-2, 1e-3, 1e-4]
     violations = 0
     bounded = 0
-    for b_idx, base in enumerate(_criterion7_bases(two_link, three_link, shared_arc).values()):
+    for b_idx, base in enumerate(criterion7_bases(two_link, three_link, shared_arc).values()):
         for kind in ("cost", "demand"):
             records = sweep(base, kind, radii, 32, seed=1000 + b_idx)
             for r in records:

@@ -301,11 +301,11 @@ class TestCli:
         checked = solvers._checked_poa
         calls = []
 
-        def broken_checked_poa(game, rho, tol):
-            calls.append(game)
+        def broken_checked_poa(rho, tol, bound):
+            calls.append(rho)
             if len(calls) > 1:  # the base solve passes; its normalized copies do not
                 raise InvariantError("PoA 0.5 fell below 1")
-            return checked(game, rho, tol)
+            return checked(rho, tol, bound)
 
         monkeypatch.setattr(solvers, "_checked_poa", broken_checked_poa)
         assert cli.main(["check", "--game", str(game_files["pigou"])]) == 4

@@ -1,5 +1,7 @@
 """Metric axioms, certified distances, and the ball sampler."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from poalab import (
     naive_max_interval_dist,
     sample_ball,
 )
+from poalab import metric
 
-from conftest import MIXED_FAMILIES, random_game
+from conftest import MIXED_FAMILIES, criterion7_bases, random_game
 
 
 class TestDist:
@@ -134,6 +137,20 @@ class TestSampleBall:
                 assert recomputed.upper() <= 0.05 + 1e-12
                 if not p.shrunk:
                     assert recomputed.upper() >= 0.025 - 1e-12
+
+    def test_one_dist_per_sample(self, two_link, three_link, shared_arc):
+        # the knob's first-order probe, or its one secant step, lands in the band
+        samples = 0
+        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+            for base in criterion7_bases(two_link, three_link, shared_arc).values():
+                for kind in ("cost", "demand", "joint"):
+                    for radius in (1e-1, 1e-2, 1e-3, 1e-4):
+                        for seed in range(4):
+                            p = sample_ball(base, radius, kind=kind, seed=seed)
+                            samples += 1
+                            assert p.realized == dist(base, p.game)  # the unpatched dist
+                            assert p.shrunk or radius / 2 <= p.realized.upper() <= radius
+        assert spy.call_count / samples <= 1.2
 
     def test_deterministic_given_seed(self, pigou):
         a = sample_ball(pigou, 0.03, kind="joint", seed=77)

@@ -1,6 +1,7 @@
 """Hoelder certificates, perturbation sweeps, and exponent fits."""
 
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -25,11 +26,13 @@ from poalab import (
     fit_hoelder,
     max_delta_by_radius,
     poa,
+    poa_upper_bound,
     sample_ball,
     sup_distance,
     sweep,
 )
 from poalab import solvers
+from poalab.io import load_game
 from poalab.sensitivity import SweepRecord
 
 from conftest import make_two_link_affine, random_game
@@ -261,6 +264,32 @@ class TestBatchedSweep:
             records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2], 4, 1)
             assert rows == 2 * len(records)
             _assert_matches(records, alone)
+
+    def test_batch_bounds_are_each_games_bound(self):
+        # the a priori PoA bound of every lockstep row, priced by the batch's cost
+        # table, has the bits of the game's own bound and of its scalar cost calls
+        base = load_game(pathlib.Path(__file__).resolve().parents[1] / "data"
+                         / "shared_arc_mixed.json")
+        games = [sample_ball(base, radius, kind=kind, seed=seed).game
+                 for kind in ("demand", "cost", "joint") for radius in (1e-1, 1e-2)
+                 for seed in range(4)]
+        starts = [(solvers._initial_flow(g, None),) * 2 for g in games]
+        checked, bounds = solvers._checked_poa, []
+
+        def spy(rho, tol, bound):
+            bounds.append(bound)
+            return checked(rho, tol, bound)
+
+        with mock.patch.object(solvers, "_checked_poa", spy), \
+                mock.patch.object(solvers, "_solve_poa", side_effect=AssertionError):
+            poas = solvers._solve_poas(games, [1e-10] * len(games), 100_000, starts)
+        assert all(math.isfinite(rho) for rho in poas)
+        n_a, n_s = len(base.structure.arcs), base.structure.n_paths
+        for game, bound in zip(games, bounds, strict=True):
+            t = game.total_demand
+            scalar = (n_a * n_s * max(float(c(t)) for c in game.costs)
+                      / min(float(c(t / n_s)) for c in game.costs))
+            assert bound == poa_upper_bound(game) == scalar
 
 
 def _synthetic_records(rule):
