@@ -769,6 +769,20 @@ class ScaledCost(CostFunction, family="scaled"):
     def has_kinks(self):
         return self.inner.has_kinks()
 
+    def sup_points(self, other, hi):
+        # with one factor, |self - other| on [0, hi] is the inners' on [0, factor hi]
+        if not (isinstance(other, ScaledCost) and other.factor == self.factor):
+            return None
+        top = self.factor * hi  # the bits self(hi) evaluates the inner at
+        points = self.inner.sup_points(other.inner, top)
+        if points is None:
+            return None
+        inner = np.asarray(points, dtype=float).tolist()
+        xs = [0.0 if p <= 0.0 else hi if p >= top else p / self.factor for p in inner]
+        if any(x * self.factor != p for x, p in zip(xs, inner) if 0.0 < p < top):
+            return None  # an image off its inner point may miss an inner kink by an ulp
+        return xs
+
 
 class ScaledKernel(_Kernel):
     """ScaledCost wrappers over an array of factors, around their inner costs' kernel."""
@@ -941,7 +955,8 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
     Returns (estimate, error_bound) so that the true sup lies in
     [estimate, estimate + error_bound].  Exact (error 0) for polynomial differences
     of degree <= 3 and where f's family rule ``sup_points(g, hi)`` names the points
-    of the max: piecewise-linear pairs, same-shape BPR and MonomialLog pairs.  The
+    of the max: piecewise-linear pairs, same-shape BPR and MonomialLog pairs, and
+    ScaledCost pairs of one factor around such a pair.  The
     result does not depend on the order of f and g, bit for bit: the rules' points
     are symmetric in f and g, and the polynomial one fixes the sign of f - g.
     """

@@ -344,11 +344,11 @@ def _price(st: Structure, evaluate, f: np.ndarray):
 def _dot(a: np.ndarray, b: np.ndarray):
     """Dot product along the last axis: a float for vectors, one value per row otherwise.
 
-    Each row gives the same bits as ``a @ b`` on that row's vectors.
+    Each row of C-contiguous arrays gives the same bits as ``a @ b`` on that row's vectors.
     """
     if a.ndim == 1:
         return float(a @ b)
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def _checked_total(f, arc_f, tau, path_costs):

@@ -26,14 +26,12 @@ costs about one ``dist`` call (see ``poalab.metric``).  The paper's metric
 compares games on one structure only, so every sample is the base structure
 with other costs and demands, and the samples whose
 social optimum is certified convex are solved in lockstep, as rows of one
-batch, when there are at least four of them, whatever their cost families.
+batch, when there are at least two of them, whatever their cost families.
 The rest take the per-sample path, one ``_solve_poa`` each: the samples
 with an uncertified social optimum, whose ``solve_so`` runs the sample's start
-and its eight seeded restarts in lockstep as a batch of its own, and batches
-too small to gain, since the lockstep loop is 1.8 to 5.4 times slower than a
-single solve at one row (see ``poalab.solvers``).  Both paths take the same
-solver steps up to rounding, so they give a sample the same PoA within its
-solve tolerance.
+and its eight seeded restarts in lockstep as a batch of its own, and a lone
+certified sample (see ``poalab.solvers``).  Both paths run the one descent, so
+they give a sample the same PoA within its solve tolerance.
 
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger

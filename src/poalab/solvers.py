@@ -28,28 +28,26 @@ they serve) skip it: the swap is their Newton step.  A used path with at
 most _ACTIVE_SHARE of its demand, dearer than its pair's least, stays out of U.
 
 Costs (WE) and marginal costs (SO) are evaluated for all arcs at once
-through the game's compiled ``ArcCostTable``.  The arc costs at the current
-flow serve the gap, every O/D pair's swap choice and the step's slope at
-step 0, until a step moves the flow; the Newton step hands back the costs
-at the step it takes.  The solvers call the table without its x >= 0
-check, which every flow they form passes by construction (see
-``_descend``).  A descent's start flow, every report and a batch's final
-totals are priced by ``games._price`` (``incidence @ f``, then ``path_arcs @
-tau``, one column per row); the lockstep loop keeps its whole-batch products.
+through the game's compiled ``ArcCostTable``, without its x >= 0 check,
+which every flow the solvers form passes by construction (see
+``_descend_batch``).  The arc costs at the current flow serve the gap, every
+O/D pair's swap choice and the step's slope at step 0, until a step moves
+the flow; the Newton step hands back the costs at the step it takes.  Arc
+flows and path costs are always the products of ``games._price``
+(``incidence @ f``, then ``path_arcs @ tau``, one column per row), which
+also prices a descent's start flow and every report.
 
-Many games on one structure, such as the samples of a sweep, can be solved
-in lockstep (``_solve_poas``): their flows are the rows of (B, |S|) and
-(B, |A|) arrays, one ``ArcCostTable`` prices all B |A| arcs per call, and
-``_descend_batch`` runs the same Gauss-Seidel pair loop and Newton step on
-every row at once, each row with its own tolerance, bracket and stopping
-rule.  A game whose social optimum is not certified convex is left to
-``_solve_poa``, whose ``solve_so`` runs its own nine-row batch.  The lockstep
-loop pays numpy's per-call overhead on every step, for all rows together, so it
-only wins with enough rows: measured on the criterion-07 games and on the 6- to
-12-arc BPR networks of the benchmark, one game alone runs 1.8 to 5.4 times
-slower in it than in ``_descend``, and the two break even at 3 to 5 games.  So
-WE and certified SO solves keep ``_descend``, and a batch of fewer than
-``_LOCKSTEP_MIN_ROWS`` games is solved game by game.
+There is one descent, ``_descend_batch``, over the rows of (B, |S|) and (B,
+|A|) arrays, one game per row, with one ``ArcCostTable`` call for all B |A|
+arcs.  A WE or certified SO solve is its one-row call on the game's own
+table; many games on one structure, such as the samples of a sweep, are its
+rows in lockstep (``_solve_poas``).  Each row keeps its path choices, flow
+updates and line-search bracket in Python floats, and only the table calls,
+the row dots and the pricing products span the rows, so a row takes the same
+steps alone as in a batch.  A game whose social optimum is not certified
+convex is left to ``_solve_poa``, whose ``solve_so`` runs its own nine-row
+batch, and a batch of fewer than ``_LOCKSTEP_MIN_ROWS`` games is solved game
+by game.
 """
 
 from __future__ import annotations
@@ -154,40 +152,50 @@ def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray):
 _NEWTON_MAX_STEPS = 50
 
 
-def _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop):
-    """(alpha, arc_eval(arc_f + alpha h)) with alpha in [0, 1] where the slice's slope vanishes.
+def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, live):
+    """(alpha, costs): each `live` row's step alpha in [0, 1] where its slice's slope vanishes.
 
-    The slope is phi'(alpha) = h @ arc_eval(arc_f + alpha h), tau =
-    arc_eval(arc_f), and the curvature (h * h) @ arc_slope(arc_f + alpha h).
-    Newton steps, clipped to [0, 1], run until |phi'| <= stop or alpha = 1
-    with phi' <= 0; at zero curvature with phi' < 0 the step goes to 1.  A
-    step that leaves the bracket [lo, hi] known to hold the root (hi open
-    until phi' > 0 is seen) is replaced by bisection, and the loop ends when
-    alpha stops moving.
+    Row b of arc_f, h and tau = arc_eval(arc_f) belongs to game b, and stop[b]
+    is its threshold.  Its slope is phi'(alpha) = h_b @ arc_eval(arc_f + alpha
+    h)_b and its curvature (h_b * h_b) @ arc_slope(arc_f + alpha h)_b.  Newton
+    steps, clipped to [0, 1], run until |phi'| <= stop[b] or alpha = 1 with
+    phi' <= 0; at zero curvature with phi' < 0 the step goes to 1.  A step
+    that leaves the bracket [lo, hi] known to hold the root (hi open until
+    phi' > 0 is seen) is replaced by bisection, and a row stops when alpha
+    stops moving.  A row's bracket is Python floats and only the table calls
+    and the row dots span the rows, so a row takes the same steps alone as
+    among others (safeguarded path-based Newton: Jayakrishnan et al., TRR
+    1443, 1994).  alpha is 0 on every other row and where phi'(0) >= 0; the
+    costs are arc_eval(arc_f + alpha h) on each row with alpha > 0.
     """
-    alpha, slope = 0.0, float(h @ tau)
-    if slope >= 0.0:
-        return 0.0, tau
+    slope = np.vecdot(h, tau).tolist()
+    live = [b for b in live if slope[b] < 0.0]
+    alpha, lo, hi = [0.0] * len(h), [0.0] * len(h), [math.inf] * len(h)
     hh = h * h
-    lo, hi = 0.0, math.inf
     x = arc_f
     for _ in range(_NEWTON_MAX_STEPS):
-        if abs(slope) <= stop or (alpha == 1.0 and slope <= 0.0):
+        live = [b for b in live
+                if abs(slope[b]) > stop[b] and (alpha[b] != 1.0 or slope[b] > 0.0)]
+        if not live:
             break
-        if slope < 0.0:
-            lo = alpha
-        else:
-            hi = alpha
-        curv = float(hh @ arc_slope(x))
-        nxt = min(max(alpha - slope / curv, 0.0), 1.0) if curv > 0.0 else 1.0
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + min(hi, 1.0))
-        if nxt == alpha:  # the bracket has shrunk to adjacent floats
-            break
-        alpha = nxt
-        x = arc_f + alpha * h
+        curv = np.vecdot(hh, arc_slope(x)).tolist()
+        moving = []
+        for b in live:
+            a, s = alpha[b], slope[b]
+            if s < 0.0:
+                lo[b] = a
+            else:
+                hi[b] = a
+            nxt = min(max(a - s / curv[b], 0.0), 1.0) if curv[b] > 0.0 else 1.0
+            if not lo[b] < nxt < hi[b]:
+                nxt = 0.5 * (lo[b] + min(hi[b], 1.0))
+            if nxt != a:  # else the bracket has shrunk to adjacent floats
+                alpha[b] = nxt
+                moving.append(b)
+        live = moving  # the next pass of the loop ends it if no row moved
+        x = arc_f + np.array(alpha)[:, None] * h
         tau = arc_eval(x)
-        slope = float(h @ tau)
+        slope = np.vecdot(h, tau).tolist()
     return alpha, tau
 
 
@@ -206,20 +214,22 @@ def _two_free(n_used, n_pairs):
 
 def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
                       floor, tol, run):
-    """(f, arc_f, tau, path_costs), rows `run` allows after a Newton step on their used paths U.
+    """(f, arc_f, tau, path_costs) after a Newton step on their used paths U of the rows in `run`.
 
-    Rows are games.  The KKT system [R_U diag(tau') R_U^T, E^T; E, 0] has identity
-    rows for the paths outside U and the pairs without a used path.
+    Rows are games; a row without two free directions or with its gap at most
+    its tol is left as it is.  The KKT system [R_U diag(tau') R_U^T, E^T; E, 0]
+    has identity rows for the paths outside U and the pairs without a used path.
     """
-    if not np.any(run):
+    if not run:
         return f, arc_f, tau, path_costs
     owner, n_s, n = st.path_owner, st.n_paths, st.n_paths + len(st.pair_starts)
     excess = path_costs - np.minimum.reduceat(path_costs, st.pair_starts, axis=1)[:, owner]
-    share = demands[:, owner]
+    share = demands.take(owner, axis=1)  # C order: each row's dot below has its one-row bits
     used = (f > floor) & ((f > _ACTIVE_SHARE * share) | (excess <= 0.0))
     pairs = np.logical_or.reduceat(used, st.pair_starts, axis=1)
-    run &= _two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_dot(excess, f) > tol)  # the gap
-    if not run.any():
+    ok = (_two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_dot(excess, f) > tol)).tolist()
+    run = [b for b in run if ok[b]]  # _dot(excess, f) is the gap
+    if not run:
         return f, arc_f, tau, path_costs
     curv, u, rows = arc_slope(arc_f)[run], used[run], st.path_arcs
     link = (owner == np.arange(n - n_s)[:, None]) & u[:, None, :]  # E on U
@@ -232,210 +242,120 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     rhs = np.concatenate([-excess[run] * u, np.zeros((len(u), n - n_s))], axis=1)
     d, fr = np.linalg.solve(kkt, rhs[..., None])[:, :n_s, 0], f[run]
     block = -d > fr  # paths a full step would empty: the ratios there lie in [0, 1)
-    s = np.zeros_like(f)
+    s = np.zeros(f.shape)
     s[run] = d * np.min(np.where(block, fr / np.where(block, -d, 1.0), 1.0), axis=1)[:, None]
     stop = 0.05 * tol / len(st.pair_starts) * _dot(np.abs(s), 1.0 / np.maximum(share, 1e-300))
-    alpha, _ = _newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)),
-                             lambda x: arc_slope(np.maximum(x, 0.0)), arc_f, s @ rows, tau,
-                             stop, run)  # trial arc flows along s may round below 0
+    h = (st.incidence @ s[..., None])[..., 0]  # trial arc flows along s may round below 0:
+    alpha = np.array(_newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)),
+                                   lambda x: arc_slope(np.maximum(x, 0.0)), arc_f, h, tau,
+                                   stop.tolist(), run)[0])
     g = np.maximum(f + alpha[:, None] * s, 0.0)  # with each pair's sum set back to its demand:
     g *= (demands / np.maximum(np.add.reduceat(g, st.pair_starts, axis=1), 1e-300))[:, owner]
-    moved = (alpha > 0.0)[:, None]
+    moved = (alpha > 0.0)[:, None]  # rows the step left keep their costs' bits
     f = np.where(moved, g, f)
-    arc_f = f @ rows
-    tau = np.where(moved, arc_eval(arc_f), tau)
-    return f, arc_f, tau, tau @ st.incidence
-
-
-def _descend(game: Game, arc_eval, arc_slope, tol: float, max_iter: int,
-             start) -> tuple[np.ndarray, float, int, bool]:
-    """FW loop of a WE or certified SO; arc_eval maps arc flows to per-arc gradient values.
-
-    arc_slope maps arc flows to the derivatives of arc_eval's values; every
-    swap takes one _newton_step and keeps the costs it returns, and a
-    _used_path_newton step follows each pass.
-    The loop exits early when no O/D pair has an improving swap left that
-    changes a flow.  With discontinuous gradients (piecewise-linear
-    marginals) the gap can stay positive at the optimum, and where tol lies
-    below the float resolution of the costs no representable move closes
-    it; spinning on either would never terminate.
-    """
-    st = game.structure
-    inc, rows = st.incidence, st.path_arcs
-    demands = [float(d) for d in game.demands]
-    floor = _USED_EPS * max(1.0, game.total_demand)  # flows at or below it count as unused
-    # Newton stops when a pair's cost difference is 0.1 tol over its demand and |K|
-    stop_per_mass = 0.1 * tol / len(demands)
-    f = _initial_flow(game, start)
-    arc_f, tau, path_costs = _price(st, arc_eval, f)  # tau is kept until a move changes arc_f
-    newton = _two_free(st.n_paths, len(demands))
-    it = 0
-    for it in range(1, max_iter + 1):
-        gap = _flow_gap(st, path_costs, f)
-        if gap <= tol:
-            return f, gap, it, True
-        progressed, support = False, newton and f > floor
-        for k, (lo, hi) in enumerate(st.path_slices):
-            d_k = demands[k]
-            if d_k <= 0.0:
-                continue
-            seg = path_costs[lo:hi]
-            dst = lo + int(seg.argmin())
-            # most expensive used path; -inf when none is used
-            used_cost = np.where(f[lo:hi] > floor, seg, -np.inf)
-            src = lo + int(used_cost.argmax())
-            if used_cost[src - lo] <= seg[dst - lo]:
-                continue
-            mass = f[src]
-            # distinct paths with mass above the floor: h is never zero.  The
-            # table runs without its x >= 0 check: every flow here is >= 0, and
-            # so is a trial flow x = arc_f + alpha h with alpha in [0, 1],
-            # exactly.  h is -mass only on arcs of the source path alone, and
-            # rounding is monotone, so fl(alpha mass) <= mass <= arc_f there (a
-            # float sum of non-negative path flows is at least each of them).
-            h = mass * (rows[dst] - rows[src])
-            stop = stop_per_mass * mass / d_k
-            alpha, moved_tau = _newton_step(arc_eval, arc_slope, arc_f, h, tau, stop)
-            if alpha <= 0.0:
-                continue
-            moved = alpha * mass
-            if f[src] - moved == f[src] and f[dst] + moved == f[dst]:
-                continue  # below the flows' float resolution: no progress
-            f[src] -= moved
-            f[dst] += moved
-            if f[src] < 0.0:
-                f[src] = 0.0
-            arc_f = inc @ f
-            tau = moved_tau
-            path_costs = rows @ tau
-            progressed = True
-        if newton:  # as the one row of a batch
-            f, arc_f, tau, path_costs = (a[0] for a in _used_path_newton(
-                st, lambda x: arc_eval(x[0])[None], lambda x: arc_slope(x[0])[None],
-                f[None], arc_f[None], tau[None], path_costs[None], game.demands[None], floor, tol,
-                np.array_equal(support, f > floor)))
-        if not progressed:
-            break
-    gap = _flow_gap(st, path_costs, f)
-    return f, gap, it, gap <= tol
-
-
-def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, run):
-    """_newton_step on every row where `run` holds, in lockstep; alpha = 0 elsewhere.
-
-    Row b of each array belongs to game b, and stop holds one threshold per
-    row.  Each row keeps its own bracket and stops on its own rule; the
-    costs of a row that has stopped are kept, not re-evaluated.
-    """
-    slope = _dot(h, tau)
-    run = run & (slope < 0.0)
-    alpha, lo, hi = np.zeros(len(h)), np.zeros(len(h)), np.full(len(h), math.inf)
-    tau = tau.copy()
-    hh = h * h
-    x = arc_f
-    for _ in range(_NEWTON_MAX_STEPS):
-        run &= (np.abs(slope) > stop) & ((alpha != 1.0) | (slope > 0.0))
-        if not run.any():
-            break
-        below = slope < 0.0
-        np.copyto(lo, alpha, where=run & below)
-        np.copyto(hi, alpha, where=run & ~below)
-        curv = _dot(hh, arc_slope(x))
-        newton = curv > 0.0
-        nxt = np.where(newton, np.minimum(np.maximum(
-            alpha - slope / np.where(newton, curv, 1.0), 0.0), 1.0), 1.0)
-        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + np.minimum(hi, 1.0)))
-        run &= nxt != alpha
-        np.copyto(alpha, nxt, where=run)
-        x = arc_f + alpha[:, None] * h
-        moved = arc_eval(x)
-        np.copyto(tau, moved, where=run[:, None])
-        np.copyto(slope, _dot(h, moved), where=run)
-    return alpha, tau
+    return (f, *_price(st, lambda x: np.where(moved, arc_eval(x), tau), f))
 
 
 def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
                    tol: np.ndarray, max_iter: int, f0: np.ndarray, objective=None):
-    """_descend on B games of one structure at once; with `objective`, a nonconvex search.
+    """Frank-Wolfe descent of B games on one structure; with `objective`, a nonconvex search.
 
     Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) belongs
-    to game b; arc_eval and arc_slope map (B, |A|) arc flows to per-row
-    gradients and their slopes.  Without `objective` every row takes the
-    steps its own _descend would take, up to the rounding of the incidence
-    products.  With it (objective maps (B, |A|) arc flows to one value per
-    row) the used-path Newton step is off, and a row's swap step is the first
-    best of the Newton step, 1, 1/2 and 2/(it + 2) on pass `it`, taken only if
-    it lowers the objective: the directional-derivative root minimizes only a
-    convex slice.  Each row leaves the loop on its own rule: converged,
-    stalled (no swap moved a flow) or out of iterations.  Returns the final
-    flows, each row's gap and the pass at which it left the loop.
+    to game b; arc_eval maps (B, |A|) arc flows to per-row gradient values (the
+    costs of a WE, the marginal costs of an SO) and arc_slope to their
+    derivatives.  Each pass visits the O/D pairs in turn and, on every row,
+    swaps mass from the pair's most expensive used path to its cheapest path
+    with the step _newton_steps finds, and keeps the costs the step hands
+    back; a _used_path_newton step follows.  A row's path choice and flow
+    update are made on Python floats, so a row takes the same steps alone as
+    among others.  With `objective` (it maps (B, |A|) arc flows
+    to one value per row) the used-path Newton step is off, and a row's swap
+    step is the first best of the Newton step, 1, 1/2 and 2/(it + 2) on pass
+    `it`, taken only if it lowers the objective: the directional-derivative
+    root minimizes only a convex slice.
+
+    Each row leaves the loop on its own rule: converged, stalled (no swap
+    moved a flow) or out of iterations.  With discontinuous gradients
+    (piecewise-linear marginals) the gap can stay positive at the optimum,
+    and where tol lies below the float resolution of the costs no
+    representable move closes it; spinning on either would never terminate.
+    Returns the final flows, each row's gap and the pass at which it left.
     """
-    inc, rows = st.incidence, st.path_arcs
-    every = np.arange(len(f0))
-    floor = _USED_EPS * np.maximum(1.0, demands.sum(axis=1))[:, None]
-    stop_per_mass = 0.1 * tol / demands.shape[1]
-    routed = (demands > 0.0).T  # (|K|, B): a pair without demand makes no swap
-    pair_demand = np.where(routed, demands.T, 1.0)
+    rows, n, pair_demands, tols = st.path_arcs, len(f0), demands.tolist(), tol.tolist()
+    floors = [_USED_EPS * max(1.0, sum(d)) for d in pair_demands]  # at or below: unused
     f = f0.copy()
-    arc_f = f @ rows
-    tau = arc_eval(arc_f)
-    path_costs = tau @ inc
-    gap = np.zeros(len(f))
-    passes = np.zeros(len(f), dtype=int)
-    active = np.ones(len(f), dtype=bool)
+    arc_f, tau, path_costs = _price(st, arc_eval, f)
+    passes, live = [0] * n, list(range(n))
     newton = objective is None and _two_free(st.n_paths, demands.shape[1])
     for it in range(1, max_iter + 1):
-        np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
-        passes[active] = it
-        active &= gap > tol
-        if not active.any():
+        gap = _flow_gap(st, path_costs, f)  # every row's: a row that left keeps its flow
+        for b in live:
+            passes[b] = it
+        live = [b for b in live if gap[b] > tols[b]]
+        if not live:
             break
-        progressed, support = np.zeros(len(f), dtype=bool), newton and f > floor
+        progressed, reshaped = set(), set()  # rows a swap moved, rows whose used paths changed
         for k, (lo, hi) in enumerate(st.path_slices):
-            seg = path_costs[:, lo:hi]
-            used_cost = np.where(f[:, lo:hi] > floor, seg, -np.inf)
-            src, dst = used_cost.argmax(axis=1), seg.argmin(axis=1)
-            swap = active & routed[k] & (used_cost[every, src] > seg[every, dst])
-            if not swap.any():
+            stop, swap = [0.0] * n, []
+            costs, flows = path_costs[:, lo:hi].tolist(), f[:, lo:hi].tolist()
+            for b in live:
+                d_k, fb, cb = pair_demands[b][k], flows[b], costs[b]
+                if d_k <= 0.0:
+                    continue
+                j = min(range(hi - lo), key=cb.__getitem__)
+                i = -1  # the first of the dearest used paths, if dearer than j
+                for s in range(hi - lo):
+                    if fb[s] > floors[b] and cb[s] > cb[j if i < 0 else i]:
+                        i = s
+                if i >= 0:  # Newton stops at a cost difference of 0.1 tol over d_k and |K|
+                    stop[b] = 0.1 * tols[b] / demands.shape[1] * fb[i] / d_k
+                    swap.append((b, lo + i, lo + j, fb[i], fb[j]))
+            if not swap:
                 continue
-            src += lo
-            dst += lo
-            f_src, f_dst = f[every, src], f[every, dst]
-            mass = np.where(swap, f_src, 0.0)
-            h = mass[:, None] * (rows[dst] - rows[src])  # >= 0 trial flows, as in _descend
-            alpha, moved_tau = _newton_steps(arc_eval, arc_slope, arc_f, h, tau,
-                                             stop_per_mass * mass / pair_demand[k], swap)
-            stale = None  # rows whose step is not Newton's: the costs it returned are not theirs
-            if objective is not None and (alpha > 0.0).any():
-                cands = np.stack(np.broadcast_arrays(alpha, 1.0, 0.5, 2.0 / (it + 2.0)))
-                vals = np.array([objective(arc_f + a[:, None] * h) for a in cands])
+            # h, the arc flows' change, is never zero on a swapping row: its two
+            # paths are distinct and carry mass above the floor.  The table runs
+            # without its x >= 0 check: every flow here is >= 0, and so is a
+            # trial flow x = arc_f + alpha h with alpha in [0, 1], exactly.  h is
+            # -mass only on arcs of the source path alone, and rounding is
+            # monotone, so fl(alpha mass) <= mass <= arc_f there (a float sum of
+            # non-negative path flows is at least each of them).
+            h = np.zeros(arc_f.shape)
+            for b, i, j, mass, _ in swap:
+                h[b] = mass * (rows[j] - rows[i])
+            alpha, step_tau = _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop,
+                                            [b for b, *_ in swap])
+            if objective is not None and max(alpha) > 0.0:
+                a, every = np.array(alpha), np.arange(n)
+                cands = np.stack(np.broadcast_arrays(a, 1.0, 0.5, 2.0 / (it + 2.0)))
+                vals = np.array([objective(arc_f + c[:, None] * h) for c in cands])
                 best = vals.argmin(axis=0)
-                chosen = np.where((alpha > 0.0) & (vals[best, every] < objective(arc_f) - 1e-15),
-                                  cands[best, every], 0.0)
-                stale, alpha = chosen != alpha, chosen
-            moved = alpha * mass
-            new_src, new_dst = f_src - moved, f_dst + moved
-            step = (alpha > 0.0) & ((new_src != f_src) | (new_dst != f_dst))
-            if not step.any():
-                continue
-            f[every, src] = np.where(step, np.where(new_src < 0.0, 0.0, new_src), f_src)
-            f[every, dst] = np.where(step, new_dst, f_dst)
-            arc_f = f @ rows
-            tau = np.where(step[:, None], moved_tau, tau)
-            if stale is not None and (step & stale).any():
-                tau = np.where((step & stale)[:, None], arc_eval(arc_f), tau)
-            path_costs = tau @ inc
-            progressed |= step
+                a = np.where((a > 0.0) & (vals[best, every] < objective(arc_f) - 1e-15),
+                             cands[best, every], 0.0)
+                alpha, step_tau = a.tolist(), arc_eval(arc_f + a[:, None] * h)
+            stepped = []
+            for b, i, j, src, dst in swap:
+                moved = alpha[b] * src
+                if alpha[b] <= 0.0 or (src - moved == src and dst + moved == dst):
+                    continue  # no step, or one below the flows' float resolution
+                if src - moved <= floors[b] or dst <= floors[b] < dst + moved:
+                    reshaped.add(b)
+                f[b, i], f[b, j] = max(src - moved, 0.0), dst + moved
+                progressed.add(b)
+                stepped.append(b)
+            if stepped:  # a row that stepped takes the costs at its step
+                tau = tau.copy()
+                for b in stepped:
+                    tau[b] = step_tau[b]
+                arc_f = (st.incidence @ f[..., None])[..., 0]
+                path_costs = (st.path_arcs @ tau[..., None])[..., 0]
         if newton:  # a row no swap moved leaves with the gap of the flow the step left
             f, arc_f, tau, path_costs = _used_path_newton(
-                st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands, floor, tol,
-                active & (support == (f > floor)).all(axis=1))
-            if (active & ~progressed).any():
-                np.copyto(gap, _flow_gap(st, path_costs, f), where=active & ~progressed)
-        active &= progressed
-    if active.any():  # out of iterations
-        np.copyto(gap, _flow_gap(st, path_costs, f), where=active)
-    return f, gap, passes
+                st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
+                np.array(floors)[:, None], tol, [b for b in live if b not in reshaped])
+        live = [b for b in live if b in progressed]
+    else:  # out of iterations
+        gap = _flow_gap(st, path_costs, f)
+    return f, gap, np.array(passes)
 
 
 def _by_row(table: ArcCostTable, name: str):
@@ -444,12 +364,14 @@ def _by_row(table: ArcCostTable, name: str):
     The table's arcs are the arcs of B games on one structure, game after game.
     """
     fn = table._unchecked(name)
-    return lambda x: fn(x.reshape(-1)).reshape(x.shape)
+    return lambda x: fn(x.ravel()).reshape(x.shape)
 
 
-# Fewest games solved in lockstep: below it, one _descend per game is faster
-# (see the module docstring).
-_LOCKSTEP_MIN_ROWS = 4
+# Fewest games solved in lockstep.  B cost samples at radius 1e-2 around each
+# criterion-07 base and two 6- and 9-arc BPR-4 networks, solved from warm
+# starts, take 0.52 to 0.62 of their one-by-one time in lockstep at B = 2 and
+# 0.19 to 0.23 at B = 8; one game alone is the same one-row descent either way.
+_LOCKSTEP_MIN_ROWS = 2
 
 
 def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
@@ -511,6 +433,17 @@ def _report(game: Game, f: np.ndarray, gap: float, iters: int,
     )
 
 
+def _solve_certified(game: Game, grad: str, slope: str, tol: float, max_iter: int,
+                     start) -> SolveReport:
+    """The one-row _descend_batch on the game's own table; grad and slope name its methods."""
+    table = game.cost_table
+    f, gap, passes = _descend_batch(game.structure, game.demands[None], _by_row(table, grad),
+                                    _by_row(table, slope), np.array([tol]), max_iter,
+                                    _initial_flow(game, start)[None])
+    return _report(game, f[0], float(gap[0]), int(passes[0]), bool(gap[0] <= tol),
+                   certified=True)
+
+
 def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
              start=None) -> SolveReport:
     """Wardrop equilibrium by potential minimization.
@@ -521,10 +454,7 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
-    table = game.cost_table
-    f, gap, iters, conv = _descend(game, table._unchecked("values"), table._unchecked("derivs"),
-                                   tol, max_iter, start)
-    return _report(game, f, gap, iters, conv, certified=True)
+    return _solve_certified(game, "values", "derivs", tol, max_iter, start)
 
 
 def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
@@ -540,10 +470,7 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if _so_certified(game):
-        table = game.cost_table
-        f, gap, iters, conv = _descend(game, table._unchecked("marginals"),
-                                       table._unchecked("marginal_derivs"), tol, max_iter, start)
-        return _report(game, f, gap, iters, conv, certified=True)
+        return _solve_certified(game, "marginals", "marginal_derivs", tol, max_iter, start)
     st = game.structure
     rng = np.random.default_rng(0)
     f0 = np.zeros((1 + _MULTISTARTS, st.n_paths))

@@ -41,9 +41,9 @@ PWL_STRATEGY = st.integers(1, 3).flatmap(lambda n: st.builds(
     st.floats(0.0, 1.0)))
 
 # pairs that reach every branch of sup_distance: polynomial differences, the
-# grid, piecewise-linear pairs, same-shape MonomialLog and same-beta BPR
-SUP_PAIRS = st.one_of(
-    st.tuples(FAMILY_STRATEGIES, FAMILY_STRATEGIES),
+# grid, piecewise-linear pairs, same-shape MonomialLog and same-beta BPR, and
+# each of these but the polynomials inside ScaledCost wrappers of one factor
+_RULE_PAIRS = st.one_of(
     st.tuples(PWL_STRATEGY, PWL_STRATEGY),
     st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.sampled_from([1.0, 2.0]),
               st.sampled_from([0.5, 1.0, 2.0])).map(
@@ -51,6 +51,12 @@ SUP_PAIRS = st.one_of(
     st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.sampled_from([1.5, 2.0, 3.0, 4.0]),
               st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(
         lambda t: (BPR(t[0], t[2], t[3]), BPR(t[1], t[2], t[4]))),
+)
+SUP_PAIRS = st.one_of(
+    st.tuples(FAMILY_STRATEGIES, FAMILY_STRATEGIES),
+    _RULE_PAIRS,
+    st.tuples(_RULE_PAIRS, st.sampled_from([0.5, 0.7, 3.0])).map(
+        lambda t: (ScaledCost(t[0][0], t[1]), ScaledCost(t[0][1], t[1]))),
 )
 
 
@@ -434,6 +440,38 @@ class TestSupDistance:
         xs = np.linspace(0, 2, 1_000_001)
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert est >= true - 1e-12
+
+    @pytest.mark.parametrize("f, g, hi", [
+        (ScaledCost(MonomialLog(0.5, 2.0, 0.5), 2.0), ScaledCost(MonomialLog(0.8, 2.0, 0.5), 2.0),
+         2.5),
+        (ScaledCost(BPR(1.0, 1.5, 0.3), 0.7), ScaledCost(BPR(2.0, 1.5, 0.1), 0.7), 2.0),
+        (ScaledCost(PiecewiseLinear((0.0, 0.7, 2.0), (0.1, 0.5, 2.5)), 0.7),  # peak at a kink
+         ScaledCost(PiecewiseLinear((0.0, 1.2, 2.0), (0.2, 0.4, 2.0)), 0.7), 2.0),
+        (ScaledCost(PiecewiseLinear((0.0, 0.5, 2.0), (0.1, 0.5, 2.5)), 0.5),  # peak at hi
+         ScaledCost(PiecewiseLinear((0.0, 0.75, 2.0), (0.2, 0.4, 2.0)), 0.5), 3.0),
+    ])
+    def test_scaled_pairs_of_one_factor_exact(self, f, g, hi):
+        # the inners' rule, its points mapped back by 1/factor, against a dense grid
+        xs = np.linspace(0, hi, 1_000_001)
+        true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        slack = (f.lipschitz_on(hi) + g.lipschitz_on(hi)) * hi / 2e6  # the grid's own error
+        for pair in ((f, g), (g, f)):
+            est, err = sup_distance(*pair, hi)
+            assert err == 0.0
+            assert true - 1e-12 <= est <= true + slack
+
+    @pytest.mark.parametrize("f, g", [
+        # 0.9 / 3 * 3 != 0.9: the mapped kink would be evaluated an ulp off
+        (ScaledCost(PiecewiseLinear((0.0, 0.9, 3.0), (0.1, 1.5, 2.0)), 3.0),
+         ScaledCost(PiecewiseLinear((0.0, 2.0, 3.0), (0.2, 0.4, 2.5)), 3.0)),
+        (ScaledCost(MonomialLog(0.5, 2.0, 0.5), 2.0), ScaledCost(MonomialLog(0.5, 2.0, 0.5), 1.5)),
+        (ScaledCost(MonomialLog(0.5, 2.0, 0.5), 2.0), MonomialLog(0.5, 2.0, 0.5)),
+    ])
+    def test_other_scaled_pairs_take_the_grid(self, f, g):
+        est, err = sup_distance(f, g, 1.0)
+        xs = np.linspace(0, 1, 1_000_001)
+        true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        assert err > 0.0 and est <= true + 1e-12 and true <= est + err
 
 
 class TestWrappers:

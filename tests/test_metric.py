@@ -1,5 +1,6 @@
 """Metric axioms, certified distances, and the ball sampler."""
 
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from poalab import (
     sample_ball,
 )
 from poalab import metric
+from poalab.io import load_game
 
 from conftest import MIXED_FAMILIES, criterion7_bases, random_game
 
@@ -151,6 +153,21 @@ class TestSampleBall:
                             assert p.realized == dist(base, p.game)  # the unpatched dist
                             assert p.shrunk or radius / 2 <= p.realized.upper() <= radius
         assert spy.call_count / samples <= 1.2
+
+    def test_scaled_arc_lands_in_the_band(self):
+        # the scaled monomial-log arc of this game has an exact sup rule against its
+        # perturbed self, so no grid error keeps a small ball's samples out of the band
+        base = load_game(pathlib.Path(__file__).resolve().parents[1] / "data/shared_arc_mixed.json")
+        samples = 0
+        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+            for kind in ("cost", "joint"):
+                for radius in (1e-2, 1e-3):
+                    for seed in range(8):
+                        p = sample_ball(base, radius, kind=kind, seed=seed)
+                        samples += 1
+                        assert not p.shrunk and p.realized.error_bound == 0.0
+                        assert radius / 2 <= p.realized.upper() <= radius
+        assert spy.call_count / samples <= 1.5
 
     def test_deterministic_given_seed(self, pigou):
         a = sample_ball(pigou, 0.03, kind="joint", seed=77)

@@ -9,16 +9,19 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from poalab import (
     BPR,
     Affine,
     Constant,
     Game,
+    MonomialLog,
     PathFlow,
     PiecewiseLinear,
     Polynomial,
     Structure,
+    TangentCost,
     TruncatedCost,
     approximation_threshold,
     check_approximation_bounds,
@@ -186,6 +189,93 @@ class TestNewtonStep:
         assert rep.iterations < 1000
         assert rep.duality_gap < 1e-11
 
+    @pytest.mark.parametrize("family", ["affine", "bpr4", "monolog", "pwl", "tangent"])
+    def test_line_search_finds_the_root(self, family):
+        # random two-path slices: a row's alpha has the same bits alone as in a
+        # stacked batch of five, and agrees with brentq on phi'(alpha) = h @ c(x + alpha h)
+        rng = np.random.default_rng(["affine", "bpr4", "monolog", "pwl", "tangent"].index(family))
+        for _ in range(40):
+            costs = [_slice_costs(rng, family) for _ in range(5)]
+            flows = rng.uniform(0.0, 2.0, (5, 2))
+            flows[:, 0] += 0.05  # the source arc carries the mass the swap moves
+            h = flows[:, :1] * np.array([-1.0, 1.0])
+            stop = [1e-10 * float(f) for f in flows[:, 0]]
+            table = ArcCostTable([c for pair in costs for c in pair])
+            values, derivs = solvers._by_row(table, "values"), solvers._by_row(table, "derivs")
+            batch, batch_costs = solvers._newton_steps(values, derivs, flows, h, values(flows),
+                                                       stop, list(range(5)))
+            for b, (c0, c1) in enumerate(costs):
+                one = ArcCostTable([c0, c1])
+                values, derivs = solvers._by_row(one, "values"), solvers._by_row(one, "derivs")
+                (alpha,), step_costs = solvers._newton_steps(
+                    values, derivs, flows[b:b + 1], h[b:b + 1], values(flows[b:b + 1]),
+                    stop[b:b + 1], [0])
+                assert alpha == batch[b]
+                if alpha > 0.0:  # the costs at the step, the same bits alone and in the batch
+                    at = values(flows[b:b + 1] + alpha * h[b:b + 1])[0].tolist()
+                    assert step_costs[0].tolist() == batch_costs[b].tolist() == at
+                x0, x1 = flows[b].tolist()  # x0 is the mass the swap moves
+
+                def slope(a):
+                    return x0 * (c1(x1 + a * x0) - c0(x0 + a * -x0))
+
+                if slope(0.0) >= 0.0:
+                    assert alpha == 0.0
+                elif not (alpha == 1.0 and slope(1.0) <= 0.0):
+                    # the band |phi'| <= stop around the root, a few ulps wider for
+                    # brentq and for a bracket that shrinks to adjacent floats
+                    lo = 0.0 if slope(0.0) >= -stop[b] else brentq(
+                        lambda a: slope(a) + stop[b], 0.0, 1.0, xtol=1e-16)
+                    hi = 1.0 if slope(1.0) <= stop[b] else brentq(
+                        lambda a: slope(a) - stop[b], 0.0, 1.0, xtol=1e-16)
+                    assert lo - 4e-15 <= alpha <= hi + 4e-15, (family, b, alpha, lo, hi)
+
+    def test_a_row_descends_alone_as_in_a_batch(self):
+        # five games on a 9-arc network (netgen.generate(0, 3, 3, 3, 9) of the
+        # benchmark's ladder): each row of the lockstep WE and SO has the flows,
+        # gap and pass count of its one-row call, bit for bit
+        paths = ((("a0", "a1", "a2"), ("a5", "a7", "a8"), ("a4", "a5", "a6")),
+                 (("a3", "a7", "a8"), ("a5", "a6", "a8"), ("a0", "a5", "a6")),
+                 (("a2", "a6", "a8"), ("a3", "a4", "a7"), ("a2", "a4", "a6")))
+        st_ = Structure(tuple(f"a{i}" for i in range(9)), ("k0", "k1", "k2"), paths)
+        rng = np.random.default_rng(5)
+        for grad, slope in [("values", "derivs"), ("marginals", "marginal_derivs")] * 4:
+            games = [Game(st_, tuple(_slice_costs(rng, family)[0] for family in
+                                     rng.choice(["affine", "bpr4", "monolog"], 9)),
+                          rng.uniform(0.5, 2.0, 3)) for _ in range(5)]
+            f0 = np.array([solvers._initial_flow(g, None) for g in games])
+            demands, tol = np.array([g.demands for g in games]), np.full(5, 1e-10)
+            table = ArcCostTable([c for g in games for c in g.costs])
+            f, gap, passes = solvers._descend_batch(
+                st_, demands, solvers._by_row(table, grad), solvers._by_row(table, slope),
+                tol, 1000, f0)
+            assert passes.max() > 2
+            for b, g in enumerate(games):
+                one = g.cost_table
+                f1, gap1, passes1 = solvers._descend_batch(
+                    st_, demands[b:b + 1], solvers._by_row(one, grad), solvers._by_row(one, slope),
+                    tol[:1], 1000, f0[b:b + 1])
+                assert f[b].tolist() == f1[0].tolist()
+                assert (gap[b], passes[b]) == (gap1[0], passes1[0])
+
+
+def _slice_costs(rng, family):
+    """Two arc costs of one family: a random two-path slice's."""
+    def one():
+        a, b = rng.uniform(0.1, 2.0, 2).tolist()
+        if family == "affine":
+            return Affine(a, b)
+        if family == "bpr4":
+            return BPR(a, 4.0, b)
+        if family == "monolog":
+            return MonomialLog(a, float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 2.0)))
+        if family == "pwl":
+            steps, rises = rng.uniform(0.1, 1.0, 3), rng.uniform(0.0, 2.0, 3)
+            return PiecewiseLinear(tuple(np.cumsum([0.0, *steps]).tolist()),
+                                   tuple((b + np.cumsum([0.0, *rises])).tolist()))
+        return TangentCost(BPR(a, 2.0, b), float(rng.uniform(0.2, 1.5)))
+    return one(), one()
+
 
 # netgen.generate(4, 2, 3, 2, 6) of the benchmark's size ladder, written out: BPR(q, 4, p) arcs
 LADDER_PATHS = ((("a3", "a4"), ("a4", "a5"), ("a1", "a4")),
@@ -268,13 +358,12 @@ class TestLockstepMultistart:
                 assert (gap[b], passes[b]) == (gap1[0], passes1[0])
 
     def test_restarts_are_one_batch(self, two_link):
-        # the start and every restart run as the rows of one _descend_batch, none alone
+        # the start and every restart run as the rows of one _descend_batch
         batch = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
-        alone = mock.patch.object(solvers, "_descend", wraps=solvers._descend)
         for game in uncertified_games(two_link):
-            with batch as lockstep, alone as single:
+            with batch as lockstep:
                 rep = solve_so(game)
-            assert not rep.optimality_certified and single.call_count == 0
+            assert not rep.optimality_certified
             assert lockstep.call_count == 1
             assert lockstep.call_args.args[6].shape == (1 + solvers._MULTISTARTS, 2)
 
