@@ -359,7 +359,8 @@ def _checked_total(f, arc_f, tau, path_costs):
     """
     by_arc = _dot(arc_f, tau)
     by_path = _dot(f, path_costs)
-    if np.any(np.abs(by_arc - by_path) > TOTAL_COST_RTOL * np.maximum(1.0, np.abs(by_arc))):
+    off = abs(by_arc - by_path)  # > TOTAL_COST_RTOL * max(1, |by_arc|), one numpy call on floats
+    if np.logical_and(off > TOTAL_COST_RTOL, off > TOTAL_COST_RTOL * abs(by_arc)).any():
         raise AssertionError(
             f"total cost forms disagree: arc sum {by_arc}, path sum {by_path}")
     return by_arc

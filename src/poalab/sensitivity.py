@@ -24,14 +24,9 @@ A sweep first draws all its samples, then solves them together.  Each draw
 sets ``sample_ball``'s knob from a first-order model of its distance, so it
 costs about one ``dist`` call (see ``poalab.metric``).  The paper's metric
 compares games on one structure only, so every sample is the base structure
-with other costs and demands, and the samples whose
-social optimum is certified convex are solved in lockstep, as rows of one
-batch, when there are at least two of them, whatever their cost families.
-The rest take the per-sample path, one ``_solve_poa`` each: the samples
-with an uncertified social optimum, whose ``solve_so`` runs the sample's start
-and its eight seeded restarts in lockstep as a batch of its own, and a lone
-certified sample (see ``poalab.solvers``).  Both paths run the one descent, so
-they give a sample the same PoA within its solve tolerance.
+with other costs and demands, and all the samples' WE and SO solves are one
+lockstep call each, whatever their cost families (``_solve_poas``; see
+``poalab.solvers``).
 
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
@@ -219,8 +214,8 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     """Perturbation sweep around a base game.
 
     For each radius, draws samples from the metric ball of that radius
-    (respecting `kind`), solves all samples from the scaled base equilibria,
-    in lockstep where they allow it (see the module docstring), and emits
+    (respecting `kind`), solves all samples from the scaled base equilibria
+    in lockstep (see the module docstring), and emits
     one record per sample with the applicable certificate bound attached.
     Per-sample solver failures are recorded as NaN PoA rather than raised.
     """

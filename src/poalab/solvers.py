@@ -14,8 +14,7 @@ found where the directional derivative of the convex slice vanishes.
 Every swap takes its step length from one safeguarded path-based Newton
 iteration on the slice (Jayakrishnan et al., TRR 1443, 1994), with the exact
 curvature the game's cost table gives for every family.  Where the social
-optimum's convexity is not certified, each step is checked against the total cost,
-and the start and its seeded restarts descend in lockstep (``solve_so``).
+optimum's convexity is not certified, each step is checked against the total cost.
 
 WE and certified SO follow each pass that kept the set of used paths U with
 one projected Newton step on U (Bertsekas, SIAM J. Control Optim. 20, 1982;
@@ -39,21 +38,21 @@ also prices a descent's start flow and every report.
 
 There is one descent, ``_descend_batch``, over the rows of (B, |S|) and (B,
 |A|) arrays, one game per row, with one ``ArcCostTable`` call for all B |A|
-arcs.  A WE or certified SO solve is its one-row call on the game's own
-table; many games on one structure, such as the samples of a sweep, are its
-rows in lockstep (``_solve_poas``).  Each row keeps its path choices, flow
-updates and line-search bracket in Python floats, and only the table calls,
-the row dots and the pricing products span the rows, so a row takes the same
-steps alone as in a batch.  A game whose social optimum is not certified
-convex is left to ``_solve_poa``, whose ``solve_so`` runs its own nine-row
-batch, and a batch of fewer than ``_LOCKSTEP_MIN_ROWS`` games is solved game
-by game.
+arcs.  Each row keeps its path choices, flow updates and line-search bracket
+in Python floats, and only the table calls, the row dots and the pricing
+products span the rows, so a row takes the same steps alone as in a batch.
+Any number of games on one structure is one ``_solve_games`` call: a single
+solve is its one-game call on the game's own table, and the samples of a
+sweep are its rows in lockstep (``_solve_poas``).  Every WE and certified SO
+is a row of one batch; each uncertified SO takes 1 + 8 rows of a second
+batch, its start and its _MULTISTARTS = 8 seeded restarts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,12 +126,12 @@ class SolveReport:
 
 
 def _initial_flow(game: Game, start) -> np.ndarray:
+    """The start flow, checked feasible (read-only); None: each pair's demand on its first path."""
     st = game.structure
     if start is not None:
-        flow = start.values if isinstance(start, PathFlow) else np.asarray(start, dtype=float)
-        pf = PathFlow(np.array(flow))
+        pf = start if isinstance(start, PathFlow) else PathFlow(start)
         check_feasible(game, pf)
-        return pf.values.copy()
+        return pf.values
     f = np.zeros(st.n_paths)
     f[st.pair_starts] = game.demands
     return f
@@ -367,81 +366,106 @@ def _by_row(table: ArcCostTable, name: str):
     return lambda x: fn(x.ravel()).reshape(x.shape)
 
 
-# Fewest games solved in lockstep.  B cost samples at radius 1e-2 around each
-# criterion-07 base and two 6- and 9-arc BPR-4 networks, solved from warm
-# starts, take 0.52 to 0.62 of their one-by-one time in lockstep at B = 2 and
-# 0.19 to 0.23 at B = 8; one game alone is the same one-row descent either way.
-_LOCKSTEP_MIN_ROWS = 2
+def _solve_games(games, so: bool, demands: np.ndarray, tol: np.ndarray, max_iter: int,
+                 f0: np.ndarray, table: ArcCostTable):
+    """(flows, gaps, passes, certified) of the WE (so False) or SO of B games on one structure.
+
+    Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) belongs to
+    games[b], and table holds the games' arcs, game after game.  Every WE and every SO
+    certified convex (_so_certified) is a row of one _descend_batch, on table when all
+    B are.  Each other SO descends from its start and _MULTISTARTS random start flows
+    (seed 0) as 1 + _MULTISTARTS rows of a second _descend_batch, each step checked
+    against the total cost, and its result is the first of those rows with the least
+    total cost.
+    """
+    st = games[0].structure
+    certified = [not so or _so_certified(game) for game in games]
+    grad, slope = ("marginals", "marginal_derivs") if so else ("values", "derivs")
+    if all(certified):
+        return (*_descend_batch(st, demands, _by_row(table, grad), _by_row(table, slope),
+                                tol, max_iter, f0), certified)
+    f, gap, passes = f0.copy(), np.zeros(len(games)), np.zeros(len(games), dtype=int)
+    convex = [b for b, c in enumerate(certified) if c]
+    if convex:
+        sub = ArcCostTable([c for b in convex for c in games[b].costs])
+        f[convex], gap[convex], passes[convex] = _descend_batch(
+            st, demands[convex], _by_row(sub, grad), _by_row(sub, slope), tol[convex], max_iter,
+            f0[convex])
+    rest, n = [b for b, c in enumerate(certified) if not c], 1 + _MULTISTARTS
+    rows = np.repeat(demands[rest], n, axis=0)
+    restarts = demands[rest][:, None, st.path_owner] * _restarts(st.path_slices)
+    starts = np.concatenate([f0[rest, None], restarts], axis=1).reshape(len(rows), -1)
+    sub = ArcCostTable([c for b in rest for c in games[b].costs * n])
+    values = _by_row(sub, "values")
+    g, g_gap, g_passes = _descend_batch(
+        st, rows, _by_row(sub, grad), _by_row(sub, slope), np.repeat(tol[rest], n), max_iter,
+        starts, objective=lambda x: _dot(x, values(x)))
+    _check_routed(st, rows, g)
+    total = _checked_total(g, *_price(st, values, g)).reshape(len(rest), n)
+    best = n * np.arange(len(rest)) + total.argmin(axis=1)
+    f[rest], gap[rest], passes[rest] = g[best], g_gap[best], g_passes[best]
+    return f, gap, passes, certified
+
+
+@lru_cache(maxsize=32)
+def _restarts(path_slices) -> np.ndarray:
+    """The _MULTISTARTS random start flows (seed 0) of unit demands on paths so sliced."""
+    rng = np.random.default_rng(0)
+    out = np.empty((_MULTISTARTS, path_slices[-1][1]))
+    for row in out:
+        for lo, hi in path_slices:
+            row[lo:hi] = rng.dirichlet(np.ones(hi - lo))
+    out.setflags(write=False)
+    return out
 
 
 def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
     """PoA of each of several games on one structure; NaN where a solve does not converge.
 
-    tols and starts hold, per game, its tolerance and its WE and SO start
-    flows.  The games whose SO is certified convex are solved in lockstep by
-    _descend_batch when there are at least _LOCKSTEP_MIN_ROWS of them; the
-    others go through _solve_poa one at a time.  Either way each PoA passes
-    the checks of _solve_poa; a batch prices its a priori bounds with its table.
+    tols and starts hold, per game, its tolerance and its WE and SO start flows.  The
+    WE and the SO are one _solve_games call each on one table, which also prices the a
+    priori bounds; each PoA passes the checks of _solve_poa.
     """
-    certified = [i for i, game in enumerate(games) if _so_certified(game)]
-    batch = certified if len(certified) >= _LOCKSTEP_MIN_ROWS else []
-    out = [math.nan] * len(games)
-    for i in sorted(set(range(len(games))).difference(batch)):
-        try:
-            out[i] = _solve_poa(games[i], tols[i], max_iter, starts[i])[0]
-        except UnconvergedError:
-            pass
-    if not batch:
-        return out
-    st = games[batch[0]].structure
-    table = ArcCostTable([c for i in batch for c in games[i].costs])
-    demands = np.array([games[i].demands for i in batch])
-    tol = np.array([tols[i] for i in batch])
-    flows, done = [], np.ones(len(batch), dtype=bool)
-    for which, grad, slope in ((0, "values", "derivs"), (1, "marginals", "marginal_derivs")):
-        f0 = np.array([starts[i][which] for i in batch])
+    st = games[0].structure
+    table = ArcCostTable([c for game in games for c in game.costs])
+    demands = np.array([game.demands for game in games])
+    tol = np.array(tols)
+    flows, done = [], np.ones(len(games), dtype=bool)
+    for so in (False, True):
+        f0 = np.array([start[so] for start in starts])
         _check_routed(st, demands, f0)
-        f, gap, _ = _descend_batch(st, demands, _by_row(table, grad), _by_row(table, slope),
-                                   tol, max_iter, f0)
+        f, gap, _, _ = _solve_games(games, so, demands, tol, max_iter, f0, table)
         _check_routed(st, demands, f)
         flows.append(f)
         done &= gap <= tol
-    values = _by_row(table, "values")
-    costs = []
-    for f in flows:  # priced as _report prices a flow, on the rows where both solves converged
-        arc_f, tau, pc = _price(st, values, f)
-        costs.append(_checked_total(f[done], arc_f[done], tau[done], pc[done]))
-    bounds = _poa_upper_bounds(st, table, [games[i].total_demand for i in batch])
-    for i, we_cost, so_cost, bound in zip(np.array(batch)[done], *costs, bounds[done]):
+    values = _by_row(table, "values")  # priced as _solve_game prices, where both converged
+    costs = [_checked_total(*(a[done] for a in (f, *_price(st, values, f)))) for f in flows]
+    bounds = _poa_upper_bounds(st, table, [game.total_demand for game in games])
+    out = [math.nan] * len(games)
+    for i, we_cost, so_cost, bound in zip(done.nonzero()[0], *costs, bounds[done]):
         out[i] = _checked_poa(float(we_cost / so_cost), tols[i], bound)
     return out
 
 
-def _report(game: Game, f: np.ndarray, gap: float, iters: int,
-            conv: bool, certified: bool) -> SolveReport:
-    flow = PathFlow(f)
+def _solve_game(game: Game, so: bool, tol: float, max_iter: int, start) -> SolveReport:
+    """The report of the one-game _solve_games on the game's own table."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    f, gap, passes, certified = _solve_games(
+        [game], so, game.demands[None], np.array([tol]), max_iter,
+        _initial_flow(game, start)[None], game.cost_table)
+    flow = PathFlow(f[0])
     check_feasible(game, flow)
     arc_f, tau, pc = _price(game.structure, game.arc_cost_values, flow.values)
     return SolveReport(
         flow=flow,
         total_cost=_checked_total(flow.values, arc_f, tau, pc),
         user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
-        duality_gap=gap,
-        iterations=iters,
-        converged=conv,
-        optimality_certified=certified,
+        duality_gap=float(gap[0]),
+        iterations=int(passes[0]),
+        converged=bool(gap[0] <= tol),
+        optimality_certified=certified[0],
     )
-
-
-def _solve_certified(game: Game, grad: str, slope: str, tol: float, max_iter: int,
-                     start) -> SolveReport:
-    """The one-row _descend_batch on the game's own table; grad and slope name its methods."""
-    table = game.cost_table
-    f, gap, passes = _descend_batch(game.structure, game.demands[None], _by_row(table, grad),
-                                    _by_row(table, slope), np.array([tol]), max_iter,
-                                    _initial_flow(game, start)[None])
-    return _report(game, f[0], float(gap[0]), int(passes[0]), bool(gap[0] <= tol),
-                   certified=True)
 
 
 def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
@@ -451,10 +475,7 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     The returned flow satisfies approximation_threshold(game, flow) <= tol
     when converged; otherwise an unconverged report is returned (no raise).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-    return _solve_certified(game, "values", "derivs", tol, max_iter, start)
+    return _solve_game(game, False, tol, max_iter, start)
 
 
 def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
@@ -462,32 +483,11 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
     optimality_certified is True iff every cost's closed-form rule proves its marginal
-    non-decreasing on [0, T(d)] (convex objective, never sampled).  Otherwise the start and
-    _MULTISTARTS random start flows (seed 0) are descended in lockstep as the rows of one
-    _descend_batch, each step checked against the total cost, and the first row with the
-    least total cost is reported uncertified.
+    non-decreasing on [0, T(d)] (convex objective, never sampled).  Otherwise the
+    result is the best of the start and _MULTISTARTS seeded restarts, searched as
+    _solve_games documents, and is reported uncertified.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if _so_certified(game):
-        return _solve_certified(game, "marginals", "marginal_derivs", tol, max_iter, start)
-    st = game.structure
-    rng = np.random.default_rng(0)
-    f0 = np.zeros((1 + _MULTISTARTS, st.n_paths))
-    f0[0] = _initial_flow(game, start)
-    for row in f0[1:]:
-        for k, (lo, hi) in enumerate(st.path_slices):
-            row[lo:hi] = game.demands[k] * rng.dirichlet(np.ones(hi - lo))
-    table = ArcCostTable(game.costs * len(f0))
-    values = _by_row(table, "values")
-    demands = np.tile(game.demands, (len(f0), 1))
-    f, gap, iters = _descend_batch(
-        st, demands, _by_row(table, "marginals"), _by_row(table, "marginal_derivs"),
-        np.full(len(f0), tol), max_iter, f0, objective=lambda x: _dot(x, values(x)))
-    _check_routed(st, demands, f)
-    best = int(np.argmin(_checked_total(f, *_price(st, values, f))))
-    return _report(game, f[best], float(gap[best]), int(iters[best]), bool(gap[best] <= tol),
-                   certified=False)
+    return _solve_game(game, True, tol, max_iter, start)
 
 
 def _so_certified(game: Game) -> bool:

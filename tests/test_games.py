@@ -24,7 +24,7 @@ from poalab import (
     solve_we,
     total_cost,
 )
-from poalab.games import InfeasibleFlowError, _price
+from poalab.games import TOTAL_COST_RTOL, InfeasibleFlowError, _checked_total, _price
 
 from conftest import random_game
 
@@ -194,3 +194,21 @@ def test_price_gives_each_row_the_bits_of_that_row_alone():
     for b, row in enumerate(f):
         for got, want in zip(batch, _price(st, evaluate, row)):
             assert got[b].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_checked_total_rejects_sums_beyond_the_relative_tolerance(rows):
+    # the two total-cost forms may differ by TOTAL_COST_RTOL * max(1, |arc sum|),
+    # for one game (float sums) as for one game per row
+    def forms(arc_sum, path_sum):
+        arc_f, f = np.array([arc_sum, 0.0]), np.array([path_sum, 0.0])
+        ones = np.ones(2)
+        if rows is None:
+            return f, arc_f, ones, ones
+        return (np.tile(v, (rows, 1)) for v in (f, arc_f, ones, ones))
+
+    for total in (0.5, 1.0, 1e6):
+        slack = TOTAL_COST_RTOL * max(1.0, total)
+        assert np.all(_checked_total(*forms(total, total + 0.5 * slack)) == total)
+        with pytest.raises(AssertionError, match="total cost forms disagree"):
+            _checked_total(*forms(total, total + 2.0 * slack))

@@ -31,13 +31,14 @@ from poalab import (
     sup_distance,
     sweep,
 )
-from poalab import solvers
+from poalab import UnconvergedError, sensitivity, solvers
 from poalab.io import load_game
 from poalab.sensitivity import SweepRecord
 
 from conftest import make_two_link_affine, random_game
 
 TOL = 1e-12
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 
 
 class TestDemandSliceCertificate:
@@ -146,18 +147,30 @@ class TestSweep:
                 assert abs(rec.pert_poa - cold) <= 2.0 * rec.solve_tol
 
 
-def _sweeps(base, kind, radii, samples, seed, **kwargs):
-    """(records, lockstep row count) of a sweep, and the records of its per-sample path.
+def _solve_alone(games, tols, max_iter, starts):
+    """_solve_poas game by game: each game's _solve_poa from its starts, NaN if unconverged."""
+    out = []
+    for game, tol, game_starts in zip(games, tols, starts, strict=True):
+        try:
+            out.append(solvers._solve_poa(game, tol, max_iter, game_starts)[0])
+        except UnconvergedError:
+            out.append(math.nan)
+    return out
 
-    The row count leaves out one-row calls: those are the base's own WE and SO solves.
+
+def _sweeps(base, kind, radii, samples, seed, **kwargs):
+    """(records, lockstep rows, rows per lockstep call) of a sweep, and its records solved alone.
+
+    The rows and the calls leave out the base's own WE and SO solves, the first two calls.
     """
     spy = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
     with spy as batch:
         records = sweep(base, kind, radii, samples, seed=seed, **kwargs)
-    rows = sum(len(call.args[1]) for call in batch.call_args_list if len(call.args[1]) > 1)
-    with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
+    sizes = [len(call.args[1]) for call in batch.call_args_list]
+    assert sizes[:2] == [1, 1 if solvers._so_certified(base) else 1 + solvers._MULTISTARTS]
+    with mock.patch.object(sensitivity, "_solve_poas", _solve_alone):
         alone = sweep(base, kind, radii, samples, seed=seed, **kwargs)
-    return records, rows, alone
+    return records, sum(sizes[2:]), sizes[2:], alone
 
 
 def _assert_matches(records, alone):
@@ -185,7 +198,7 @@ class TestBatchedSweep:
         families = [str(f) for f in rng.choice(("affine", "bpr", "poly"),
                                                len(structure.arcs))]
         base = random_game(structure, rng, families)
-        records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2, 1e-3], samples, seed % 1000)
+        records, rows, _, alone = _sweeps(base, kind, [1e-1, 1e-2, 1e-3], samples, seed % 1000)
         assert rows == 2 * len(records)  # every WE and SO went through the lockstep loop
         _assert_matches(records, alone)
 
@@ -194,7 +207,7 @@ class TestBatchedSweep:
         base = Game(shared_arc,
                     (BPR(1.6, 3, 0.39), Affine(1.3, 0.43), BPR(1.5, 1, 0.34), Affine(0.7, 0.18)),
                     np.array([1.5, 1.5]))
-        records, rows, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=2)
+        records, rows, _, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=2)
         assert rows == 2 * len(records)
         unconverged = [math.isnan(r.pert_poa) for r in records]
         assert 0 < sum(unconverged) < len(records)
@@ -213,7 +226,7 @@ class TestBatchedSweep:
             return out
 
         with mock.patch.object(solvers, "_used_path_newton", spy):
-            records, rows, alone = _sweeps(base, "joint", [1e-1, 1e-2], 4, 3, max_iter=5)
+            records, rows, _, alone = _sweeps(base, "joint", [1e-1, 1e-2], 4, 3, max_iter=5)
         assert any(stepped)
         assert rows == 2 * len(records)
         assert all(math.isfinite(r.pert_poa) for r in records)
@@ -226,8 +239,7 @@ class TestBatchedSweep:
                  for c in (1.1, 1.2, 1.3, 1.4)]
         starts = [(np.array([0.3, 0.2, 1.5]),) * 2] * len(games)
         lockstep = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)
-        with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
-            alone = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)
+        alone = _solve_alone(games, [1e-10] * len(games), 1, starts)
         assert all(math.isfinite(rho) for rho in lockstep)
         assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-10)
 
@@ -239,10 +251,33 @@ class TestBatchedSweep:
                     np.array([3.0]))
         games, starts = [game] * 4, [(np.ones(3), np.ones(3))] * 4
         lockstep = solvers._solve_poas(games, [1e-14] * 4, 200, starts)
-        with mock.patch.object(solvers, "_LOCKSTEP_MIN_ROWS", math.inf):
-            alone = solvers._solve_poas(games, [1e-14] * 4, 200, starts)
+        alone = _solve_alone(games, [1e-14] * 4, 200, starts)
         assert all(math.isfinite(rho) for rho in alone)
         assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-14)
+
+    @pytest.mark.parametrize("kind", ["cost", "demand", "joint"])
+    def test_uncertified_samples_are_one_batch(self, kind):
+        # the upper arc's slope falls past flow 1, below every sample's total
+        # demand: all 24 SOs are uncertified, and their starts and restarts run
+        # as the rows of one batch
+        base = load_game(DATA / "two_link_kinked.json")
+        records, _, calls, alone = _sweeps(base, kind, [1e-1, 1e-2, 1e-3], 8, 3)
+        assert calls == [24, 24 * (1 + solvers._MULTISTARTS)]
+        _assert_matches(records, alone)
+        assert [r.pert_poa for r in records] == [r.pert_poa for r in alone]
+
+    def test_certified_and_uncertified_samples_in_one_sweep(self):
+        # demand samples around a total just below the kink: those that cross it
+        # have an uncertified SO, the others a certified one
+        base = load_game(DATA / "two_link_kink_edge.json")
+        records, _, calls, alone = _sweeps(base, "demand", [2e-1, 1e-1, 5e-2, 2e-2], 8, 4)
+        certified = sum(solvers._so_certified(sample_ball(base, r.radius, "demand", r.seed).game)
+                        for r in records)
+        assert 0 < certified < len(records) == 32
+        assert calls == [32, certified, (32 - certified) * (1 + solvers._MULTISTARTS)]
+        _assert_matches(records, alone)
+        assert all(math.isfinite(r.pert_poa) for r in records)
+        assert [r.pert_poa for r in records] == [r.pert_poa for r in alone]
 
     def test_final_flows_are_checked(self, pigou):
         # a batch's final flows pass the feasibility check of a single solve's flow
@@ -264,15 +299,14 @@ class TestBatchedSweep:
         # both SOs are certified convex, so every sample's WE and SO run in lockstep
         base = Game(two_link, costs, np.array([1.0]))
         for kind in ("demand", "cost", "joint"):
-            records, rows, alone = _sweeps(base, kind, [1e-1, 1e-2], 4, 1)
+            records, rows, _, alone = _sweeps(base, kind, [1e-1, 1e-2], 4, 1)
             assert rows == 2 * len(records)
             _assert_matches(records, alone)
 
     def test_batch_bounds_are_each_games_bound(self):
         # the a priori PoA bound of every lockstep row, priced by the batch's cost
         # table, has the bits of the game's own bound and of its scalar cost calls
-        base = load_game(pathlib.Path(__file__).resolve().parents[1] / "data"
-                         / "shared_arc_mixed.json")
+        base = load_game(DATA / "shared_arc_mixed.json")
         games = [sample_ball(base, radius, kind=kind, seed=seed).game
                  for kind in ("demand", "cost", "joint") for radius in (1e-1, 1e-2)
                  for seed in range(4)]
