@@ -5,9 +5,9 @@ go to stdout as JSON (or to CSV files for sweeps and rate runs); errors are
 emitted as machine-readable JSON on stderr.  Exit codes: 0 ok, 2 input
 error, 3 solver unconverged, 4 invariant violation.
 
-``check`` runs ``sensitivity.check_game``: it solves the game once and confirms
-the PoA on six cost- and demand-normalized copies, each solved from the game's
-WE and SO flows mapped onto the copy's demands.
+``check`` runs ``sensitivity.check_game``: it solves the game once, cold, and then
+confirms the PoA on its six cost- and demand-normalized copies, solved as one batch,
+each from the game's WE and SO flows mapped onto the copy's demands.
 """
 
 from __future__ import annotations
@@ -58,12 +58,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_poa(args) -> int:
-    game = load_game(args.game)
-    try:
-        value, we, so = _solve_poa(game, tol=args.tol)
-    except UnconvergedError:
-        _emit_error("unconverged", "equilibrium or optimum solve did not converge")
-        return EXIT_UNCONVERGED
+    value, we, so = _solve_poa(load_game(args.game), tol=args.tol)
     json.dump({"poa": value, "we": we.to_dict(), "so": so.to_dict()},
               sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -125,12 +120,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    game = load_game(args.game)
-    try:
-        base, failures = check_game(game, args.tol)
-    except UnconvergedError:
-        _emit_error("unconverged", "solves did not converge during check")
-        return EXIT_UNCONVERGED
+    base, failures = check_game(load_game(args.game), args.tol)
     json.dump({"ok": not failures, "poa": base, "failures": failures},
               sys.stdout, indent=2)
     sys.stdout.write("\n")

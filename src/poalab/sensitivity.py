@@ -32,9 +32,9 @@ lockstep call each, whatever their cost families (``_solve_poas``; see
 lower-confidence estimates: the certificates are upper bounds, so a larger
 fitted exponent is consistent.
 
-``check_game``, the invariant suite of ``poalab check``, takes the same warm start
-for the game's six normalized copies: a cost-normalized copy has the game's WE and
-SO flows, and a demand-normalized one has them divided by the factor.
+``check_game``, the invariant suite of ``poalab check``, solves the game once, cold, and
+its six normalized copies as one batch, from the same warm start: a cost-normalized copy
+has the game's WE and SO flows, and a demand-normalized one has them divided by the factor.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .games import Game, PathFlow
 from .metric import MetricValue, check_metric_axioms, sample_ball
 from .regression import loglog_fit
 # poa stays bound here for perfbench's tracer, which patches each binding of it
-from .solvers import _solve_poa, _solve_poas, poa  # noqa: F401
+from .solvers import UnconvergedError, _report, _solve_poa, _solve_poas, poa  # noqa: F401
 from .solvers import approximation_threshold, check_approximation_bounds, total_cost_sandwich
 from .transforms import cost_normalize, demand_normalize
 
@@ -238,7 +238,7 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     games = [pert.game for *_, pert in draws]
     starts = [(_warm_start(base, base_we.flow, g), _warm_start(base, base_so.flow, g))
               for g in games]
-    poas = _solve_poas(games, [tol for _, _, tol, _ in draws], max_iter, starts)
+    poas, _ = _solve_poas(games, [tol for _, _, tol, _ in draws], max_iter, starts)
 
     records: list[SweepRecord] = []
     for (sample_seed, radius, tol, pert), pert_poa in zip(draws, poas):
@@ -273,9 +273,10 @@ def _warm_start(base: Game, flow: PathFlow, game: Game) -> np.ndarray:
 def check_game(game: Game, tol: float = 1e-10) -> tuple[float, list[str]]:
     """``poalab check``'s invariant suite on one solve: (PoA, the invariants that failed).
 
-    Each of the six normalized copies is solved from the game's WE and SO flows
-    mapped by ``_warm_start``, with a cold solve's gap certificate at tol and checks;
-    UnconvergedError and InvariantError propagate from any solve.
+    The game is solved once, cold, then its six normalized copies as one ``_solve_poas``
+    batch from its WE and SO flows mapped by ``_warm_start``, with a cold solve's gap
+    certificate at tol and checks.  The first unconverged copy raises UnconvergedError
+    (its WE before its SO), but the batch raises any copy's InvariantError before that.
     """
     failures: list[str] = []
     base, we, so = _solve_poa(game, tol)
@@ -307,12 +308,17 @@ def check_game(game: Game, tol: float = 1e-10) -> tuple[float, list[str]]:
         if not axioms.all_ok:
             failures.append(f"metric axioms failed for sampled triple (seed {seed})")
 
-    for factor in (0.5, 2.0, 10.0):
-        for name, normalize in (("cost", cost_normalize), ("demand", demand_normalize)):
-            copy = normalize(game, factor)
-            starts = (_warm_start(game, we.flow, copy), _warm_start(game, so.flow, copy))
-            if abs(_solve_poa(copy, tol, starts=starts)[0] - base) > 1e-6:
-                failures.append(f"PoA not invariant under {name} normalization {factor}")
+    copies = [(f"{name} normalization {factor}", normalize(game, factor))
+              for factor in (0.5, 2.0, 10.0)
+              for name, normalize in (("cost", cost_normalize), ("demand", demand_normalize))]
+    starts = [(_warm_start(game, we.flow, c), _warm_start(game, so.flow, c)) for _, c in copies]
+    poas, solved = _solve_poas([copy for _, copy in copies], [tol] * 6, 100_000, starts)
+    for b, ((name, copy), rho) in enumerate(zip(copies, poas)):
+        if math.isnan(rho):  # the copy's WE or SO did not converge
+            raise UnconvergedError(next(_report(copy, result, b, tol) for result in solved
+                                        if not result[1][b] <= tol))
+        if abs(rho - base) > 1e-6:
+            failures.append(f"PoA not invariant under {name}")
     return base, failures
 
 

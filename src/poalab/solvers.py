@@ -42,10 +42,10 @@ arcs.  Each row keeps its path choices, flow updates and line-search bracket
 in Python floats, and only the table calls, the row dots and the pricing
 products span the rows, so a row takes the same steps alone as in a batch.
 Any number of games on one structure is one ``_solve_games`` call: a single
-solve is its one-game call on the game's own table, and the samples of a
-sweep are its rows in lockstep (``_solve_poas``).  Every WE and certified SO
-is a row of one batch; each uncertified SO takes 1 + 8 rows of a second
-batch, its start and its _MULTISTARTS = 8 seeded restarts.
+solve is its one-game call on the game's own table, and a sweep's samples or
+``check``'s normalized copies are its rows in lockstep (``_solve_poas``).
+Every WE and certified SO is a row of one batch; each uncertified SO takes
+1 + 8 rows of a second batch, its start and its _MULTISTARTS = 8 seeded restarts.
 """
 
 from __future__ import annotations
@@ -419,53 +419,56 @@ def _restarts(path_slices) -> np.ndarray:
     return out
 
 
-def _solve_poas(games, tols, max_iter: int, starts) -> list[float]:
-    """PoA of each of several games on one structure; NaN where a solve does not converge.
+def _solve_poas(games, tols, max_iter: int, starts):
+    """(PoAs, solved) of several games on one structure; NaN where a solve does not converge.
 
     tols and starts hold, per game, its tolerance and its WE and SO start flows.  The
     WE and the SO are one _solve_games call each on one table, which also prices the a
-    priori bounds; each PoA passes the checks of _solve_poa.
+    priori bounds; solved holds the two results, from whose row b _report makes the
+    reports of games[b].  Each PoA passes the checks of _solve_poa, and any game's
+    InvariantError propagates.
     """
     st = games[0].structure
     table = ArcCostTable([c for game in games for c in game.costs])
     demands = np.array([game.demands for game in games])
     tol = np.array(tols)
-    flows, done = [], np.ones(len(games), dtype=bool)
+    solved, done = [], np.ones(len(games), dtype=bool)
     for so in (False, True):
         f0 = np.array([start[so] for start in starts])
         _check_routed(st, demands, f0)
-        f, gap, _, _ = _solve_games(games, so, demands, tol, max_iter, f0, table)
+        f, gap, *_ = result = _solve_games(games, so, demands, tol, max_iter, f0, table)
         _check_routed(st, demands, f)
-        flows.append(f)
+        solved.append(result)
         done &= gap <= tol
-    values = _by_row(table, "values")  # priced as _solve_game prices, where both converged
-    costs = [_checked_total(*(a[done] for a in (f, *_price(st, values, f)))) for f in flows]
+    values = _by_row(table, "values")  # priced as _report prices, where both converged
+    costs = [_checked_total(*(a[done] for a in (f, *_price(st, values, f)))) for f, *_ in solved]
     bounds = _poa_upper_bounds(st, table, [game.total_demand for game in games])
     out = [math.nan] * len(games)
     for i, we_cost, so_cost, bound in zip(done.nonzero()[0], *costs, bounds[done]):
         out[i] = _checked_poa(float(we_cost / so_cost), tols[i], bound)
-    return out
+    return out, solved
+
+
+def _report(game: Game, solved, b: int, tol: float) -> SolveReport:
+    """The report of row b of solved, a _solve_games result; game is that row's game."""
+    f, gap, passes, certified = solved
+    flow = PathFlow(f[b])
+    check_feasible(game, flow)
+    arc_f, tau, pc = _price(game.structure, game.arc_cost_values, flow.values)
+    return SolveReport(
+        flow=flow, total_cost=_checked_total(flow.values, arc_f, tau, pc),
+        user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
+        duality_gap=float(gap[b]), iterations=int(passes[b]), converged=bool(gap[b] <= tol),
+        optimality_certified=certified[b])
 
 
 def _solve_game(game: Game, so: bool, tol: float, max_iter: int, start) -> SolveReport:
     """The report of the one-game _solve_games on the game's own table."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    f, gap, passes, certified = _solve_games(
-        [game], so, game.demands[None], np.array([tol]), max_iter,
-        _initial_flow(game, start)[None], game.cost_table)
-    flow = PathFlow(f[0])
-    check_feasible(game, flow)
-    arc_f, tau, pc = _price(game.structure, game.arc_cost_values, flow.values)
-    return SolveReport(
-        flow=flow,
-        total_cost=_checked_total(flow.values, arc_f, tau, pc),
-        user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
-        duality_gap=float(gap[0]),
-        iterations=int(passes[0]),
-        converged=bool(gap[0] <= tol),
-        optimality_certified=certified[0],
-    )
+    solved = _solve_games([game], so, game.demands[None], np.array([tol]), max_iter,
+                          _initial_flow(game, start)[None], game.cost_table)
+    return _report(game, solved, 0, tol)
 
 
 def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
@@ -551,16 +554,13 @@ def poa(game: Game, tol: float = 1e-10) -> float:
     return _solve_poa(game, tol)[0]
 
 
-def _solve_poa(game: Game, tol: float, max_iter: int = 100_000,
-               starts=(None, None)) -> tuple[float, SolveReport, SolveReport]:
-    """(PoA, WE report, SO report), with the checks ``poa`` documents.
-
-    ``starts`` holds the start flows of the WE and the SO solve (None: cold).
-    """
-    we = solve_we(game, tol=tol, max_iter=max_iter, start=starts[0])
+def _solve_poa(game: Game, tol: float,
+               max_iter: int = 100_000) -> tuple[float, SolveReport, SolveReport]:
+    """(PoA, WE report, SO report) of cold solves, with the checks ``poa`` documents."""
+    we = solve_we(game, tol=tol, max_iter=max_iter)
     if not we.converged:
         raise UnconvergedError(we)
-    so = solve_so(game, tol=tol, max_iter=max_iter, start=starts[1])
+    so = solve_so(game, tol=tol, max_iter=max_iter)
     if not so.converged:
         raise UnconvergedError(so)
     return _checked_poa(we.total_cost / so.total_cost, tol, poa_upper_bound(game)), we, so

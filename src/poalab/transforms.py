@@ -10,6 +10,8 @@ distances at will while PoA differences stay fixed.
 
 from __future__ import annotations
 
+import math
+
 from .games import Game
 from .costs import TangentCost, TruncatedCost
 
@@ -23,8 +25,8 @@ __all__ = [
 
 def cost_normalize(game: Game, factor: float) -> Game:
     """Divide every cost function by factor > 0; demands unchanged."""
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 0, got {factor}")
     if factor == 1.0:
         return game
     return game.with_costs(c.scaled_by(1.0 / factor) for c in game.costs)
@@ -32,8 +34,8 @@ def cost_normalize(game: Game, factor: float) -> Game:
 
 def demand_normalize(game: Game, factor: float) -> Game:
     """Divide demands by factor > 0 and rescale cost arguments: new(x) = old(factor*x)."""
-    if factor <= 0:
-        raise ValueError("factor must be > 0")
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"factor must be finite and > 0, got {factor}")
     if factor == 1.0:
         return game
     costs = tuple(c.with_argument_scale(factor) for c in game.costs)
@@ -49,8 +51,8 @@ def truncate_extend(game: Game, new_total: float, mode: str = "constant") -> Gam
     tangent there and refuses costs that may have kinks (``has_kinks``).
     Demands keep their ratios and are rescaled to sum to new_total.
     """
-    if new_total <= 0:
-        raise ValueError("new_total must be > 0")
+    if not 0.0 < new_total < math.inf:
+        raise ValueError(f"new_total must be finite and > 0, got {new_total}")
     if mode not in ("constant", "tangent"):
         raise ValueError(f"unknown extension mode {mode!r}")
     t_base = game.total_demand

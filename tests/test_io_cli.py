@@ -1,8 +1,8 @@
 """Game-spec files, CSV round trips, and the command-line surface."""
 
-import dataclasses
 import json
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -17,6 +17,7 @@ from poalab import (
     Game,
     MonomialLog,
     TangentCost,
+    UnconvergedError,
     check_game,
     fit_hoelder,
     games_equivalent,
@@ -324,50 +325,103 @@ class TestCheckGame:
                              ids=lambda p: "pigou" if p is None else p.stem)
     def test_warm_copies_match_cold_solves(self, path, pigou, monkeypatch):
         game = pigou if path is None else load_game(path)
-        solved = []  # (game, starts, PoA) of each _solve_poa call
+        calls = []  # (games, tols, PoAs) of each _solve_poas call
 
-        def recording(copy, tol, max_iter=100_000, starts=(None, None)):
-            out = solvers._solve_poa(copy, tol, max_iter, starts)
-            solved.append((copy, starts, out[0]))
+        def recording(copies, tols, max_iter, starts):
+            out = solvers._solve_poas(copies, tols, max_iter, starts)
+            calls.append((copies, tols, out[0]))
             return out
 
-        monkeypatch.setattr(sensitivity, "_solve_poa", recording)
+        monkeypatch.setattr(sensitivity, "_solve_poas", recording)
         assert check_game(game)[1] == []
-        (base, cold, _), copies = solved[0], solved[1:]
-        assert base is game and cold == (None, None) and len(copies) == 6
-        for copy, _, rho in copies:
+        [(copies, tols, poas)] = calls
+        assert len(copies) == 6 and tols == [1e-10] * 6
+        for copy, rho in zip(copies, poas, strict=True):
             assert rho == pytest.approx(poa(copy), abs=1e-9)
 
     def test_each_copy_solve_starts_from_the_mapped_flows(self, pigou, monkeypatch):
-        calls = {"we": [], "so": []}  # (game, start, report) of each solve
+        calls = {"we": [], "so": []}  # (game, start, report) of each solve_we / solve_so
         for kind, log in calls.items():
-            def recording(game, tol, max_iter, start, real=getattr(solvers, f"solve_{kind}"),
-                          log=log):
+            def recording(game, tol, max_iter, start=None,
+                          real=getattr(solvers, f"solve_{kind}"), log=log):
                 report = real(game, tol=tol, max_iter=max_iter, start=start)
                 log.append((game, start, report))
                 return report
             monkeypatch.setattr(solvers, f"solve_{kind}", recording)
+        batches = []  # (games, starts) of each _solve_poas call
 
+        def batch(copies, tols, max_iter, starts):
+            batches.append((copies, starts))
+            return solvers._solve_poas(copies, tols, max_iter, starts)
+
+        monkeypatch.setattr(sensitivity, "_solve_poas", batch)
         check_game(pigou)
-        for log in calls.values():
-            (base, start, report), copies = log[0], log[1:]
-            assert base is pigou and start is None and len(copies) == 6
-            for copy, start, _ in copies:
-                assert start is not None
+        [(copies, starts)] = batches
+        assert len(copies) == len(starts) == 6
+        for i, log in enumerate(calls.values()):
+            [(base, start, report)] = log  # the game's own cold solve; the copies are the batch
+            assert base is pigou and start is None
+            for copy, copy_starts in zip(copies, starts, strict=True):
                 np.testing.assert_array_equal(
-                    start, sensitivity._warm_start(pigou, report.flow, copy))
+                    copy_starts[i], sensitivity._warm_start(pigou, report.flow, copy))
 
-    def test_unconverged_copy_exits_3(self, game_files, monkeypatch, capsys):
-        real = solvers.solve_so
+    @staticmethod
+    def _stall_copies(monkeypatch, stalled, we_too=False):
+        """Make _solve_poas take one pass, each copy in stalled starting its SO at its WE start.
 
-        def stalled_on_copies(game, tol, max_iter, start):
-            report = real(game, tol=tol, max_iter=max_iter, start=start)
-            return report if start is None else dataclasses.replace(report, converged=False)
+        With we_too, those copies also start their WE at their SO start.  Returns the
+        list that receives the (games, tols, starts) of each call.
+        """
+        real, calls = solvers._solve_poas, []
 
-        monkeypatch.setattr(solvers, "solve_so", stalled_on_copies)
-        assert cli.main(["check", "--game", str(game_files["pigou"])]) == 3
+        def one_pass(copies, tols, max_iter, starts):
+            starts = [(so if we_too else we, we) if b in stalled else (we, so)
+                      for b, (we, so) in enumerate(starts)]
+            calls.append((copies, tols, starts))
+            return real(copies, tols, 1, starts)
+
+        monkeypatch.setattr(sensitivity, "_solve_poas", one_pass)
+        return calls
+
+    def test_unconverged_copy_exits_3(self, monkeypatch, capsys):
+        # one pass from its WE flow leaves copy 4's SO unconverged
+        self._stall_copies(monkeypatch, {4})
+        assert cli.main(["check", "--game", str(DATA / "shared_arc_mixed.json")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "unconverged"
+
+    @pytest.mark.parametrize("we_too", [False, True], ids=["so", "we-and-so"])
+    def test_first_unconverged_copy_reports_its_solve_alone(self, we_too, monkeypatch):
+        # copies 3 and 5 stall; copy 3 raises, with its WE's report when that stalls too
+        calls = self._stall_copies(monkeypatch, {3, 5}, we_too)
+        with pytest.raises(UnconvergedError) as raised:
+            check_game(load_game(DATA / "shared_arc_mixed.json"))
+        [(copies, tols, starts)] = calls
+        solve = solvers.solve_we if we_too else solvers.solve_so
+        alone = solve(copies[3], tols[3], 1, start=starts[3][not we_too])
+        report = raised.value.report
+        assert not alone.converged and not report.converged
+        assert (report.duality_gap, report.iterations) == (alone.duality_gap, alone.iterations)
+        np.testing.assert_array_equal(report.flow.values, alone.flow.values)
+        assert report.total_cost == alone.total_cost
+
+    @pytest.mark.parametrize("command", ["poa", "check"])
+    def test_unconverged_exit_names_the_gap_and_the_passes(self, command, pigou, monkeypatch,
+                                                             capsys):
+        real = solvers._solve_games
+
+        def stalled_so(games, so, *args):
+            f, gap, passes, certified = real(games, so, *args)
+            return f, gap + 1e-3 * so, passes, certified
+
+        monkeypatch.setattr(solvers, "_solve_games", stalled_so)
+        message = str(UnconvergedError(solvers.solve_so(pigou)))
+        assert re.fullmatch(r"solver stopped at duality gap 1\.000e-03 after \d+ iterations",
+                            message)
+        assert cli.main([command, "--game", str(DATA / "pigou.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"code": "unconverged", "message": message}
 
     def test_truncated_arc_game_passes(self, capsys):
         assert cli.main(["check", "--game", str(DATA / "shared_arc_truncated.json")]) == 0

@@ -31,7 +31,7 @@ from poalab import (
     sup_distance,
     sweep,
 )
-from poalab import UnconvergedError, sensitivity, solvers
+from poalab import sensitivity, solvers
 from poalab.io import load_game
 from poalab.sensitivity import SweepRecord
 
@@ -148,14 +148,19 @@ class TestSweep:
 
 
 def _solve_alone(games, tols, max_iter, starts):
-    """_solve_poas game by game: each game's _solve_poa from its starts, NaN if unconverged."""
+    """_solve_poas game by game: (PoAs, None), each from its game's solve_we and solve_so.
+
+    Each game is solved from its starts, with _solve_poa's checks; its PoA is NaN if
+    either solve is unconverged.
+    """
     out = []
-    for game, tol, game_starts in zip(games, tols, starts, strict=True):
-        try:
-            out.append(solvers._solve_poa(game, tol, max_iter, game_starts)[0])
-        except UnconvergedError:
-            out.append(math.nan)
-    return out
+    for game, tol, (we_start, so_start) in zip(games, tols, starts, strict=True):
+        we = solvers.solve_we(game, tol, max_iter, we_start)
+        so = solvers.solve_so(game, tol, max_iter, so_start)
+        rho = we.total_cost / so.total_cost
+        out.append(solvers._checked_poa(rho, tol, poa_upper_bound(game))
+                   if we.converged and so.converged else math.nan)
+    return out, None
 
 
 def _sweeps(base, kind, radii, samples, seed, **kwargs):
@@ -238,8 +243,8 @@ class TestBatchedSweep:
         games = [Game(three_link, (Constant(1.0), Constant(c), BPR(1.0, 2.0, 0.1)), np.array([2.0]))
                  for c in (1.1, 1.2, 1.3, 1.4)]
         starts = [(np.array([0.3, 0.2, 1.5]),) * 2] * len(games)
-        lockstep = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)
-        alone = _solve_alone(games, [1e-10] * len(games), 1, starts)
+        lockstep = solvers._solve_poas(games, [1e-10] * len(games), 1, starts)[0]
+        alone = _solve_alone(games, [1e-10] * len(games), 1, starts)[0]
         assert all(math.isfinite(rho) for rho in lockstep)
         assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-10)
 
@@ -250,8 +255,8 @@ class TestBatchedSweep:
         game = Game(three_link, (BPR(100, 4, 0.8), BPR(10, 1, 0.5), Affine(10, 0.6)),
                     np.array([3.0]))
         games, starts = [game] * 4, [(np.ones(3), np.ones(3))] * 4
-        lockstep = solvers._solve_poas(games, [1e-14] * 4, 200, starts)
-        alone = _solve_alone(games, [1e-14] * 4, 200, starts)
+        lockstep = solvers._solve_poas(games, [1e-14] * 4, 200, starts)[0]
+        alone = _solve_alone(games, [1e-14] * 4, 200, starts)[0]
         assert all(math.isfinite(rho) for rho in alone)
         assert np.allclose(lockstep, alone, rtol=0.0, atol=2e-14)
 
@@ -319,7 +324,7 @@ class TestBatchedSweep:
 
         with mock.patch.object(solvers, "_checked_poa", spy), \
                 mock.patch.object(solvers, "_solve_poa", side_effect=AssertionError):
-            poas = solvers._solve_poas(games, [1e-10] * len(games), 100_000, starts)
+            poas = solvers._solve_poas(games, [1e-10] * len(games), 100_000, starts)[0]
         assert all(math.isfinite(rho) for rho in poas)
         n_a, n_s = len(base.structure.arcs), base.structure.n_paths
         for game, bound in zip(games, bounds, strict=True):

@@ -129,6 +129,16 @@ class TestTruncateExtend:
             truncate_extend(g, 2.0, mode="tangent")
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("transform, name", [
+    (cost_normalize, "factor"), (demand_normalize, "factor"), (truncate_extend, "new_total"),
+])
+def test_factor_must_be_finite_and_positive(pigou, transform, name, value):
+    # NaN passes a `<= 0` test, and inf used to fail later on the scaled costs or demands
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got"):
+        transform(pigou, value)
+
+
 class TestShrinkingMechanism:
     def test_distance_shrinks_poa_gap_fixed(self, pigou, two_link):
         other = Game(two_link, (Constant(1.0), Constant(1.0)), np.array([1.0]))
