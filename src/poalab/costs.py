@@ -816,7 +816,8 @@ class _Extension(CostFunction):
             raise ValueError(f"anchor must be finite and > 0, got {self.anchor}")
 
     def lipschitz_on(self, hi):
-        return self.inner.lipschitz_on(min(hi, self.anchor))
+        past = self._slope() if hi > self.anchor else 0.0  # a kinked inner's right-derivative
+        return max(self.inner.lipschitz_on(min(hi, self.anchor)), past)
 
     def scaled_by(self, factor):
         return type(self)(self.inner.scaled_by(factor), self.anchor)
@@ -826,6 +827,14 @@ class _Extension(CostFunction):
 
     def kernel_key(self):
         return (ExtensionKernel, *self.inner.kernel_key())
+
+    def sup_points(self, other, hi):
+        # past a shared anchor |self - other| is linear: its max there is at hi or at the anchor,
+        # which the inners' points dominate; below it an extension is inner(x) + 0.0, same bits
+        if not (type(other) is type(self) and other.anchor == self.anchor):
+            return None
+        points = self.inner.sup_points(other.inner, min(hi, self.anchor))
+        return None if points is None else [*points, hi]
 
 
 @dataclass(frozen=True)
@@ -956,9 +965,10 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
     [estimate, estimate + error_bound].  Exact (error 0) for polynomial differences
     of degree <= 3 and where f's family rule ``sup_points(g, hi)`` names the points
     of the max: piecewise-linear pairs, same-shape BPR and MonomialLog pairs, and
-    ScaledCost pairs of one factor around such a pair.  The
-    result does not depend on the order of f and g, bit for bit: the rules' points
-    are symmetric in f and g, and the polynomial one fixes the sign of f - g.
+    ScaledCost pairs of one factor and TruncatedCost or TangentCost pairs of one
+    anchor around such a pair.  The result does not depend on the order of f and g,
+    bit for bit: the rules' points are symmetric in f and g, and the polynomial one
+    fixes the sign of f - g.
     """
     if hi < 0:
         raise ValueError("hi must be >= 0")

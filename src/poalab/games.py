@@ -19,7 +19,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .costs import CostFunction, _domain
+from .costs import CostFunction, _domain, sup_distance
 
 __all__ = [
     "GameValidationError",
@@ -39,9 +39,8 @@ FEASIBILITY_ATOL = 1e-9
 
 TOTAL_COST_RTOL = 1e-9
 
-# equivalent games' costs agree within EQUIVALENCE_TOL on _EQUIVALENCE_SAMPLES points
+# equivalent games' costs are within EQUIVALENCE_TOL of each other by sup_distance
 EQUIVALENCE_TOL = 1e-12
-_EQUIVALENCE_SAMPLES = 257
 
 
 class GameValidationError(ValueError):
@@ -369,18 +368,13 @@ def _checked_total(f, arc_f, tau, path_costs):
 def games_equivalent(g1: Game, g2: Game) -> bool:
     """Same demands and cost functions agreeing on [0, T(d)] within EQUIVALENCE_TOL.
 
-    Identical parametric forms are detected analytically; otherwise the costs
-    are compared on a grid of _EQUIVALENCE_SAMPLES points.
+    Each pair of costs is judged by ``sup_distance``'s estimate, the one the
+    metric takes: exact where a closed form applies, else the max on its grid.
     """
     if g1.structure != g2.structure:
         raise StructureMismatchError("games have different structures")
     if not np.array_equal(g1.demands, g2.demands):
         return False
     hi = g1.total_demand
-    xs = np.linspace(0.0, hi, _EQUIVALENCE_SAMPLES)
-    for c1, c2 in zip(g1.costs, g2.costs):
-        if c1 == c2:
-            continue
-        if np.max(np.abs(c1(xs) - c2(xs))) > EQUIVALENCE_TOL:
-            return False
-    return True
+    return all(sup_distance(c1, c2, hi)[0] <= EQUIVALENCE_TOL
+               for c1, c2 in zip(g1.costs, g2.costs))

@@ -156,6 +156,8 @@ _WEIGHTS = {
     "joint": (0.2, 0.16, 0.64),
 }
 
+_PROBES = 80  # the most dist calls one sample may make
+
 
 def sample_ball(base: Game, radius: float, kind: str = "joint",
                 seed: int = 0) -> Perturbation:
@@ -167,11 +169,15 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
     knob t.  The first probe aims a first-order model of dist(t) at the middle
     of [radius/2, 0.95 radius]: t = radius for ``cost`` and ``joint``, where
     dist(t)/t is near-constant; for ``demand``, dist(t) ~ t max(max|u|, |sum u|
-    max tau'(T)), its demand and endpoint parts.  A probe whose certified
-    distance misses [radius/2, radius] takes one secant step; a second miss (a
-    clipped demand breaks the model), an invalid game or a zero distance falls
-    back to doubling and bisection, and if clipping prevents the band the
-    sample is flagged shrunk.
+    max tau'(T)), its demand and endpoint parts.  Then a safeguarded secant
+    search (Dekker and Brent) keeps a bracket [t_lo, t_hi]: t_lo is the largest
+    t with a valid game at certified distance <= radius, t_hi the least t that
+    overshoots or gives an invalid game.  A miss takes the secant step
+    t aim / dist(t) if it stays in the bracket, else doubles t while t_hi is
+    inf and then bisects; the first distance in [radius/2, radius] ends it,
+    within ``_PROBES`` probes.  The sample is t_lo's draw, shrunk below
+    radius/2 (a clipped demand or the grid error can keep the band out of
+    reach), or the base game, shrunk, if no probe gave a valid draw.
     """
     if kind not in _WEIGHTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -207,46 +213,24 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
         except GameValidationError:
             return None
 
-    def measure(t: float):
-        game = realize(t)
-        if game is None:
-            return None, None
-        return game, dist(base, game)
-
-    lo_band, hi_band, aim = 0.5 * radius, 0.95 * radius, 0.725 * radius  # aim: mid-band
-
+    lo_band, aim = 0.5 * radius, 0.725 * radius  # aim: the middle of [radius/2, 0.95 radius]
     t = radius
     if kind == "demand":  # t max|u| for the demands, t |sum u| max tau'(T) at the endpoint
         slope = base.cost_table.derivs(np.full(n_a, horizon)).max()
         t = aim / max(np.abs(u_dem).max(), abs(u_dem.sum()) * slope)
-    game, mv = measure(t)
-    if game is not None and 0.0 < mv.upper() and not lo_band <= mv.upper() <= radius:
-        t *= aim / mv.upper()  # one secant step
-        game, mv = measure(t)
-    grow = 0
-    while game is not None and mv.upper() < lo_band and grow < 60:
-        t *= 2.0
-        cand_game, cand_mv = measure(t)
-        if cand_game is None:
-            t *= 0.5
-            break
-        game, mv = cand_game, cand_mv
-        grow += 1
-
-    t_lo, t_hi = 0.0, t
-    best = (game, mv) if game is not None and mv.upper() <= radius else (None, None)
-    for _ in range(80):
-        if best[0] is not None and lo_band <= best[1].upper() <= radius:
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        cand_game, cand_mv = measure(mid)
-        if cand_game is not None and cand_mv.upper() <= hi_band:
-            t_lo = mid
-            best = (cand_game, cand_mv)
+    t_lo, t_hi, best = 0.0, np.inf, (base, zero)  # no valid draw: the base game, shrunk
+    for _ in range(_PROBES):
+        game = realize(t)
+        mv = None if game is None else dist(base, game)
+        if mv is not None and mv.upper() <= radius:
+            t_lo, best = t, (game, mv)
+            if mv.upper() >= lo_band:
+                break
         else:
-            t_hi = mid
-    if best[0] is None:
-        return Perturbation(kind, radius, seed, base, zero, True)
+            t_hi = t
+        step = t * (aim / mv.upper()) if mv is not None and mv.upper() > 0.0 else np.nan
+        if not t_lo < step < t_hi:  # the safeguard: double until a bound, then bisect
+            step = 2.0 * t if t_hi == np.inf else 0.5 * (t_lo + t_hi)
+        t = step
     game, mv = best
-    shrunk = mv.upper() < lo_band
-    return Perturbation(kind, radius, seed, game, mv, shrunk)
+    return Perturbation(kind, radius, seed, game, mv, mv.upper() < lo_band)

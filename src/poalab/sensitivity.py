@@ -21,8 +21,9 @@ whole demand on its first path.  Nearby games have nearby equilibria
 so warm samples take fewer iterations; the base game itself is solved cold.
 
 A sweep first draws all its samples, then solves them together.  Each draw
-sets ``sample_ball``'s knob from a first-order model of its distance, so it
-costs about one ``dist`` call (see ``poalab.metric``).  The paper's metric
+sets ``sample_ball``'s knob by one safeguarded secant search that starts from a
+first-order model of its distance, so it costs about one ``dist`` call, within
+a fixed cap (see ``poalab.metric``).  The paper's metric
 compares games on one structure only, so every sample is the base structure
 with other costs and demands, and all the samples' WE and SO solves are one
 lockstep call each, whatever their cost families (``_solve_poas``; see

@@ -308,6 +308,13 @@ class TestLipschitz:
         assert f.lipschitz_on(2.0) == pytest.approx(3.0)
         assert f.lipschitz_on(0.5) == pytest.approx(1.0)
 
+    def test_tangent_past_a_kink_at_its_anchor(self):
+        # the tangent line takes the inner's right-derivative at the anchor, 2.0 here,
+        # steeper than any inner slope on [0, anchor]
+        f = TangentCost(PiecewiseLinear((0.0, 1.0, 2.0), (0.1, 0.2, 2.2)), 1.0)
+        assert f.lipschitz_on(1.0) == pytest.approx(0.1)
+        assert f.lipschitz_on(1.5) == pytest.approx(2.0)
+
     def test_non_lipschitz_families_report_inf(self):
         assert BPR(1.0, 0.5, 0.0).lipschitz_on(1.0) == math.inf
 
@@ -470,6 +477,41 @@ class TestSupDistance:
     def test_other_scaled_pairs_take_the_grid(self, f, g):
         est, err = sup_distance(f, g, 1.0)
         xs = np.linspace(0, 1, 1_000_001)
+        true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        assert err > 0.0 and est <= true + 1e-12 and true <= est + err
+
+    @pytest.mark.parametrize("f, g, hi", [
+        (TruncatedCost(PiecewiseLinear((0.0, 0.5, 2.0), (0.1, 0.9, 1.0)), 1.5),  # peak below
+         TruncatedCost(PiecewiseLinear((0.0, 1.0, 2.0), (0.2, 0.4, 1.5)), 1.5), 2.5),
+        (TangentCost(PiecewiseLinear((0.0, 1.0, 2.0), (0.1, 1.1, 1.2)), 1.0),  # peak at the anchor
+         TangentCost(PiecewiseLinear((0.0, 1.0, 2.0), (0.1, 0.2, 2.2)), 1.0), 1.5),
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TruncatedCost(BPR(2.0, 2.0, 0.3), 1.0), 2.0),
+        (TangentCost(BPR(1.0, 2.0, 0.3), 1.0), TangentCost(BPR(2.0, 2.0, 0.1), 1.0), 3.0),  # past
+        (TangentCost(PiecewiseLinear((0.0, 0.7, 2.0), (0.1, 0.5, 2.5)), 1.2),  # kinked inner
+         TangentCost(PiecewiseLinear((0.0, 1.2, 2.0), (0.2, 0.4, 2.0)), 1.2), 2.5),
+        (TruncatedCost(MonomialLog(0.5, 2.0, 0.5), 3.0),  # hi below the anchor
+         TruncatedCost(MonomialLog(0.8, 2.0, 0.5), 3.0), 2.0),
+        (TruncatedCost(ScaledCost(MonomialLog(0.5, 2.0, 0.5), 2.0), 1.0),
+         TruncatedCost(ScaledCost(MonomialLog(0.8, 2.0, 0.5), 2.0), 1.0), 2.0),
+    ])
+    def test_extension_pairs_of_one_anchor_exact(self, f, g, hi):
+        # the inners' rule on [0, min(hi, anchor)] and hi, against a dense grid
+        xs = np.linspace(0, hi, 1_000_001)
+        true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        slack = (f.lipschitz_on(hi) + g.lipschitz_on(hi)) * hi / 2e6  # the grid's own error
+        for pair in ((f, g), (g, f)):
+            est, err = sup_distance(*pair, hi)
+            assert err == 0.0
+            assert true - 1e-12 <= est <= true + slack
+
+    @pytest.mark.parametrize("f, g", [
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TruncatedCost(BPR(2.0, 2.0, 0.3), 0.8)),
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TangentCost(BPR(2.0, 2.0, 0.3), 1.0)),
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), BPR(2.0, 2.0, 0.3)),
+    ])
+    def test_other_extension_pairs_take_the_grid(self, f, g):
+        est, err = sup_distance(f, g, 2.0)
+        xs = np.linspace(0, 2, 1_000_001)
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert err > 0.0 and est <= true + 1e-12 and true <= est + err
 

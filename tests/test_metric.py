@@ -109,6 +109,19 @@ class TestAxioms:
         rep = check_metric_axioms(g, g_prime, g_second)
         assert rep.triangle_ok
 
+    def test_equivalence_sees_a_narrow_bump(self, two_link):
+        # the costs differ by up to 1/15 on [0.5, 0.5002] only, between the points of
+        # a coarse grid; equivalence reads the exact piecewise-linear sup that dist reads
+        g1 = Game(two_link, (PiecewiseLinear((0.0, 0.5, 0.5001, 0.5002, 1.0),
+                                             (0.5, 0.5, 0.6, 0.6, 1.0)), Constant(1.0)),
+                  np.array([1.0]))
+        g2 = Game(two_link, (PiecewiseLinear((0.0, 0.5, 0.50015, 0.5002, 1.0),
+                                             (0.5, 0.5, 0.55, 0.6, 1.0)), Constant(1.0)),
+                  np.array([1.0]))
+        assert dist(g1, g2).value == pytest.approx(1.0 / 15.0)
+        assert not games_equivalent(g1, g2)
+        assert check_metric_axioms(g1, g2, g1).identity_ok
+
 
 class TestSampleBall:
     def test_radius_zero_returns_base(self, pigou):
@@ -168,6 +181,29 @@ class TestSampleBall:
                         assert not p.shrunk and p.realized.error_bound == 0.0
                         assert radius / 2 <= p.realized.upper() <= radius
         assert spy.call_count / samples <= 1.5
+
+    def test_truncated_arc_lands_in_the_band(self):
+        # the truncated BPR arc of this game and its perturbed self share an anchor, so
+        # the extension rule gives their sup exactly and small balls reach their band
+        base = load_game(
+            pathlib.Path(__file__).resolve().parents[1] / "data/shared_arc_truncated.json")
+        for kind in ("cost", "joint"):
+            for seed in range(8):
+                p = sample_ball(base, 1e-3, kind=kind, seed=seed)
+                assert not p.shrunk and p.realized.error_bound == 0.0
+                assert 1e-3 / 2 <= p.realized.upper() <= 1e-3
+
+    def test_one_cap_on_the_probes(self, two_link, three_link, shared_arc):
+        # a ball too wide for the demands: the search ends within its cap, on a draw
+        # that is flagged shrunk exactly when it lies below the band
+        for base in criterion7_bases(two_link, three_link, shared_arc).values():
+            for kind in ("demand", "joint"):
+                for seed in range(10):
+                    with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+                        p = sample_ball(base, 5.0, kind=kind, seed=seed)
+                    assert spy.call_count <= metric._PROBES
+                    assert p.realized == dist(base, p.game)
+                    assert p.shrunk == (p.realized.upper() < 2.5)
 
     def test_deterministic_given_seed(self, pigou):
         a = sample_ball(pigou, 0.03, kind="joint", seed=77)
