@@ -22,7 +22,6 @@ from . import __version__
 from .convergence import DemandSchedule, converge_down, converge_up
 from .games import GameValidationError, StructureMismatchError
 from .io import (
-    InputError,
     RunManifest,
     load_game,
     read_sweep_csv,
@@ -44,6 +43,16 @@ def _emit_error(code: str, message: str) -> None:
     sys.stderr.write("\n")
 
 
+def _print_json(doc, indent: int | None = 2) -> None:
+    print(json.dumps(doc, indent=indent))
+
+
+def _write_manifest(args, seed: int | None, tolerances: dict) -> None:
+    """The run manifest of a command that wrote args.out from the game file args.game."""
+    RunManifest.create(command=args.invocation, seed=seed, tolerances=tolerances,
+                       input_path=args.game).write(str(args.out) + ".manifest.json")
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -52,16 +61,13 @@ def _cmd_solve(args) -> int:
     game = load_game(args.game)
     solver = solve_so if args.so else solve_we
     report = solver(game, tol=args.tol)
-    json.dump(report.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json(report.to_dict())
     return EXIT_OK if report.converged else EXIT_UNCONVERGED
 
 
 def _cmd_poa(args) -> int:
     value, we, so = _solve_poa(load_game(args.game), tol=args.tol)
-    json.dump({"poa": value, "we": we.to_dict(), "so": so.to_dict()},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"poa": value, "we": we.to_dict(), "so": so.to_dict()})
     return EXIT_OK
 
 
@@ -69,10 +75,8 @@ def _cmd_dist(args) -> int:
     g1 = load_game(args.game_a)
     g2 = load_game(args.game_b)
     mv = dist(g1, g2)
-    json.dump({"dist": mv.value, "demand_part": mv.demand_part,
-               "cost_part": mv.cost_part, "error_bound": mv.error_bound},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"dist": mv.value, "demand_part": mv.demand_part,
+                 "cost_part": mv.cost_part, "error_bound": mv.error_bound})
     return EXIT_OK
 
 
@@ -84,22 +88,16 @@ def _cmd_sweep(args) -> int:
     records = sweep(game, kind=args.kind, radii=radii,
                     samples_per_radius=args.samples, seed=args.seed)
     write_sweep_csv(records, args.out)
-    manifest = RunManifest.create(
-        command=args.invocation, seed=args.seed,
-        tolerances={"sweep_radii": radii}, input_path=args.game)
-    manifest.write(str(args.out) + ".manifest.json")
-    json.dump({"records": len(records), "out": str(args.out)}, sys.stdout)
-    sys.stdout.write("\n")
+    _write_manifest(args, args.seed, {"sweep_radii": radii})
+    _print_json({"records": len(records), "out": str(args.out)}, indent=None)
     return EXIT_OK
 
 
 def _cmd_holder_fit(args) -> int:
     rows = read_sweep_csv(args.infile)
     fit = fit_hoelder(rows, min_delta=args.min_delta)
-    json.dump({"gamma": fit.gamma, "H": fit.constant,
-               "r_squared": fit.r_squared, "n_used": fit.n_used},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"gamma": fit.gamma, "H": fit.constant,
+                 "r_squared": fit.r_squared, "n_used": fit.n_used})
     return EXIT_OK
 
 
@@ -110,20 +108,14 @@ def _cmd_converge(args) -> int:
     runner = converge_up if args.direction == "up" else converge_down
     points = runner(game, schedule)
     write_rate_csv(points, args.out)
-    manifest = RunManifest.create(
-        command=args.invocation, seed=None,
-        tolerances={"totals": totals}, input_path=args.game)
-    manifest.write(str(args.out) + ".manifest.json")
-    json.dump({"points": len(points), "out": str(args.out)}, sys.stdout)
-    sys.stdout.write("\n")
+    _write_manifest(args, None, {"totals": totals})
+    _print_json({"points": len(points), "out": str(args.out)}, indent=None)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     base, failures = check_game(load_game(args.game), args.tol)
-    json.dump({"ok": not failures, "poa": base, "failures": failures},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_json({"ok": not failures, "poa": base, "failures": failures})
     if failures:
         _emit_error("invariant", "; ".join(failures))
         return EXIT_INVARIANT
@@ -188,7 +180,7 @@ def main(argv=None) -> int:
     args.invocation = "poalab " + shlex.join(argv)  # the command a run manifest records
     try:
         return args.func(args)
-    except (InputError, GameValidationError) as exc:
+    except GameValidationError as exc:
         _emit_error(exc.code, str(exc))
         return EXIT_INPUT
     except (StructureMismatchError, ValueError) as exc:

@@ -43,7 +43,6 @@ from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "CostFunction",
@@ -598,6 +597,7 @@ class MonomialLogKernel(_Kernel):
         return (2.0 + s - (b + a * w * w * (1.0 + lg)) / s) * self.derivs(x)
 
     def antiderivs(self, x):  # no elementary antiderivative for real alpha: adaptive quadrature
+        from scipy import integrate  # here, not at module level: only the potential needs it
         b, a = self.beta, self.alpha
         out = np.zeros_like(x)
         # a one-row kernel integrates its cost at any number of flows
@@ -950,15 +950,14 @@ def _poly_sup(d: list[float], hi: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(hi: float, grid_n: int) -> np.ndarray:
-    """np.linspace(0, hi, grid_n), read-only: one grid serves every arc pair of a distance."""
-    xs = np.linspace(0.0, hi, grid_n)
+def _grid(hi: float) -> np.ndarray:
+    """np.linspace(0, hi, GRID_N), read-only: one grid serves every arc pair of a distance."""
+    xs = np.linspace(0.0, hi, GRID_N)
     xs.flags.writeable = False
     return xs
 
 
-def sup_distance(f: CostFunction, g: CostFunction, hi: float,
-                 grid_n: int = GRID_N) -> tuple[float, float]:
+def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, float]:
     """Max of |f - g| on [0, hi] with a certified error bound.
 
     Returns (estimate, error_bound) so that the true sup lies in
@@ -990,10 +989,8 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float,
         xs = np.asarray(points, dtype=float)
         return float(np.max(np.abs(f(xs) - g(xs)))), 0.0
 
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    xs = _grid(hi, grid_n)
+    xs = _grid(hi)
     est = float(np.max(np.abs(f(xs) - g(xs))))
     m = f.lipschitz_on(hi) + g.lipschitz_on(hi)
-    err = m * hi / (2.0 * (grid_n - 1))
+    err = m * hi / (2.0 * (GRID_N - 1))
     return est, float(err)

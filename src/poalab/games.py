@@ -44,7 +44,7 @@ EQUIVALENCE_TOL = 1e-12
 
 
 class GameValidationError(ValueError):
-    """Structure or game invariant violated; carries a machine-readable code."""
+    """Invalid input file, structure or game; carries a machine-readable code."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -153,6 +153,13 @@ class Structure:
         starts = np.array([lo for lo, _hi in self.path_slices])
         starts.setflags(write=False)
         return starts
+
+    @cached_property
+    def arc_pairs(self) -> np.ndarray:
+        """Arc-pair indicator, shape (|A|, |K|): 1 where some path of pair k uses arc a."""
+        pairs = (np.add.reduceat(self.incidence, self.pair_starts, axis=1) > 0).astype(float)
+        pairs.setflags(write=False)
+        return pairs
 
     @cached_property
     def path_owner(self) -> np.ndarray:

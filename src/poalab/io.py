@@ -45,12 +45,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-class InputError(ValueError):
-    """Invalid input file; `code` distinguishes schema and game-condition failures."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+InputError = GameValidationError  # one input-error class: `code` names schema or game failures
 
 
 def cost_to_dict(cost: CostFunction) -> dict:
@@ -115,10 +110,7 @@ def game_from_dict(doc: dict) -> Game:
                       for od in od_docs)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("schema", f"structure: {exc}") from exc
-    try:
-        structure = Structure(tuple(arcs), tuple(od_ids), paths)
-    except GameValidationError as exc:
-        raise InputError(exc.code, str(exc)) from exc
+    structure = Structure(tuple(arcs), tuple(od_ids), paths)
     costs_doc = doc.get("costs")
     if not isinstance(costs_doc, dict):
         raise InputError("schema", "costs: must map each arc to a cost definition")
@@ -126,10 +118,7 @@ def game_from_dict(doc: dict) -> Game:
     if missing:
         raise InputError("schema", f"costs: missing arcs {missing}")
     costs = tuple(cost_from_dict(costs_doc[a], where=f"costs[{a!r}]") for a in arcs)
-    try:
-        return Game(structure, costs, np.asarray(demands))
-    except GameValidationError as exc:
-        raise InputError(exc.code, str(exc)) from exc
+    return Game(structure, costs, np.asarray(demands))
 
 
 def load_game(path) -> Game:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import GRID_N, sup_distance
+from .costs import sup_distance
 from .games import (
     EQUIVALENCE_TOL,
     Game,
@@ -51,7 +51,7 @@ class MetricValue:
         return self.value + self.error_bound
 
 
-def dist(g1: Game, g2: Game, grid_n: int = GRID_N) -> MetricValue:
+def dist(g1: Game, g2: Game) -> MetricValue:
     """Metric distance between two games on the same structure."""
     if g1.structure != g2.structure:
         raise StructureMismatchError("games have different structures")
@@ -61,7 +61,7 @@ def dist(g1: Game, g2: Game, grid_n: int = GRID_N) -> MetricValue:
     sup_est = 0.0
     sup_hi = 0.0
     for c1, c2 in zip(g1.costs, g2.costs):
-        est, err = sup_distance(c1, c2, tmin, grid_n)
+        est, err = sup_distance(c1, c2, tmin)
         sup_est = max(sup_est, est)
         sup_hi = max(sup_hi, est + err)
     endpoint = max(abs(c1(t1) - c2(t2))
@@ -106,15 +106,14 @@ class MetricAxiomReport:
                 and self.identity_ok and self.triangle_ok)
 
 
-def check_metric_axioms(g1: Game, g2: Game, g3: Game,
-                        grid_n: int = GRID_N) -> MetricAxiomReport:
+def check_metric_axioms(g1: Game, g2: Game, g3: Game) -> MetricAxiomReport:
     """Symmetry, non-negativity, identity-iff-equivalent, triangle inequality.
 
     All checks hold within the certified grid error carried by the distances.
     """
     pairs = [(g1, g2), (g1, g3), (g3, g2)]
-    fwd = [dist(a, b, grid_n) for a, b in pairs]
-    bwd = [dist(b, a, grid_n) for a, b in pairs]
+    fwd = [dist(a, b) for a, b in pairs]
+    bwd = [dist(b, a) for a, b in pairs]
     symmetry = all(f.value == b.value for f, b in zip(fwd, bwd))
     nonneg = all(f.value >= 0.0 for f in fwd)
     identity = True

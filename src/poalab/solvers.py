@@ -485,18 +485,22 @@ def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
              start=None) -> SolveReport:
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
-    optimality_certified is True iff every cost's closed-form rule proves its marginal
-    non-decreasing on [0, T(d)] (convex objective, never sampled).  Otherwise the
-    result is the best of the start and _MULTISTARTS seeded restarts, searched as
-    _solve_games documents, and is reported uncertified.
+    optimality_certified is True iff _so_certified proves the objective convex on the
+    feasible set (closed-form rules, never sampled).  Otherwise the result is the best of
+    the start and _MULTISTARTS seeded restarts, searched as _solve_games documents, and is
+    reported uncertified.
     """
     return _solve_game(game, True, tol, max_iter, start)
 
 
 def _so_certified(game: Game) -> bool:
-    """True when each cost's closed-form rule proves its marginal non-decreasing on [0, T(d)]."""
+    """Whether each cost's rule proves x tau_a(x) convex on [0, T(d)], or else on [0, R_a], the
+    most flow arc a can carry (the objective is separable; arc_pairs waits for T(d) to fail)."""
     T = game.total_demand
-    return all(c.has_nondecreasing_marginal(T) for c in game.costs)
+    if all(c.has_nondecreasing_marginal(T) for c in game.costs):
+        return True
+    reach = game.structure.arc_pairs @ game.demands
+    return all(c.has_nondecreasing_marginal(r) for c, r in zip(game.costs, reach.tolist()))
 
 
 def approximation_threshold(game: Game, flow: PathFlow) -> float:

@@ -113,7 +113,7 @@ def test_criterion_04_metric_axioms(two_link):
                        random_cost(rng, rng.choice(MIXED_FAMILIES))),
                       rng.uniform(0.4, 1.6, size=1))
                  for _ in range(3)]
-        rep = check_metric_axioms(*games, grid_n=1025)
+        rep = check_metric_axioms(*games)
         if not rep.all_ok:
             ok = False
             break

@@ -420,7 +420,7 @@ class TestSupDistance:
 
     def test_grid_path_certifies(self):
         f, g = MonomialLog(1.0, 1.0, 1.0), BPR(0.8, 1.0, 0.1)
-        est, err = sup_distance(f, g, 2.0, grid_n=257)
+        est, err = sup_distance(f, g, 2.0)
         xs = np.linspace(0, 2, 1_000_001)
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert est <= true <= est + err

@@ -50,6 +50,13 @@ class TestStructureValidation:
         assert st_.paths[0][0] == ("a",)
 
 
+def test_arc_pairs_marks_the_pairs_with_a_path_through_each_arc(shared_arc):
+    # paths: k1 on (a) and (c, d), k2 on (b) and (c)
+    expected = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
+    assert shared_arc.arc_pairs.tolist() == expected
+    assert not shared_arc.arc_pairs.flags.writeable
+
+
 class TestGameValidation:
     def test_zero_total_demand_rejected(self, two_link):
         with pytest.raises(GameValidationError) as err:

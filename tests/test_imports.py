@@ -1,9 +1,13 @@
-"""Every name a poalab module imports is read somewhere in that module."""
+"""Imports: every name a poalab module imports is read there, and `import poalab` stays light."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import poalab
+
+from conftest import child_env
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -56,3 +60,11 @@ def test_check_sees_an_unused_import():
               "__all__ = ['dumps']\n"
               "x = os.sep + str(inf)\n")
     assert unused_imports(source) == [(6, "full_turn")]
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    # only the MonomialLog potential integrates, so importing poalab stays cheap
+    code = "import sys, poalab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(), check=True).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,6 @@
 """Equilibrium and optimum solvers against oracles and approximation bounds."""
 
+import json
 import math
 import pathlib
 import subprocess
@@ -34,9 +35,9 @@ from poalab import (
     solve_we,
     total_cost,
 )
-from poalab import solvers
+from poalab import cli, solvers
 from poalab.games import ArcCostTable, _dot
-from poalab.io import load_game
+from poalab.io import game_from_dict, load_game
 
 from conftest import child_env, make_two_link_affine, random_game, unit_scale
 
@@ -157,6 +158,74 @@ class TestSocialOptimum:
         # an infinite tol would stop both solves at once as converged, and Pigou's PoA read 1
         with pytest.raises(ValueError, match="tol"):
             solve(pigou, tol=tol)
+
+
+# two games of the check-mixed benchmark corpus (corpus seed 0): each has a piecewise-linear
+# arc a whose slope falls at 1.6, above the most flow any feasible point puts on a (the
+# demand of pair k1) but below the total demand
+REACH_CERTIFIED_GAMES = {
+    "corpus-041": {
+        "schema": 1,
+        "structure": {"arcs": ["a", "b", "c", "d"], "od_pairs": [
+            {"id": "k1", "demand": 1.5232268772256328, "paths": [["a"], ["c", "d"]]},
+            {"id": "k2", "demand": 0.7352688204782777, "paths": [["b"], ["c"]]}]},
+        "costs": {
+            "a": {"family": "piecewise_linear", "params": {
+                "breakpoints": [0.0, 0.7, 1.6, 2.5],
+                "values": [0.26977672723350055, 0.7284937612519278, 1.693301328896856,
+                           2.4104810046950558]}},
+            "b": {"family": "polynomial", "params": {"coefficients": [
+                0.6635152605122232, 0.35271681906602315, 0.35465541853162486]}},
+            "c": {"family": "affine", "params": {"slope": 0.7618208371775883,
+                                                 "intercept": 0.2374410333857212}},
+            "d": {"family": "bpr", "params": {"q": 1.4254433322599565, "beta": 1.0,
+                                              "p": 0.5676695157867506}}}},
+    "corpus-053": {
+        "schema": 1,
+        "structure": {"arcs": ["a", "b", "c", "d"], "od_pairs": [
+            {"id": "k1", "demand": 1.328487985144427, "paths": [["a"], ["c", "d"]]},
+            {"id": "k2", "demand": 0.9920200204562176, "paths": [["b"], ["c"]]}]},
+        "costs": {
+            "a": {"family": "piecewise_linear", "params": {
+                "breakpoints": [0.0, 0.7, 1.6, 2.5],
+                "values": [0.4726540348532591, 0.6132049494227526, 1.2539606248881257,
+                           1.3429950729768358]}},
+            "b": {"family": "polynomial", "params": {"coefficients": [
+                0.2866349643286912, 0.16837627714829684, 0.46214322601811497]}},
+            "c": {"family": "bpr", "params": {"q": 1.2551668232193007, "beta": 3.0,
+                                              "p": 0.7411754542705203}},
+            "d": {"family": "affine", "params": {"slope": 1.91733929350814,
+                                                 "intercept": 0.9402151390614678}}}},
+}
+
+
+class TestReachableRangeCertificate:
+    """SO convexity is certified on [0, R_a], R_a the demand that can reach arc a."""
+
+    @pytest.fixture(params=sorted(REACH_CERTIFIED_GAMES))
+    def doc(self, request):
+        return REACH_CERTIFIED_GAMES[request.param]
+
+    def test_so_is_certified(self, doc):
+        game = game_from_dict(doc)
+        a = game.costs[0]
+        assert not a.has_nondecreasing_marginal(game.total_demand)
+        assert a.has_nondecreasing_marginal(float(game.demands[0]))
+        assert solve_so(game).optimality_certified
+
+    def test_so_against_a_grid_of_both_splits(self, doc):
+        game = game_from_dict(doc)
+        (d1, d2), (a, b, c, d) = game.demands, game.costs
+        x1 = np.linspace(0.0, d1, 1001)[:, None]  # pair k1's flow on path [a]
+        x2 = np.linspace(0.0, d2, 1001)[None, :]  # pair k2's flow on path [b]
+        shared = (d1 - x1) + (d2 - x2)
+        grid = (x1 * a(x1) + x2 * b(x2) + shared * c(shared) + (d1 - x1) * d(d1 - x1))
+        assert solve_so(game).total_cost <= grid.min() + 1e-9
+
+    def test_check_exits_0(self, doc, tmp_path):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["check", "--game", str(path)]) == 0
 
 
 class TestNewtonStep:
