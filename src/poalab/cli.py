@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from .convergence import DemandSchedule, converge_down, converge_up
-from .games import GameValidationError, StructureMismatchError
+from .games import GameValidationError
 from .io import (
     RunManifest,
     load_game,
@@ -30,7 +30,7 @@ from .io import (
 )
 from .metric import dist
 from .sensitivity import check_game, fit_hoelder, sweep
-from .solvers import InvariantError, UnconvergedError, _solve_poa, solve_so, solve_we
+from .solvers import TOL, InvariantError, UnconvergedError, _solve_poa, solve_so, solve_we
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -133,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve for a Wardrop equilibrium (or --so)")
     p.add_argument("--game", required=True)
     p.add_argument("--so", action="store_true", help="solve the social optimum instead")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("poa", help="price of anarchy with both solve reports")
     p.add_argument("--game", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL)
     p.set_defaults(func=_cmd_poa)
 
     p = sub.add_parser("dist", help="metric distance between two games")
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the invariant suite on a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL)
     p.set_defaults(func=_cmd_check)
     return parser
 
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except GameValidationError as exc:
         _emit_error(exc.code, str(exc))
         return EXIT_INPUT
-    except (StructureMismatchError, ValueError) as exc:
+    except ValueError as exc:  # StructureMismatchError among them
         _emit_error("input", str(exc))
         return EXIT_INPUT
     except UnconvergedError as exc:

@@ -20,8 +20,7 @@ import numpy as np
 from .costs import BPR, Constant
 from .games import Game
 from .metric import dist
-from .regression import loglog_fit
-from .sensitivity import certificate_demand_slice
+from .sensitivity import certificate_demand_slice, loglog_fit
 from .solvers import poa
 from .transforms import cost_normalize, demand_normalize
 

@@ -1,20 +1,21 @@
 """Parametric arc-cost families.
 
 Every family is a non-decreasing, non-negative, continuous function on
-[0, inf), guaranteed by parameter sign constraints at construction time.
-Each family exposes evaluation, the (right-)derivative, the antiderivative
-from 0, an interval Lipschitz constant that is never an underestimate, a
-lower bound on the derivative, and marginal costs for social-optimum
-gradients.  ``sup_distance`` computes certified sup-norm distances between
-two costs on a compact interval.
+[0, inf), guaranteed by parameter sign constraints at construction time (one
+rule, ``CostFunction.__post_init__``, for the float params).  Each family exposes
+evaluation, the (right-)derivative, the antiderivative from 0, an interval
+Lipschitz constant that is never an underestimate, a lower bound on the
+derivative, and marginal costs for social-optimum gradients.  ``sup_distance``
+computes certified sup-norm distances between two costs on a compact interval.
 
 Each family's rules live in its class, and other modules ask the cost rather
 than test its type: its JSON name (``family``; the dataclass fields are the
-params), its move inside a metric ball (``perturbed``), ``regular_variation``,
-``has_kinks``, ``sup_points(other, hi)``, where |f - g| peaks against its own
-family, and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a
-sample, that x f(x) is convex on [0, hi].  Constant, Affine and Polynomial derive
-their Lipschitz bounds and kernel from ``as_polynomial()`` in ``_PolynomialCost``.
+params), its move inside a metric ball (``perturbed``, which scales by one rule,
+``_stretch``), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
+where |f - g| peaks against its own family, and ``has_nondecreasing_marginal(hi)``,
+a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Constant,
+Affine and Polynomial derive their Lipschitz bounds and kernel from
+``as_polynomial()`` in ``_PolynomialCost``.
 
 Every cost method rejects a negative flow and maps a scalar to a Python float and
 an array to an array of its shape, through one decorator, ``_pointwise``; the
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -120,6 +121,16 @@ def _require_nonneg(name: str, value: float) -> float:
     return value
 
 
+@functools.cache
+def _float_fields(cls) -> tuple[str, ...]:  # in field order
+    return tuple(f.name for f in fields(cls) if f.type == "float")
+
+
+def _stretch(change: float, height: float) -> float:
+    """The factor that moves a part of height `height` by `change`, clipped at 0; 1 if flat."""
+    return max(1.0 + change / max(height, 1e-12), 0.0) if height > 0 else 1.0
+
+
 FAMILIES: dict[str, type] = {}  # JSON family name -> class
 
 
@@ -137,6 +148,11 @@ class CostFunction:
         if family is not None:
             cls.family = family
             FAMILIES[family] = cls
+
+    def __post_init__(self):
+        """The families' sign rule: each float param is stored as a float, finite and >= 0."""
+        for name in _float_fields(type(self)):
+            object.__setattr__(self, name, _require_nonneg(name, getattr(self, name)))
 
     @functools.cached_property
     def _row(self):
@@ -218,7 +234,7 @@ class _PolynomialCost(CostFunction):
 
     def lipschitz_on(self, hi):
         c = self.as_polynomial()
-        slope = 0.0  # derivative(hi) on floats: same bits, 7x faster, for sup_distance's grid
+        slope = 0.0  # derivative(hi) on floats: same bits, 2.2x faster (Affine 1.6x), for the grid
         for n in range(len(c) - 1, 0, -1):
             slope = slope * hi + n * c[n]
         return float(slope)  # derivative is non-decreasing
@@ -236,9 +252,6 @@ class _PolynomialCost(CostFunction):
 @dataclass(frozen=True)
 class Constant(_PolynomialCost, family="constant"):
     c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", _require_nonneg("c", self.c))
 
     def __call__(self, x):
         x = _domain(x)
@@ -266,10 +279,6 @@ class Constant(_PolynomialCost, family="constant"):
 class Affine(_PolynomialCost, family="affine"):
     slope: float
     intercept: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _require_nonneg("slope", self.slope))
-        object.__setattr__(self, "intercept", _require_nonneg("intercept", self.intercept))
 
     def __call__(self, x):
         xs = _domain(x)
@@ -324,9 +333,7 @@ class Polynomial(_PolynomialCost, family="polynomial"):
         coeffs = np.asarray(self.coefficients, dtype=float)
         rest = coeffs.copy()
         rest[0] = 0.0
-        denom = float(np.polyval(rest[::-1], horizon))
-        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
-        new = coeffs * scale
+        new = coeffs * _stretch(stretch, float(np.polyval(rest[::-1], horizon)))
         new[0] = max(coeffs[0] + shift, 0.0)
         return Polynomial(tuple(new))
 
@@ -400,11 +407,6 @@ class BPR(CostFunction, family="bpr"):
     beta: float
     p: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _require_nonneg("q", self.q))
-        object.__setattr__(self, "beta", _require_nonneg("beta", self.beta))
-        object.__setattr__(self, "p", _require_nonneg("p", self.p))
-
     def __call__(self, x):
         xs = _domain(x)
         val = self.q * xs**self.beta + self.p
@@ -447,8 +449,7 @@ class BPR(CostFunction, family="bpr"):
         return (BPRKernel, self.beta)
 
     def perturbed(self, shift, stretch, horizon):
-        denom = self.q * horizon**self.beta
-        scale = max(1.0 + stretch / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
+        scale = _stretch(stretch, self.q * horizon**self.beta)
         return BPR(self.q * scale, self.beta, max(self.p + shift, 0.0))
 
     def regular_variation(self):
@@ -513,11 +514,6 @@ class MonomialLog(CostFunction, family="monomial_log"):
     beta: float
     alpha: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "zeta", _require_nonneg("zeta", self.zeta))
-        object.__setattr__(self, "beta", _require_nonneg("beta", self.beta))
-        object.__setattr__(self, "alpha", _require_nonneg("alpha", self.alpha))
-
     def lipschitz_on(self, hi):
         z, b, a = self.zeta, self.beta, self.alpha
         if z == 0 or hi == 0:
@@ -544,8 +540,7 @@ class MonomialLog(CostFunction, family="monomial_log"):
         return (MonomialLogKernel, self.beta, self.alpha)
 
     def perturbed(self, shift, stretch, horizon):
-        denom = float(self(horizon))
-        scale = max(1.0 + (shift + stretch) / max(denom, 1e-12), 0.0) if denom > 0 else 1.0
+        scale = _stretch(shift + stretch, float(self(horizon)))
         return MonomialLog(self.zeta * scale, self.beta, self.alpha)
 
     def regular_variation(self):
@@ -663,10 +658,8 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
 
     def perturbed(self, shift, stretch, horizon):
         vals = np.asarray(self.values, dtype=float)
-        spread = float(vals[-1] - vals[0])
-        scale = max(1.0 + stretch / max(spread, 1e-12), 0.0) if spread > 0 else 1.0
-        base = max(vals[0] + shift, 0.0)
-        new = base + (vals - vals[0]) * scale
+        scale = _stretch(stretch, float(vals[-1] - vals[0]))
+        new = max(vals[0] + shift, 0.0) + (vals - vals[0]) * scale
         return PiecewiseLinear(self.breakpoints, tuple(new))
 
     def has_nondecreasing_marginal(self, hi):

@@ -253,7 +253,7 @@ class Game:
         object.__setattr__(self, "costs", tuple(self.costs))
         object.__setattr__(self, "demands", d)
 
-    @property
+    @cached_property  # the demands are read-only
     def total_demand(self) -> float:
         return float(self.demands.sum())
 

@@ -26,6 +26,7 @@ from .costs import FAMILIES, CostFunction
 from .games import Game, GameValidationError, Structure
 from .metric import MetricValue
 from .sensitivity import SweepRecord
+from .solvers import TOL
 
 __all__ = [
     "InputError",
@@ -146,69 +147,62 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
-SWEEP_COLUMNS = ("seed", "kind", "dist", "dist_err", "base_poa", "pert_poa",
-                 "delta", "cert_bound")
+def _optional(empty):  # the reader of a float column whose empty cell reads `empty`
+    return lambda cell: float(cell) if cell else empty
+
+
+# a table's columns as (name, cell reader); a column not read by int or str holds floats,
+# written by _fmt, which writes None and NaN as the empty cell
+SWEEP_COLUMNS = (("seed", int), ("kind", str), ("dist", float), ("dist_err", float),
+                 ("base_poa", float), ("pert_poa", _optional(math.nan)),
+                 ("delta", _optional(math.nan)), ("cert_bound", _optional(None)))
+RATE_COLUMNS = (("T", float), ("poa_minus_one", float), ("bound", _optional(None)))
+
+
+def _write_table(path, columns, rows) -> None:
+    """A CSV of the columns' names, then one line per row of values."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([name for name, _ in columns])
+        for row in rows:
+            writer.writerow([v if read in (int, str) else _fmt(v)
+                             for (_, read), v in zip(columns, row)])
+
+
+def _read_table(path, columns) -> list[dict]:
+    """The rows of a CSV of exactly these columns, each a dict of its cells as read."""
+    names = tuple(name for name, _ in columns)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != names:
+            raise InputError("schema", f"{path}: expected columns {names}")
+        return [{name: read(row[name]) for name, read in columns} for row in reader]
 
 
 def write_sweep_csv(records, path) -> None:
-    rows = sorted(records, key=lambda r: (r.seed, r.radius))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([
-                r.seed, r.kind, _fmt(r.dist.value), _fmt(r.dist.error_bound),
-                _fmt(r.base_poa), _fmt(r.pert_poa), _fmt(r.delta),
-                _fmt(r.certificate_bound),
-            ])
+    _write_table(path, SWEEP_COLUMNS, [
+        (r.seed, r.kind, r.dist.value, r.dist.error_bound, r.base_poa, r.pert_poa, r.delta,
+         r.certificate_bound) for r in sorted(records, key=lambda r: (r.seed, r.radius))])
 
 
 def read_sweep_csv(path) -> list[SweepRecord]:
-    """Sweep records of a sweep CSV, which has no radius, dist parts (NaN) or solve_tol (0)."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SWEEP_COLUMNS:
-            raise InputError("schema", f"{path}: expected columns {SWEEP_COLUMNS}")
-        for row in reader:
-            out.append(SweepRecord(
-                seed=int(row["seed"]),
-                kind=row["kind"],
-                radius=math.nan,
-                dist=MetricValue(float(row["dist"]), math.nan, math.nan, float(row["dist_err"])),
-                base_poa=float(row["base_poa"]),
-                pert_poa=float(row["pert_poa"]) if row["pert_poa"] else math.nan,
-                delta=float(row["delta"]) if row["delta"] else math.nan,
-                certificate_bound=float(row["cert_bound"]) if row["cert_bound"] else None,
-                solve_tol=0.0,
-            ))
-    return out
-
-
-RATE_COLUMNS = ("T", "poa_minus_one", "bound")
+    """Sweep records of a sweep CSV, which has no radius or dist parts (NaN).  Each solve_tol
+    is TOL, the loosest a sweep solves at (``_sweep_tol``): no row's fit floor is below its own."""
+    return [SweepRecord(
+        seed=row["seed"], kind=row["kind"], radius=math.nan,
+        dist=MetricValue(row["dist"], math.nan, math.nan, row["dist_err"]),
+        base_poa=row["base_poa"], pert_poa=row["pert_poa"], delta=row["delta"],
+        certificate_bound=row["cert_bound"], solve_tol=TOL)
+        for row in _read_table(path, SWEEP_COLUMNS)]
 
 
 def write_rate_csv(points, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RATE_COLUMNS)
-        for p in points:
-            writer.writerow([_fmt(p.total_demand), _fmt(p.poa_minus_one), _fmt(p.bound)])
+    _write_table(path, RATE_COLUMNS, [(p.total_demand, p.poa_minus_one, p.bound) for p in points])
 
 
 def read_rate_csv(path) -> list[RatePoint]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RATE_COLUMNS:
-            raise InputError("schema", f"{path}: expected columns {RATE_COLUMNS}")
-        for row in reader:
-            out.append(RatePoint(
-                total_demand=float(row["T"]),
-                poa_minus_one=float(row["poa_minus_one"]),
-                bound=float(row["bound"]) if row["bound"] else None,
-            ))
-    return out
+    return [RatePoint(total_demand=row["T"], poa_minus_one=row["poa_minus_one"],
+                      bound=row["bound"]) for row in _read_table(path, RATE_COLUMNS)]
 
 
 @dataclass(frozen=True)

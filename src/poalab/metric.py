@@ -174,9 +174,10 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
     overshoots or gives an invalid game.  A miss takes the secant step
     t aim / dist(t) if it stays in the bracket, else doubles t while t_hi is
     inf and then bisects; the first distance in [radius/2, radius] ends it,
-    within ``_PROBES`` probes.  The sample is t_lo's draw, shrunk below
-    radius/2 (a clipped demand or the grid error can keep the band out of
-    reach), or the base game, shrunk, if no probe gave a valid draw.
+    within ``_PROBES`` probes, and so does a bracket that cannot shrink.  The
+    sample is t_lo's draw, shrunk below radius/2 (a clipped demand or the grid
+    error can keep the band out of reach), or the base game, shrunk, if no
+    probe gave a valid draw.
     """
     if kind not in _WEIGHTS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -230,6 +231,8 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
         step = t * (aim / mv.upper()) if mv is not None and mv.upper() > 0.0 else np.nan
         if not t_lo < step < t_hi:  # the safeguard: double until a bound, then bisect
             step = 2.0 * t if t_hi == np.inf else 0.5 * (t_lo + t_hi)
+        if step in (t_lo, t_hi):
+            break  # no float lies inside the bracket: each further probe would repeat an end
         t = step
     game, mv = best
     return Perturbation(kind, radius, seed, game, mv, mv.upper() < lo_band)

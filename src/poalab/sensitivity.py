@@ -47,10 +47,10 @@ import numpy as np
 
 from .games import Game, PathFlow
 from .metric import MetricValue, check_metric_axioms, sample_ball
-from .regression import loglog_fit
 # poa stays bound here for perfbench's tracer, which patches each binding of it
 from .solvers import UnconvergedError, _report, _solve_poa, _solve_poas, poa  # noqa: F401
-from .solvers import approximation_threshold, check_approximation_bounds, total_cost_sandwich
+from .solvers import MAX_ITER, TOL, approximation_threshold, check_approximation_bounds
+from .solvers import total_cost_sandwich
 from .transforms import cost_normalize, demand_normalize
 
 __all__ = [
@@ -97,12 +97,12 @@ def _base_quantities(game: Game, tol: float):
     return rho, so.total_cost
 
 
-def certificate_demand_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
+def certificate_demand_slice(game: Game, tol: float = TOL) -> HoelderCertificate | None:
     """Exponent-1/2 certificate for same-demand comparisons (Lipschitz costs)."""
     return _demand_slice(game, lambda: _base_quantities(game, tol))
 
 
-def certificate_cost_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
+def certificate_cost_slice(game: Game, tol: float = TOL) -> HoelderCertificate | None:
     """Exponent-1/2 certificate for same-cost comparisons with total demand <= T(d).
 
     The Lipschitz constant is clamped up to 1, which keeps it valid.
@@ -110,7 +110,7 @@ def certificate_cost_slice(game: Game, tol: float = 1e-10) -> HoelderCertificate
     return _cost_slice(game, lambda: _base_quantities(game, tol))
 
 
-def certificate_exponent_one(game: Game, tol: float = 1e-10) -> HoelderCertificate | None:
+def certificate_exponent_one(game: Game, tol: float = TOL) -> HoelderCertificate | None:
     """Exponent-1 certificate for constant or strictly-increasing C1 costs.
 
     Returns None when neither regime applies.  The validity radii are
@@ -207,7 +207,7 @@ class SweepRecord:
 
 def _sweep_tol(radius: float) -> float:
     # keep solver error well below the PoA changes being measured
-    return max(min(1e-10, radius * radius / 100.0), 1e-14)
+    return max(min(TOL, radius * radius / 100.0), 1e-14)
 
 
 def sweep(base: Game, kind: str, radii, samples_per_radius: int,
@@ -271,7 +271,7 @@ def _warm_start(base: Game, flow: PathFlow, game: Game) -> np.ndarray:
     return f
 
 
-def check_game(game: Game, tol: float = 1e-10) -> tuple[float, list[str]]:
+def check_game(game: Game, tol: float = TOL) -> tuple[float, list[str]]:
     """``poalab check``'s invariant suite on one solve: (PoA, the invariants that failed).
 
     The game is solved once, cold, then its six normalized copies as one ``_solve_poas``
@@ -313,14 +313,36 @@ def check_game(game: Game, tol: float = 1e-10) -> tuple[float, list[str]]:
               for factor in (0.5, 2.0, 10.0)
               for name, normalize in (("cost", cost_normalize), ("demand", demand_normalize))]
     starts = [(_warm_start(game, we.flow, c), _warm_start(game, so.flow, c)) for _, c in copies]
-    poas, solved = _solve_poas([copy for _, copy in copies], [tol] * 6, 100_000, starts)
+    poas, solved = _solve_poas([copy for _, copy in copies], [tol] * 6, MAX_ITER, starts)
     for b, ((name, copy), rho) in enumerate(zip(copies, poas)):
         if math.isnan(rho):  # the copy's WE or SO did not converge
-            raise UnconvergedError(next(_report(copy, result, b, tol) for result in solved
-                                        if not result[1][b] <= tol))
+            reports = (_report(copy, result, b, tol) for result in solved)
+            raise UnconvergedError(next(rep for rep in reports if not rep.converged))
         if abs(rho - base) > 1e-6:
             failures.append(f"PoA not invariant under {name}")
     return base, failures
+
+
+def loglog_fit(x, y) -> tuple[float, float, float]:
+    """Least squares of log(y) on log(x); returns (slope, intercept, r_squared).
+
+    All inputs must be strictly positive; the intercept is returned in log
+    space (exp it for the multiplicative constant).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
+        raise ValueError("need two equal-length 1-D arrays with at least 2 points")
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise ValueError("log-log fit needs strictly positive data")
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    ss_res = float(resid @ resid)
+    centered = ly - ly.mean()
+    ss_tot = float(centered @ centered)
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), float(r2)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,8 @@ _USED_EPS = 1e-15
 _MULTISTARTS = 8  # random restarts of an uncertified social optimum, seeded with 0
 
 CHECK_SLACK = 1e-9  # absolute slack of the total-cost sandwich and the approximation checks
+TOL = 1e-10  # the default duality-gap tolerance of a solve, a check and the CLI
+MAX_ITER = 100_000  # the default cap on a solve's passes
 
 
 class UnconvergedError(RuntimeError):
@@ -471,7 +473,7 @@ def _solve_game(game: Game, so: bool, tol: float, max_iter: int, start) -> Solve
     return _report(game, solved, 0, tol)
 
 
-def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
+def solve_we(game: Game, tol: float = TOL, max_iter: int = MAX_ITER,
              start=None) -> SolveReport:
     """Wardrop equilibrium by potential minimization.
 
@@ -481,7 +483,7 @@ def solve_we(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
     return _solve_game(game, False, tol, max_iter, start)
 
 
-def solve_so(game: Game, tol: float = 1e-10, max_iter: int = 100_000,
+def solve_so(game: Game, tol: float = TOL, max_iter: int = MAX_ITER,
              start=None) -> SolveReport:
     """Social optimum by total-cost minimization with marginal-cost gradients.
 
@@ -549,7 +551,7 @@ def total_cost_sandwich(game: Game, so_cost: float, we_cost: float) -> tuple[boo
     return ok, lower, upper
 
 
-def poa(game: Game, tol: float = 1e-10) -> float:
+def poa(game: Game, tol: float = TOL) -> float:
     """PoA = WE total cost over SO total cost.
 
     Raises UnconvergedError on an unconverged solve, and InvariantError when
@@ -559,7 +561,7 @@ def poa(game: Game, tol: float = 1e-10) -> float:
 
 
 def _solve_poa(game: Game, tol: float,
-               max_iter: int = 100_000) -> tuple[float, SolveReport, SolveReport]:
+               max_iter: int = MAX_ITER) -> tuple[float, SolveReport, SolveReport]:
     """(PoA, WE report, SO report) of cold solves, with the checks ``poa`` documents."""
     we = solve_we(game, tol=tol, max_iter=max_iter)
     if not we.converged:

@@ -1,6 +1,8 @@
 """Cost family behavior: closed forms, bounds, and certified distances."""
 
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -551,6 +553,26 @@ class TestValidation:
             Polynomial((1.0, -0.5))
         with pytest.raises(ValueError):
             BPR(-1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("family, params", [
+        (Constant, {"c": 1.0}),
+        (Affine, {"slope": 2.0, "intercept": 0.5}),
+        (BPR, {"q": 1.0, "beta": 4.0, "p": 0.5}),
+        (MonomialLog, {"zeta": 1.0, "beta": 2.0, "alpha": 0.5}),
+    ], ids=["constant", "affine", "bpr", "monomial-log"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_every_float_param_has_the_sign_rule(self, family, params, bad):
+        for name in params:
+            message = f"{name} must be finite and >= 0, got {bad}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                family(**{**params, name: bad})
+
+    @pytest.mark.parametrize("family, n_params", [(Constant, 1), (Affine, 2), (BPR, 3),
+                                                  (MonomialLog, 3)])
+    def test_float_params_are_stored_as_floats(self, family, n_params):
+        cost = family(*range(1, n_params + 1))  # ints in, floats out, in field order
+        values = [getattr(cost, f.name) for f in dataclasses.fields(cost)]
+        assert [(type(v), v) for v in values] == [(float, float(i)) for i in range(1, n_params + 1)]
 
     @pytest.mark.parametrize("make", [
         lambda v: PiecewiseLinear((0.0, v), (0.5, 1.0)),

@@ -1,6 +1,7 @@
 """Game-spec files, CSV round trips, and the command-line surface."""
 
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -38,6 +39,7 @@ from poalab.io import (
     write_sweep_csv,
 )
 from poalab.convergence import RatePoint
+from poalab.metric import MetricValue
 from poalab.sensitivity import SweepRecord
 
 from conftest import child_env, random_game
@@ -143,10 +145,34 @@ class TestCsv:
             assert (fit_hoelder(rows, min_delta=min_delta)
                     == fit_hoelder(records, min_delta=min_delta))
 
+    @pytest.mark.parametrize("kind", ["cost", "joint"])
+    def test_sweep_csv_fits_as_its_records_at_the_solver_floor(self, tmp_path, kind):
+        # each CSV row reads the loosest solve_tol a sweep uses, so at radii >= 1e-4 (all solved
+        # at that tol) fit_hoelder's own floor censors the same records in both
+        game = load_game(DATA / "two_link_identical.json")
+        records = sweep(game, kind, [1e-1, 1e-2, 1e-3, 1e-4], 6, seed=2)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(records, path)
+        fit = fit_hoelder(read_sweep_csv(path))
+        assert fit == fit_hoelder(records) and fit.n_used == 18
+
+    def test_empty_sweep_cells_read_back_as_nan_or_none(self, tmp_path):
+        record = SweepRecord(seed=7, kind="cost", radius=0.1,
+                             dist=MetricValue(0.05, 0.0, 0.05, 0.0), base_poa=1.25,
+                             pert_poa=math.nan, delta=math.nan, certificate_bound=None,
+                             solve_tol=1e-10)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([record], path)
+        assert path.read_text().splitlines()[1] == "7,cost,0.05,0.0,1.25,,,"
+        (row,) = read_sweep_csv(path)
+        assert math.isnan(row.pert_poa) and math.isnan(row.delta)
+        assert row.certificate_bound is None and (row.seed, row.kind) == (7, "cost")
+
     def test_rate_round_trip(self, tmp_path):
         pts = [RatePoint(1.0, 0.1, 0.5), RatePoint(0.1, 0.01, None)]
         path = tmp_path / "rate.csv"
         write_rate_csv(pts, path)
+        assert path.read_text().splitlines() == ["T,poa_minus_one,bound", "1.0,0.1,0.5", "0.1,0.01,"]
         back = read_rate_csv(path)
         assert back[0].poa_minus_one == 0.1
         assert back[1].bound is None

@@ -205,6 +205,19 @@ class TestSampleBall:
                     assert p.realized == dist(base, p.game)
                     assert p.shrunk == (p.realized.upper() < 2.5)
 
+    @pytest.mark.parametrize("seed, demand, value", [
+        (0, 1.0000000000287557e-06, 0.999999),
+        (2, 1.000000000139778e-06, 0.9999989999999999),
+    ])
+    def test_search_stops_when_its_bracket_cannot_shrink(self, pigou, seed, demand, value):
+        # the demand clip holds the distance under 1, out of the band [2.5, 5]: the search
+        # bisects its bracket down to adjacent floats and stops there, with the draw it had
+        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+            p = sample_ball(pigou, 5.0, kind="demand", seed=seed)
+        assert spy.call_count <= 30  # re-probing the fixed bracket spends all 80 probes, 49 dists
+        assert p.shrunk and p.game.demands.tolist() == [demand]
+        assert p.realized == metric.MetricValue(value, value, value, 0.0)
+
     def test_deterministic_given_seed(self, pigou):
         a = sample_ball(pigou, 0.03, kind="joint", seed=77)
         b = sample_ball(pigou, 0.03, kind="joint", seed=77)
