@@ -13,9 +13,11 @@ than test its type: its JSON name (``family``; the dataclass fields are the
 params), its move inside a metric ball (``perturbed``, which scales by one rule,
 ``_stretch``), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
 where |f - g| peaks against its own family, and ``has_nondecreasing_marginal(hi)``,
-a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Constant,
-Affine and Polynomial derive their Lipschitz bounds and kernel from
-``as_polynomial()`` in ``_PolynomialCost``.
+a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Two bases
+write rules once for several families: ``_PolynomialCost`` derives the Lipschitz
+bounds and kernel of Constant, Affine and Polynomial from ``as_polynomial()``, and
+``_Wrapper`` those of ScaledCost, TruncatedCost and TangentCost from their one map,
+inner(factor min(x, anchor)) + slope max(x - anchor, 0).
 
 Every cost method rejects a negative flow and maps a scalar to a Python float and
 an array to an array of its shape, through one decorator, ``_pointwise``; the
@@ -24,8 +26,8 @@ an array to an array of its shape, through one decorator, ``_pointwise``; the
 
 Each family names a kernel over parameter arrays by ``kernel_key``: ``PolynomialKernel``
 (constant, affine, polynomial and linear BPR), ``BPRKernel`` (per other BPR exponent),
-``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and ``ScaledKernel``
-and ``ExtensionKernel`` (wrappers, per inner kernel).  Only the kernel writes a family's
+``MonomialLogKernel`` (per (beta, alpha)), ``PiecewiseLinearKernel``, and ``WrapperKernel``
+(the three wrappers, per inner kernel).  Only the kernel writes a family's
 tau' (``derivative``), integral from 0 (``antiderivs``) and marginal x tau' + tau
 (``marginals``): a cost's ``derivative`` and ``antiderivative``, its ``MarginalCost`` and
 the ``__call__`` of MonomialLog and the wrappers read the cost's cached one-row kernel,
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
 from typing import ClassVar
 
@@ -62,8 +64,7 @@ __all__ = [
     "BPRKernel",
     "MonomialLogKernel",
     "PiecewiseLinearKernel",
-    "ScaledKernel",
-    "ExtensionKernel",
+    "WrapperKernel",
     "sup_distance",
 ]
 
@@ -569,7 +570,8 @@ class MonomialLogKernel(_Kernel):
             self.derivative, self.marginal_derivs = bpr.derivative, bpr.marginal_derivs
         else:  # tau'(0) is the right limit: x**(b-1) ln(x+1)**a ~ x**(a+b-1)
             ab = self.alpha + self.beta
-            self.slope0 = 0.0 if ab > 1.0 else self.zeta * ab if ab == 1.0 else math.inf
+            self.slope0 = (0.0 if ab > 1.0 else self.zeta * ab if ab == 1.0
+                           else np.where(self.zeta == 0.0, 0.0, np.inf))  # zeta = 0: flat
 
     def values(self, x):
         return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
@@ -721,136 +723,104 @@ class PiecewiseLinearKernel(_Kernel):
 
 
 @dataclass(frozen=True)
-class ScaledCost(CostFunction, family="scaled"):
-    """Argument-scaled wrapper x -> inner(factor * x) for families not closed under it."""
+class _Wrapper(CostFunction):
+    """The one wrapper rule, inner(factor min(x, anchor)) + slope max(x - anchor, 0): ScaledCost
+    is (factor, inf, 0), TruncatedCost (1, anchor, 0) and TangentCost (1, anchor,
+    tau'_inner(anchor+)); the numbers a class fixes are ``ClassVar``s, not JSON fields."""
 
     inner: CostFunction
-    factor: float
+    slope: ClassVar[float] = 0.0  # of the line beyond the anchor
 
-    def __post_init__(self):
-        if not 0.0 < self.factor < math.inf:
-            raise ValueError(f"argument scale factor must be finite and > 0, got {self.factor}")
+    def _top(self, hi):  # the inner's argument at min(hi, anchor)
+        return self.factor * min(hi, self.anchor)
 
+    # past the anchor the slope is the line's: for a tangent, a kinked inner's tau'(anchor+)
     def lipschitz_on(self, hi):
-        return self.factor * self.inner.lipschitz_on(self.factor * hi)
+        bound = self.factor * self.inner.lipschitz_on(self._top(hi))
+        return max(bound, self.slope) if hi > self.anchor else bound
 
     def deriv_min_on(self, hi):
-        return self.factor * self.inner.deriv_min_on(self.factor * hi)
+        low = self.factor * self.inner.deriv_min_on(self._top(hi))
+        return min(self.slope, low) if hi > self.anchor else low
 
     def as_polynomial(self):
-        inner = self.inner.as_polynomial()
-        if inner is None:
-            return None
-        return inner * self.factor ** np.arange(len(inner))
+        inner = None if self.anchor < math.inf else self.inner.as_polynomial()
+        return None if inner is None else inner * self.factor ** np.arange(len(inner))
 
     def scaled_by(self, factor):
-        return ScaledCost(self.inner.scaled_by(factor), self.factor)
-
-    def with_argument_scale(self, factor):
-        return ScaledCost(self.inner, self.factor * factor)
+        return replace(self, inner=self.inner.scaled_by(factor))
 
     def kernel_key(self):
-        return (ScaledKernel, *self.inner.kernel_key())
+        return (WrapperKernel, *self.inner.kernel_key())
 
     def perturbed(self, shift, stretch, horizon):
-        return ScaledCost(self.inner.perturbed(shift, stretch, horizon * self.factor),
-                          self.factor)
+        # the inners' distance on [0, top] bounds the wrappers' below the anchor; beyond it a
+        # truncation is frozen at its value there (a tangent's slope would move: no rule)
+        return replace(self, inner=self.inner.perturbed(shift, stretch, self._top(horizon)))
 
     def has_nondecreasing_marginal(self, hi):
-        return self.inner.has_nondecreasing_marginal(self.factor * hi)  # = inner marginal(factor x)
+        # the marginal of inner(factor x) is m(factor x); at the anchor a tangent takes the
+        # inner right-derivative, and beyond it its marginal 2 slope x + inner(anchor) rises
+        return self.inner.has_nondecreasing_marginal(self._top(hi))
 
     def has_kinks(self):
         return self.inner.has_kinks()
 
     def sup_points(self, other, hi):
-        # with one factor, |self - other| on [0, hi] is the inners' on [0, factor hi]
-        if not (isinstance(other, ScaledCost) and other.factor == self.factor):
+        # with one factor and one anchor, |self - other| on [0, min(hi, anchor)] is the inners'
+        # on [0, top], and past the anchor it is linear: its max there is at the anchor or at hi
+        if not (type(other) is type(self) and (other.factor, other.anchor)
+                == (self.factor, self.anchor)):
             return None
-        top = self.factor * hi  # the bits self(hi) evaluates the inner at
+        top = self._top(hi)  # the bits self(min(hi, anchor)) evaluates the inner at
         points = self.inner.sup_points(other.inner, top)
         if points is None:
             return None
-        inner = np.asarray(points, dtype=float).tolist()
-        xs = [0.0 if p <= 0.0 else hi if p >= top else p / self.factor for p in inner]
-        if any(x * self.factor != p for x, p in zip(xs, inner) if 0.0 < p < top):
+        ps = np.asarray(points, dtype=float).tolist()
+        xs = [0.0 if p <= 0.0 else min(hi, self.anchor) if p >= top else p / self.factor
+              for p in ps]
+        if any(x * self.factor != p for x, p in zip(xs, ps) if 0.0 < p < top):
             return None  # an image off its inner point may miss an inner kink by an ulp
-        return xs
-
-
-class ScaledKernel(_Kernel):
-    """ScaledCost wrappers over an array of factors, around their inner costs' kernel."""
-
-    def __init__(self, costs):
-        self.inner = costs[0].kernel_key()[1]([c.inner for c in costs])  # key[1:] is the inner key
-        self.factor = np.array([c.factor for c in costs], dtype=float)
-
-    def values(self, x):
-        return self.inner.values(x * self.factor)
-
-    def derivative(self, x):
-        return self.factor * self.inner.derivative(x * self.factor)
-
-    def marginal_derivs(self, x):  # the marginal of tau(factor x) is m(factor x)
-        return self.factor * self.inner.marginal_derivs(x * self.factor)
-
-    def antiderivs(self, x):
-        return self.inner.antiderivs(x * self.factor) / self.factor
+        return [*xs, hi]
 
 
 @dataclass(frozen=True)
-class _Extension(CostFunction):
-    """inner on [0, anchor], continued beyond the anchor by a line of slope ``_slope()``."""
+class ScaledCost(_Wrapper, family="scaled"):
+    """Argument-scaled wrapper x -> inner(factor * x) for families not closed under it."""
 
-    inner: CostFunction
+    factor: float
+    anchor: ClassVar[float] = math.inf
+
+    def __post_init__(self):
+        if not 0.0 < self.factor < math.inf:
+            raise ValueError(f"argument scale factor must be finite and > 0, got {self.factor}")
+
+    def with_argument_scale(self, factor):
+        return ScaledCost(self.inner, self.factor * factor)
+
+
+@dataclass(frozen=True)
+class _Extension(_Wrapper):
+    """inner on [0, anchor], continued beyond the anchor by a line of slope ``slope``."""
+
     anchor: float
+    factor: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.anchor < math.inf:
             raise ValueError(f"anchor must be finite and > 0, got {self.anchor}")
 
-    def lipschitz_on(self, hi):
-        past = self._slope() if hi > self.anchor else 0.0  # a kinked inner's right-derivative
-        return max(self.inner.lipschitz_on(min(hi, self.anchor)), past)
-
-    def scaled_by(self, factor):
-        return type(self)(self.inner.scaled_by(factor), self.anchor)
-
     def with_argument_scale(self, factor):
         return type(self)(self.inner.with_argument_scale(factor), self.anchor / factor)
-
-    def kernel_key(self):
-        return (ExtensionKernel, *self.inner.kernel_key())
-
-    def sup_points(self, other, hi):
-        # past a shared anchor |self - other| is linear: its max there is at hi or at the anchor,
-        # which the inners' points dominate; below it an extension is inner(x) + 0.0, same bits
-        if not (type(other) is type(self) and other.anchor == self.anchor):
-            return None
-        points = self.inner.sup_points(other.inner, min(hi, self.anchor))
-        return None if points is None else [*points, hi]
 
 
 @dataclass(frozen=True)
 class TruncatedCost(_Extension, family="truncated"):
     """inner on [0, anchor], frozen at inner(anchor) beyond."""
 
-    def _slope(self):
-        return 0.0
-
-    def deriv_min_on(self, hi):
-        if hi > self.anchor:
-            return 0.0
-        return self.inner.deriv_min_on(hi)
-
-    def perturbed(self, shift, stretch, horizon):
-        # both costs are frozen beyond the anchor at their values there, and the anchor
-        # lies in [0, min(horizon, anchor)], where inner's rule bounds the distance
-        return TruncatedCost(self.inner.perturbed(shift, stretch, min(horizon, self.anchor)),
-                             self.anchor)
-
     def has_nondecreasing_marginal(self, hi):
         # beyond the anchor the marginal is inner(anchor): it falls there unless inner is flat
-        return (self.inner.has_nondecreasing_marginal(min(hi, self.anchor))
+        return (super().has_nondecreasing_marginal(hi)
                 and (hi < self.anchor or self.inner.lipschitz_on(self.anchor) == 0.0))
 
     def has_kinks(self):
@@ -861,44 +831,40 @@ class TruncatedCost(_Extension, family="truncated"):
 class TangentCost(_Extension, family="tangent"):
     """inner on [0, anchor], extended by its tangent line at the anchor beyond."""
 
-    def _slope(self):
+    perturbed = CostFunction.perturbed  # no sound rule: the slope beyond the anchor would move
+
+    @functools.cached_property
+    def slope(self):
         return self.inner.derivative(self.anchor)
 
-    def deriv_min_on(self, hi):
-        return self.inner.deriv_min_on(min(hi, self.anchor))
 
-    def has_nondecreasing_marginal(self, hi):
-        # continuous at the anchor, where the tangent takes the inner right-derivative; then rising
-        return self.inner.has_nondecreasing_marginal(min(hi, self.anchor))
-
-    def has_kinks(self):
-        return self.inner.has_kinks()
-
-
-class ExtensionKernel(_Kernel):
-    """TruncatedCost and TangentCost wrappers over arrays of anchors and line slopes."""
+class WrapperKernel(_Kernel):
+    """The wrapper map over arrays of factors, anchors and slopes, around the inners' kernel."""
 
     def __init__(self, costs):
         self.inner = costs[0].kernel_key()[1]([c.inner for c in costs])  # key[1:] is the inner key
-        self.anchor = np.array([c.anchor for c in costs], dtype=float)
-        self.slope = np.array([c._slope() for c in costs], dtype=float)
+        self.factor, self.anchor, self.slope = np.array(
+            [(c.factor, c.anchor, c.slope) for c in costs], dtype=float).T
+
+    def _inner_at(self, x):
+        return np.minimum(x, self.anchor) * self.factor
 
     def values(self, x):
-        base = self.inner.values(np.minimum(x, self.anchor))
-        return base + np.maximum(x - self.anchor, 0.0) * self.slope
+        return self.inner.values(self._inner_at(x)) + np.maximum(x - self.anchor, 0.0) * self.slope
 
     def derivative(self, x):
-        return np.where(x < self.anchor, self.inner.derivative(np.minimum(x, self.anchor)),
+        return np.where(x < self.anchor, self.factor * self.inner.derivative(self._inner_at(x)),
                         self.slope)
 
     def marginal_derivs(self, x):  # beyond the anchor the marginal is 2 slope x + a constant
-        return np.where(x < self.anchor, self.inner.marginal_derivs(np.minimum(x, self.anchor)),
+        return np.where(x < self.anchor,
+                        self.factor * self.inner.marginal_derivs(self._inner_at(x)),
                         2.0 * self.slope)
 
-    def antiderivs(self, x):
-        dx = np.maximum(x - self.anchor, 0.0)
-        return (self.inner.antiderivs(np.minimum(x, self.anchor))
-                + dx * self.inner.values(self.anchor) + 0.5 * self.slope * dx * dx)
+    def antiderivs(self, x):  # past the anchor, min(x, anchor) is the anchor
+        at, dx = self._inner_at(x), np.maximum(x - self.anchor, 0.0)
+        return (self.inner.antiderivs(at) / self.factor + dx * self.inner.values(at)
+                + 0.5 * self.slope * dx * dx)
 
 
 class MarginalCost:

@@ -141,32 +141,36 @@ def save_game(game: Game, path) -> None:
         handle.write("\n")
 
 
-def _fmt(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return repr(float(value))
-
-
 def _optional(empty):  # the reader of a float column whose empty cell reads `empty`
     return lambda cell: float(cell) if cell else empty
 
 
-# a table's columns as (name, cell reader); a column not read by int or str holds floats,
-# written by _fmt, which writes None and NaN as the empty cell
-SWEEP_COLUMNS = (("seed", int), ("kind", str), ("dist", float), ("dist_err", float),
-                 ("base_poa", float), ("pert_poa", _optional(math.nan)),
-                 ("delta", _optional(math.nan)), ("cert_bound", _optional(None)))
-RATE_COLUMNS = (("T", float), ("poa_minus_one", float), ("bound", _optional(None)))
+# a table's columns as (name, cell reader); a float column's cells are written by _fmt
+_NAN, _NONE = _optional(math.nan), _optional(None)
+SWEEP_COLUMNS = (("seed", int), ("kind", str), ("dist", _NAN), ("dist_err", _NAN),
+                 ("base_poa", _NAN), ("pert_poa", _NAN), ("delta", _NAN), ("cert_bound", _NONE))
+RATE_COLUMNS = (("T", _NAN), ("poa_minus_one", _NAN), ("bound", _NONE))
+
+
+def _fmt(name: str, read, value: float | None) -> str:
+    """A float cell in shortest round-trip form; None or NaN only as the empty cell of a
+    column that reads it back as that value, else a ValueError that names the column."""
+    if value is not None and value == value:
+        return repr(float(value))
+    empty = read("")
+    if not (empty is value or (empty != empty and value != value)):  # None, or NaN for NaN
+        raise ValueError(f"column {name!r} cannot hold {value!r}: its empty cell reads {empty!r}")
+    return ""
 
 
 def _write_table(path, columns, rows) -> None:
-    """A CSV of the columns' names, then one line per row of values."""
+    """A CSV of the columns' names, then one line per row, written once every cell is formed."""
+    lines = [[v if read in (int, str) else _fmt(name, read, v)
+              for (name, read), v in zip(columns, row)] for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([name for name, _ in columns])
-        for row in rows:
-            writer.writerow([v if read in (int, str) else _fmt(v)
-                             for (_, read), v in zip(columns, row)])
+        writer.writerows(lines)
 
 
 def _read_table(path, columns) -> list[dict]:

@@ -8,8 +8,9 @@ padding them and delegating to inner kernels keep each row's bits; the oracles f
 the integral and the marginal apart from the kernels are the finite differences and
 quadratures in ``test_costs.py``.
 
-Also the derivative kernels of every family against finite differences, and
-solves through a wrapper against solves of the costs it wraps.
+Also the derivative kernels of every family against finite differences, each cost's
+slope bounds against its derivative, and solves through a wrapper against solves of the
+costs it wraps.
 """
 
 import numpy as np
@@ -249,6 +250,35 @@ class TestDerivativeKernels:
         assert np.array_equal(table.marginal_derivs(x), np.zeros(4))
 
 
+@st.composite
+def kinked_tangent(draw):
+    """A tangent anchored where its inner's slope jumps, at a piecewise-linear breakpoint or a
+    truncation's anchor: a random anchor seldom lands on one."""
+    pwl = draw(piecewise_linear())
+    if len(pwl.breakpoints) > 1 and draw(st.booleans()):
+        return TangentCost(pwl, draw(st.sampled_from(pwl.breakpoints[1:])))
+    anchor = draw(POSITIVE)
+    return TangentCost(TruncatedCost(draw(BASE_COSTS), anchor), anchor)
+
+
+SLOPE_COSTS = st.one_of(
+    COSTS,
+    kinked_tangent(),
+    st.builds(ScaledCost, kinked_tangent(), POSITIVE),
+    st.builds(TruncatedCost, kinked_tangent(), POSITIVE),
+)
+
+
+class TestSlopeBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(cost=SLOPE_COSTS, hi=st.floats(0.05, 8.0))
+    def test_bounds_hold_the_derivative(self, cost, hi):
+        # deriv_min_on(hi) <= tau'(x) <= lipschitz_on(hi) on a grid of [0, hi)
+        slopes = cost.derivative(np.linspace(0.0, hi, 65)[:-1])
+        assert cost.deriv_min_on(hi) <= slopes.min()
+        assert slopes.max() <= cost.lipschitz_on(hi)
+
+
 GAME_COSTS = st.lists(st.one_of(
     st.builds(Affine, st.floats(0.0, 3.0), st.floats(0.05, 2.0)),
     st.lists(st.floats(0.0, 2.0), min_size=2, max_size=4).map(
@@ -266,7 +296,7 @@ class TestWrapperConsistency:
         tol = 1e-10
         game = unit_scale(Game(shared_arc, tuple(costs), np.array(demands)))
         # ScaledCost(c, 1.0) is c through the wrapper's kernel: values, tau' and the
-        # marginal's slope all pass through ScaledKernel, and both solve by Newton steps
+        # marginal's slope all pass through WrapperKernel, and both solve by Newton steps
         wrapped = game.with_costs(ScaledCost(c, 1.0) for c in game.costs)
         for solve in (solve_we, solve_so):
             plain, through = solve(game, tol=tol), solve(wrapped, tol=tol)

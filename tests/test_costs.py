@@ -317,6 +317,13 @@ class TestLipschitz:
         assert f.lipschitz_on(1.0) == pytest.approx(0.1)
         assert f.lipschitz_on(1.5) == pytest.approx(2.0)
 
+    def test_tangent_slope_floor_past_a_kink_at_its_anchor(self):
+        # on (1, 1.5] the cost follows the tangent line, whose slope 0.1 is below
+        # every inner slope on [0, 1]
+        f = TangentCost(PiecewiseLinear((0.0, 1.0, 2.0), (0.1, 1.1, 1.2)), 1.0)
+        assert f.deriv_min_on(1.0) == pytest.approx(1.0)
+        assert f.deriv_min_on(1.5) == pytest.approx(0.1)
+
     def test_non_lipschitz_families_report_inf(self):
         assert BPR(1.0, 0.5, 0.0).lipschitz_on(1.0) == math.inf
 

@@ -177,6 +177,39 @@ class TestCsv:
         assert back[0].poa_minus_one == 0.1
         assert back[1].bound is None
 
+    @pytest.mark.parametrize("table", ["sweep", "rate"])
+    def test_every_row_written_reads_back(self, tmp_path, table):
+        # None and NaN in each float column: a bound column's empty cell reads back as None,
+        # every other one's as NaN, and the writer refuses the other value before it opens the file
+        def sweep_row(dist=0.05, dist_err=0.0, base_poa=1.25, pert_poa=1.2, delta=0.05,
+                      cert_bound=0.3):
+            return SweepRecord(7, "cost", 0.1, MetricValue(dist, 0.0, dist, dist_err), base_poa,
+                               pert_poa, delta, cert_bound, 1e-10)
+
+        write, read, row, cells, columns = {
+            "sweep": (write_sweep_csv, read_sweep_csv, sweep_row,
+                      lambda r: (r.seed, r.kind, r.dist.value, r.dist.error_bound, r.base_poa,
+                                 r.pert_poa, r.delta, r.certificate_bound),
+                      ("dist", "dist_err", "base_poa", "pert_poa", "delta", "cert_bound")),
+            "rate": (write_rate_csv, read_rate_csv,
+                     lambda T=2.0, poa_minus_one=0.1, bound=0.5: RatePoint(T, poa_minus_one, bound),
+                     lambda p: (p.total_demand, p.poa_minus_one, p.bound),
+                     ("T", "poa_minus_one", "bound")),
+        }[table]
+        same = lambda a, b: a == b or (a != a and b != b)  # NaN is NaN
+        for column in columns:
+            for missing in (math.nan, None):
+                path = tmp_path / f"{column}-{missing}.csv"
+                written = row(**{column: missing})
+                if (missing is None) == column.endswith("bound"):
+                    write([written], path)
+                    (back,) = read(path)
+                    assert all(map(same, cells(back), cells(written))), (column, missing)
+                else:
+                    with pytest.raises(ValueError, match=f"column '{column}'"):
+                        write([written], path)
+                    assert not path.exists()
+
 
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "poalab.cli", *args],
