@@ -12,7 +12,8 @@ Each family's rules live in its class, and other modules ask the cost rather
 than test its type: its JSON name (``family``; the dataclass fields are the
 params), its move inside a metric ball (``perturbed``, which scales by one rule,
 ``_stretch``), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
-where |f - g| peaks against its own family, and ``has_nondecreasing_marginal(hi)``,
+where |f - g| peaks against its own family (a piecewise-linear cost also against a
+cubic), and ``has_nondecreasing_marginal(hi)``,
 a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Two bases
 write rules once for several families: ``_PolynomialCost`` derives the Lipschitz
 bounds and kernel of Constant, Affine and Polynomial from ``as_polynomial()``, and
@@ -672,10 +673,18 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
         return True
 
     def sup_points(self, other, hi):
-        if not isinstance(other, PiecewiseLinear):
+        if isinstance(other, PiecewiseLinear):
+            knots = np.unique(np.concatenate([self._breakpoints, other._breakpoints, [0.0, hi]]))
+            return knots[knots <= hi]  # |self - other| is linear between them; breakpoints are >= 0
+        c = other.as_polynomial()
+        if c is None or len(c) > 4:
             return None
-        knots = np.unique(np.concatenate([self._breakpoints, other._breakpoints, [0.0, hi]]))
-        return knots[knots <= hi]  # |self - other| is linear between them; breakpoints are >= 0
+        # on a piece of slope s, other - self is a cubic: it peaks at an end or where other' = s
+        c1, c2, c3 = [*c.tolist(), 0.0, 0.0, 0.0][1:4]
+        points = [*(b for b in self.breakpoints if b < hi), hi]
+        for lo, up, s in zip(self.breakpoints, (*self.breakpoints[1:], hi), self._slopes.tolist()):
+            points.extend(r for r in _critical_points(c1 - s, c2, c3) if lo < r < min(up, hi))
+        return points
 
 
 class PiecewiseLinearKernel(_Kernel):
@@ -767,11 +776,14 @@ class _Wrapper(CostFunction):
         return self.inner.has_kinks()
 
     def sup_points(self, other, hi):
-        # with one factor and one anchor, |self - other| on [0, min(hi, anchor)] is the inners'
-        # on [0, top], and past the anchor it is linear: its max there is at the anchor or at hi
-        if not (type(other) is type(self) and (other.factor, other.anchor)
+        # with one factor and one anchor, whatever the classes, |self - other| on
+        # [0, min(hi, anchor)] is the inners' on [0, top], and past the anchor it is linear:
+        # its max there is at the anchor or at hi
+        if not (isinstance(other, _Wrapper) and (other.factor, other.anchor)
                 == (self.factor, self.anchor)):
             return None
+        if self.inner == other.inner:  # then they differ only past the anchor
+            return [hi]
         top = self._top(hi)  # the bits self(min(hi, anchor)) evaluates the inner at
         points = self.inner.sup_points(other.inner, top)
         if points is None:
@@ -878,29 +890,32 @@ class MarginalCost:
         return self.cost._row.marginals(x)
 
 
+def _critical_points(d1=0.0, d2=0.0, d3=0.0) -> tuple[float, ...]:
+    """The points where p' = d1 + 2 d2 x + 3 d3 x**2 changes sign: the root of a linear p'
+    or, by the sign-stable quadratic formula, q/a and c/q with q = -(b + sgn(b)
+    sqrt(b^2 - 4ac)) / 2 and sgn(-0.0) = +1, so a signed zero cannot flip the branch;
+    a double root of p' is no extremum of p."""
+    a, b, c = 3.0 * d3, 2.0 * d2, d1
+    if a == 0.0:
+        return (-c / b,) if b != 0.0 else ()
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return ()
+    q = -0.5 * (b + math.sqrt(disc)) if b >= 0.0 else -0.5 * (b - math.sqrt(disc))
+    return q / a, c / q
+
+
 def _poly_sup(d: list[float], hi: float) -> float:
     """Exact max of |p| on [0, hi] for p(x) = sum(d[k] x**k), d trimmed, of degree <= 3.
 
     p is made to lead with a positive coefficient (exact, and |p| = |-p|), so a
-    pair gives the same bits in either order.  Its interior critical points are
-    the root of a linear p' or, by the sign-stable quadratic formula, q/a and c/q
-    with q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 and sgn(-0.0) = +1, so a signed
-    zero cannot flip the branch; a double root of p' is no extremum of |p|.
-    Horner's rule evaluates |p| in np.polyval's order.
+    pair gives the same bits in either order; its interior critical points come
+    from ``_critical_points``.  Horner's rule evaluates |p| in np.polyval's order.
     """
     if d[-1] < 0.0:
         d = [-c for c in d]
-    roots = ()
-    if len(d) == 3:
-        roots = (-d[1] / (2.0 * d[2]),)
-    elif len(d) == 4:
-        a, b, c = 3.0 * d[3], 2.0 * d[2], d[1]
-        disc = b * b - 4.0 * a * c
-        if disc > 0.0:
-            q = -0.5 * (b + math.sqrt(disc)) if b >= 0.0 else -0.5 * (b - math.sqrt(disc))
-            roots = (q / a, c / q)
     best = 0.0
-    for x in (0.0, hi, *(r for r in roots if 0.0 < r < hi)):
+    for x in (0.0, hi, *(r for r in _critical_points(*d[1:]) if 0.0 < r < hi)):
         y = d[-1]
         for coef in d[-2::-1]:
             y = y * x + coef
@@ -921,12 +936,15 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
 
     Returns (estimate, error_bound) so that the true sup lies in
     [estimate, estimate + error_bound].  Exact (error 0) for polynomial differences
-    of degree <= 3 and where f's family rule ``sup_points(g, hi)`` names the points
-    of the max: piecewise-linear pairs, same-shape BPR and MonomialLog pairs, and
-    ScaledCost pairs of one factor and TruncatedCost or TangentCost pairs of one
-    anchor around such a pair.  The result does not depend on the order of f and g,
-    bit for bit: the rules' points are symmetric in f and g, and the polynomial one
-    fixes the sign of f - g.
+    of degree <= 3; where a family rule, ``f.sup_points(g, hi)`` or else
+    ``g.sup_points(f, hi)``, names the points of the max: piecewise-linear pairs, a
+    piecewise-linear cost against a polynomial of degree <= 3 (its critical points in
+    each piece), same-shape BPR and MonomialLog pairs, and two wrappers of one factor
+    and one anchor, whatever their classes, around equal inners or such a pair; and
+    where one side is flat on [0, hi] (Lipschitz bound 0), at 0 and hi.  Other pairs
+    take the GRID_N-point grid with a Lipschitz error bound.  The result does not
+    depend on the order of f and g, bit for bit: the rules' points do not, and the
+    polynomial one fixes the sign of f - g.
     """
     if hi < 0:
         raise ValueError("hi must be >= 0")
@@ -944,12 +962,14 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
             return _poly_sup(d, hi), 0.0
 
     points = f.sup_points(g, hi)
-    if points is not None:
-        xs = np.asarray(points, dtype=float)
-        return float(np.max(np.abs(f(xs) - g(xs)))), 0.0
-
-    xs = _grid(hi)
-    est = float(np.max(np.abs(f(xs) - g(xs))))
-    m = f.lipschitz_on(hi) + g.lipschitz_on(hi)
-    err = m * hi / (2.0 * (GRID_N - 1))
-    return est, float(err)
+    if points is None:
+        points = g.sup_points(f, hi)
+    if points is None:
+        lf, lg = f.lipschitz_on(hi), g.lipschitz_on(hi)
+        if lf > 0.0 and lg > 0.0:
+            xs = _grid(hi)
+            est = float(np.max(np.abs(f(xs) - g(xs))))
+            return est, float((lf + lg) * hi / (2.0 * (GRID_N - 1)))
+        points = (0.0, hi)  # one side is flat and the other non-decreasing: |f - g| is monotone
+    xs = np.asarray(points, dtype=float)
+    return float(np.max(np.abs(f(xs) - g(xs)))), 0.0

@@ -257,6 +257,11 @@ class Game:
     def total_demand(self) -> float:
         return float(self.demands.sum())
 
+    @cached_property
+    def endpoint_costs(self) -> tuple[float, ...]:
+        """Each arc's cost at the total demand: the endpoint term of ``metric.dist``."""
+        return tuple(c(self.total_demand) for c in self.costs)
+
     def with_demands(self, demands) -> "Game":
         return Game(self.structure, self.costs, np.asarray(demands, dtype=float))
 

@@ -3,8 +3,10 @@
 Distance between two games is the max of the L-infinity demand distance, the
 per-arc sup distance of the costs on the shared demand interval, and the
 L-infinity distance of the cost vectors evaluated at the respective total
-demands.  Grid-based cost comparisons carry a certified error bound so that
-downstream consumers can reason soundly.  The module also provides the
+demands.  ``sup_distance`` gives most cost pairs exactly; a pair without an exact
+rule is compared on a grid whose certified error bound the distance carries, so
+that downstream consumers can reason soundly.  Each game's endpoint costs are
+priced once (``Game.endpoint_costs``).  The module also provides the
 deliberately wrong variant that compares costs on the union interval (it
 violates the triangle inequality) and an epsilon-ball sampler used by the
 sensitivity sweeps.
@@ -56,16 +58,14 @@ def dist(g1: Game, g2: Game) -> MetricValue:
     if g1.structure != g2.structure:
         raise StructureMismatchError("games have different structures")
     demand_part = float(np.max(np.abs(g1.demands - g2.demands)))
-    t1, t2 = g1.total_demand, g2.total_demand
-    tmin = min(t1, t2)
+    tmin = min(g1.total_demand, g2.total_demand)
     sup_est = 0.0
     sup_hi = 0.0
     for c1, c2 in zip(g1.costs, g2.costs):
         est, err = sup_distance(c1, c2, tmin)
         sup_est = max(sup_est, est)
         sup_hi = max(sup_hi, est + err)
-    endpoint = max(abs(c1(t1) - c2(t2))
-                   for c1, c2 in zip(g1.costs, g2.costs))
+    endpoint = max(abs(e1 - e2) for e1, e2 in zip(g1.endpoint_costs, g2.endpoint_costs))
     cost_part = max(sup_est, endpoint)
     cost_hi = max(sup_hi, endpoint)
     value = max(demand_part, cost_part)
@@ -109,7 +109,8 @@ class MetricAxiomReport:
 def check_metric_axioms(g1: Game, g2: Game, g3: Game) -> MetricAxiomReport:
     """Symmetry, non-negativity, identity-iff-equivalent, triangle inequality.
 
-    All checks hold within the certified grid error carried by the distances.
+    All checks hold within the certified error carried by the distances: the grid
+    error of the cost pairs without an exact ``sup_distance`` rule, 0 for the rest.
     """
     pairs = [(g1, g2), (g1, g3), (g3, g2)]
     fwd = [dist(a, b) for a, b in pairs]

@@ -146,7 +146,7 @@ def _cost_slice(game: Game, base) -> HoelderCertificate | None:
     rho, c_star = base()
     n_a = len(game.structure.arcs)
     n_k = len(game.structure.od_pairs)
-    pi_max = max(float(c(T)) for c in game.costs)
+    pi_max = max(game.endpoint_costs)
     m_tilde = 2.0 * ((math.sqrt(m * n_a * T) + 2.0) * n_a * T
                      + n_a * n_k * pi_max) * math.sqrt(m)
     m_star = 2.0 * (n_a * n_k * pi_max + n_a * T * m)
@@ -177,7 +177,7 @@ def _exponent_one(game: Game, base) -> HoelderCertificate | None:
     if m_lo <= 0.0 or not math.isfinite(m_hi):
         return None
     rho, c_star = base()
-    tau_max = max(float(c(T)) for c in game.costs)
+    tau_max = max(game.endpoint_costs)
     blow = 1.0 + n_k * m_hi
     # demand-slice part and cost-slice part of the perturbation are bounded
     # separately; their sum bounds the full change via the auxiliary game.

@@ -21,7 +21,7 @@ from poalab import (
     TruncatedCost,
     sup_distance,
 )
-from poalab.costs import MarginalCost, _marginal
+from poalab.costs import GRID_N, MarginalCost, _marginal
 
 FAMILY_STRATEGIES = st.one_of(
     st.builds(Constant, st.floats(0.1, 5.0)),
@@ -59,6 +59,35 @@ SUP_PAIRS = st.one_of(
     _RULE_PAIRS,
     st.tuples(_RULE_PAIRS, st.sampled_from([0.5, 0.7, 3.0])).map(
         lambda t: (ScaledCost(t[0][0], t[1]), ScaledCost(t[0][1], t[1]))),
+)
+
+# pairs of the flat-side rule (a cost flat on [0, inf) against any family, wrappers
+# included) and of the piecewise-linear-polynomial rule (a difference cubic on each piece)
+_FLAT = st.one_of(
+    st.builds(Constant, st.floats(0.1, 5.0)),
+    st.builds(lambda q, p: BPR(q, 0.0, p), st.floats(0.0, 2.0), st.floats(0.1, 2.0)),
+    st.builds(MonomialLog, st.just(0.0), st.floats(0.5, 2.0), st.floats(0.0, 2.0)),
+    PWL_STRATEGY.map(lambda c: PiecewiseLinear(c.breakpoints, (c.values[0],) * len(c.values))),
+)
+_MONOTONE = st.one_of(
+    FAMILY_STRATEGIES, PWL_STRATEGY,
+    st.builds(BPR, st.floats(0.1, 3.0), st.floats(0.1, 4.0), st.floats(0.0, 2.0)),
+    st.builds(MonomialLog, st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.floats(0.0, 3.0)),
+)
+_CUBICS = st.one_of(
+    st.builds(Constant, st.floats(0.1, 5.0)),
+    st.builds(Affine, st.floats(0.0, 4.0), st.floats(0.0, 3.0)),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(lambda c: Polynomial(tuple(c))),
+    st.builds(BPR, st.floats(0.1, 3.0), st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.0, 2.0)),
+    st.builds(ScaledCost, st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(
+        lambda c: Polynomial(tuple(c))), st.floats(0.25, 3.0)),
+)
+FLAT_OR_PIECEWISE_POLYNOMIAL_PAIRS = st.one_of(
+    st.tuples(st.one_of(_FLAT, _FLAT.map(lambda c: TruncatedCost(c, 0.7))),
+              st.one_of(_MONOTONE, st.builds(
+                  lambda c, kind, x: kind(c, x), _MONOTONE,
+                  st.sampled_from([ScaledCost, TruncatedCost, TangentCost]), st.floats(0.3, 3.0)))),
+    st.tuples(PWL_STRATEGY, _CUBICS),
 )
 
 
@@ -502,6 +531,9 @@ class TestSupDistance:
          TruncatedCost(MonomialLog(0.8, 2.0, 0.5), 3.0), 2.0),
         (TruncatedCost(ScaledCost(MonomialLog(0.5, 2.0, 0.5), 2.0), 1.0),
          TruncatedCost(ScaledCost(MonomialLog(0.8, 2.0, 0.5), 2.0), 1.0), 2.0),
+        # two classes around one anchor: past it both are linear
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TangentCost(BPR(2.0, 2.0, 0.3), 1.0), 2.0),
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TangentCost(BPR(1.0, 2.0, 0.1), 1.0), 2.0),
     ])
     def test_extension_pairs_of_one_anchor_exact(self, f, g, hi):
         # the inners' rule on [0, min(hi, anchor)] and hi, against a dense grid
@@ -515,14 +547,59 @@ class TestSupDistance:
 
     @pytest.mark.parametrize("f, g", [
         (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TruncatedCost(BPR(2.0, 2.0, 0.3), 0.8)),
-        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TangentCost(BPR(2.0, 2.0, 0.3), 1.0)),
         (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), BPR(2.0, 2.0, 0.3)),
+        (TruncatedCost(BPR(1.0, 2.0, 0.1), 1.0), TangentCost(BPR(2.0, 2.0, 0.3), 0.8)),
     ])
     def test_other_extension_pairs_take_the_grid(self, f, g):
         est, err = sup_distance(f, g, 2.0)
         xs = np.linspace(0, 2, 1_000_001)
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert err > 0.0 and est <= true + 1e-12 and true <= est + err
+
+    def test_truncation_against_the_tangent_of_one_inner(self):
+        # equal inners agree up to the anchor; past it the tangent's line 2 (x - 1) is the gap
+        f, g = TruncatedCost(BPR(1, 2, 0.1), 1.0), TangentCost(BPR(1, 2, 0.1), 1.0)
+        assert sup_distance(f, g, 2.0) == sup_distance(g, f, 2.0) == (2.0, 0.0)
+        assert sup_distance(f, g, 0.5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("f, g, hi, sup", [
+        # flat against a monomial-log: |0.5 - x ln(1 + x)| peaks at hi
+        (PiecewiseLinear((0.0, 1.0, 2.0), (0.5, 0.5, 0.5)), MonomialLog(1.0, 1.0, 1.0), 2.0,
+         2.0 * math.log1p(2.0) - 0.5),
+        # a constant that the piecewise-linear cost crosses at 0.75
+        (Constant(1.0), PiecewiseLinear((0.0, 1.0, 2.0), (0.4, 1.2, 2.1)), 1.5, 0.65),
+        # 3x - x**3 on the first piece peaks at its critical point x = 1
+        (PiecewiseLinear((0.0, 2.0, 3.0), (0.0, 6.0, 7.0)), Polynomial((0.0, 0.0, 0.0, 1.0)),
+         1.5, 2.0),
+        # x**2 against slopes 3 then 2: the critical point of the second piece is its breakpoint
+        (PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 3.0, 5.0)), Polynomial((0.0, 0.0, 1.0)), 2.0,
+         2.0),
+    ])
+    def test_flat_and_piecewise_polynomial_closed_forms(self, f, g, hi, sup):
+        for pair in ((f, g), (g, f)):
+            est, err = sup_distance(*pair, hi)
+            assert err == 0.0
+            assert est == pytest.approx(sup, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=FLAT_OR_PIECEWISE_POLYNOMIAL_PAIRS, hi=st.floats(0.05, 4.0))
+    def test_flat_and_piecewise_polynomial_rules_are_exact(self, pair, hi):
+        f, g = pair
+        forward, backward = sup_distance(f, g, hi), sup_distance(g, f, hi)
+        assert [x.hex() for x in forward] == [x.hex() for x in backward]
+        est, err = forward
+        assert err == 0.0
+        lip = f.lipschitz_on(hi) + g.lipschitz_on(hi)
+        xs = np.linspace(0.0, hi, 200_001)
+        true = float(np.max(np.abs(f(xs) - g(xs))))
+        # the dense grid's own slack, and the rounding of its differences both ways
+        assert true - 1e-12 <= est <= true + lip * hi / 4e5 + 1e-12
+        if f.as_polynomial() is None or g.as_polynomial() is None:  # not the polynomial rule
+            # inside the enclosure of the 4097-point grid that such pairs took before the rules,
+            # up to the grid's rounding: a difference constant on a piece rounds to a few values
+            coarse = np.linspace(0.0, hi, GRID_N)
+            grid_est = float(np.max(np.abs(f(coarse) - g(coarse))))
+            assert grid_est - 1e-12 <= est <= grid_est + lip * hi / (2.0 * (GRID_N - 1))
 
 
 class TestWrappers:

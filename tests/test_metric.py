@@ -1,5 +1,6 @@
 """Metric axioms, certified distances, and the ball sampler."""
 
+import dataclasses
 import pathlib
 from unittest import mock
 
@@ -18,11 +19,29 @@ from poalab import (
     games_equivalent,
     naive_max_interval_dist,
     sample_ball,
+    sup_distance,
 )
 from poalab import metric
 from poalab.io import load_game
 
 from conftest import MIXED_FAMILIES, criterion7_bases, random_game
+
+
+def _loop_dist(g1, g2):
+    """dist with its endpoint term priced by a scalar call per cost, per call."""
+    t1, t2 = g1.total_demand, g2.total_demand
+    sups = [sup_distance(c1, c2, min(t1, t2)) for c1, c2 in zip(g1.costs, g2.costs)]
+    endpoint = max(abs(c1(t1) - c2(t2)) for c1, c2 in zip(g1.costs, g2.costs))
+    demand_part = float(np.max(np.abs(g1.demands - g2.demands)))
+    cost_part = max(max(est for est, _ in sups), endpoint)
+    cost_hi = max(max(est + err for est, err in sups), endpoint)
+    value = max(demand_part, cost_part)
+    return metric.MetricValue(value, demand_part, cost_part,
+                              max(demand_part, cost_hi) - value)
+
+
+def _bits(mv):
+    return [x.hex() for x in dataclasses.astuple(mv)]
 
 
 class TestDist:
@@ -53,6 +72,24 @@ class TestDist:
             g1 = random_game(shared_arc, rng, families=list(MIXED_FAMILIES)[:4])
             g2 = random_game(shared_arc, rng)
             assert dist(g1, g2).value == dist(g2, g1).value
+
+    def test_endpoint_costs_are_the_scalar_calls(self, shared_arc):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            game = random_game(shared_arc, rng, families=list(rng.choice(MIXED_FAMILIES, size=4)))
+            want = tuple(c(game.total_demand) for c in game.costs)
+            assert [x.hex() for x in game.endpoint_costs] == [x.hex() for x in want]
+
+    def test_dist_matches_the_per_call_endpoint_loop(self, two_link, three_link, shared_arc):
+        # the cached endpoint costs give the bits of pricing each cost at its own total
+        # demand inside every dist call, on the sampler's draws around the criterion-07 bases
+        for base in criterion7_bases(two_link, three_link, shared_arc).values():
+            for kind in ("cost", "demand", "joint"):
+                for radius in (1e-1, 1e-3):
+                    for seed in range(3):
+                        game = sample_ball(base, radius, kind=kind, seed=seed).game
+                        for a, b in ((base, game), (game, base)):
+                            assert _bits(dist(a, b)) == _bits(_loop_dist(a, b))
 
     def test_structure_mismatch(self, pigou, three_link):
         g = Game(three_link, (Constant(1.0),) * 3, np.array([1.0]))
