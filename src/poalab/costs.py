@@ -10,8 +10,8 @@ computes certified sup-norm distances between two costs on a compact interval.
 
 Each family's rules live in its class, and other modules ask the cost rather
 than test its type: its JSON name (``family``; the dataclass fields are the
-params), its move inside a metric ball (``perturbed``, which scales by one rule,
-``_stretch``), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
+params), whether it can move inside a metric ball (``perturbable``; the move,
+``perturbed``, is its kernel's), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
 where |f - g| peaks against its own family (a piecewise-linear cost also against a
 cubic), and ``has_nondecreasing_marginal(hi)``,
 a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Two bases
@@ -35,7 +35,11 @@ the ``__call__`` of MonomialLog and the wrappers read the cost's cached one-row 
 ``_row``.  The kernels' ``values`` are tested against the other ``__call__``s, the inlined
 four and ``PiecewiseLinear``'s ``np.interp``.  Every kernel also gives the Newton step's
 curvature in closed form: ``derivs`` (tau', read as 0 at a zero flow where tau'(0+) is
-infinite) and ``marginal_derivs`` (2 tau' + x tau'').
+infinite) and ``marginal_derivs`` (2 tau' + x tau'').  A kernel also writes the family's move
+inside a metric ball over rows (``perturbed``, scaling by one rule, ``_stretch``), whose
+one-row call is ``CostFunction.perturbed``, and ``sup``, the exact ``sup_distance`` of its rows
+against the same rows moved, for a polynomial difference of degree <= 3 and same-shape BPR,
+MonomialLog and piecewise-linear rows: ``metric._sample_balls`` draws by them.
 """
 
 from __future__ import annotations
@@ -128,9 +132,9 @@ def _float_fields(cls) -> tuple[str, ...]:  # in field order
     return tuple(f.name for f in fields(cls) if f.type == "float")
 
 
-def _stretch(change: float, height: float) -> float:
-    """The factor that moves a part of height `height` by `change`, clipped at 0; 1 if flat."""
-    return max(1.0 + change / max(height, 1e-12), 0.0) if height > 0 else 1.0
+def _stretch(change, height):
+    """The factors that move parts of heights `height` by `change`, clipped at 0; 1 where flat."""
+    return np.where(height > 0, np.maximum(1.0 + change / np.maximum(height, 1e-12), 0.0), 1.0)
 
 
 FAMILIES: dict[str, type] = {}  # JSON family name -> class
@@ -144,6 +148,7 @@ class CostFunction:
     """
 
     family: ClassVar[str | None] = None
+    perturbable: ClassVar[bool] = True  # whether ``perturbed`` has a sound rule
 
     def __init_subclass__(cls, family: str | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -211,9 +216,10 @@ class CostFunction:
         `shift` moves the intercept-like parameter, `stretch` scales the flow-
         dependent part so that its value change at the horizon is |stretch|.
         Monotonicity is preserved by construction.  A family without a sound
-        rule (TangentCost: its slope beyond the anchor would move) raises ValueError.
+        rule (TangentCost: its slope beyond the anchor would move; see ``perturbable``)
+        raises ValueError.  This is the one-row call of the kernel's rule.
         """
-        raise ValueError(f"cannot perturb cost family {self.family!r}: it has no sound rule")
+        return self._row.perturbed(np.array([shift]), np.array([stretch]), horizon).costs()[0]
 
     def regular_variation(self) -> tuple[float, float, float] | None:
         """(beta, alpha, coefficient) of the growth x**beta ln(x+1)**alpha, or None."""
@@ -268,14 +274,6 @@ class Constant(_PolynomialCost, family="constant"):
     def with_argument_scale(self, factor):
         return Constant(self.c)
 
-    def perturbed(self, shift, stretch, horizon):
-        # grows an affine term, so cost-side balls around constants are not degenerate
-        slope = abs(stretch) / max(horizon, 1e-12)
-        new_c = max(self.c + shift, self.c * 0.5)
-        if slope == 0.0:
-            return Constant(new_c)
-        return Affine(slope, new_c)
-
 
 @dataclass(frozen=True)
 class Affine(_PolynomialCost, family="affine"):
@@ -295,10 +293,6 @@ class Affine(_PolynomialCost, family="affine"):
 
     def with_argument_scale(self, factor):
         return Affine(self.slope * factor, self.intercept)
-
-    def perturbed(self, shift, stretch, horizon):
-        slope = max(self.slope + stretch / max(horizon, 1e-12), 0.0)
-        return Affine(slope, max(self.intercept + shift, 0.0))
 
     def regular_variation(self):
         return 1.0, 0.0, self.slope
@@ -331,14 +325,6 @@ class Polynomial(_PolynomialCost, family="polynomial"):
     def with_argument_scale(self, factor):
         return Polynomial(tuple(c * factor**n for n, c in enumerate(self.coefficients)))
 
-    def perturbed(self, shift, stretch, horizon):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        rest = coeffs.copy()
-        rest[0] = 0.0
-        new = coeffs * _stretch(stretch, float(np.polyval(rest[::-1], horizon)))
-        new[0] = max(coeffs[0] + shift, 0.0)
-        return Polynomial(tuple(new))
-
     def regular_variation(self):
         arr = np.trim_zeros(np.asarray(self.coefficients), "b")
         return float(arr.size - 1), 0.0, float(arr[-1]) if arr.size else 0.0
@@ -353,7 +339,17 @@ def _horner(coeffs, x):
 
 
 class _Kernel:
-    """Costs over parameter arrays; the subclass gives values, derivative and marginal_derivs."""
+    """Costs over parameter arrays, built from cost objects or by ``_of`` from arrays; ``costs()``
+    gives the objects back.  The subclass gives values, derivative, marginal_derivs, ``tiled``
+    (n copies of the rows) and the family's move in a metric ball (``perturbed``)."""
+
+    coeffs = None  # the rows' descending coefficients, if the costs are polynomials
+
+    @classmethod
+    def _of(cls, *params):
+        kernel = object.__new__(cls)
+        kernel._setup(*params)
+        return kernel
 
     def marginals(self, x):
         return _marginal(x, self.values(x), self.derivative(x))
@@ -362,12 +358,24 @@ class _Kernel:
         slope = self.derivative(x)
         return np.where(slope < np.inf, slope, 0.0)
 
+    def sup(self, other, hi):
+        """``sup_distance`` of each row against other's on [0, hi], other this kernel moved
+        (``perturbed``), where a rule makes it exact, else NaN.  Here same-shape BPR and
+        MonomialLog rows: their difference is monotone, so its max is at 0 or hi, unless it is a
+        polynomial of degree <= 3 (an integer BPR exponent), which ``sup_distance`` takes first."""
+        at = np.maximum(*(np.abs(self.values(x) - other.values(x)) for x in (0.0 * hi, hi)))
+        if self.coeffs is None:
+            return at
+        exact = _poly_sups(self.coeffs - other.coeffs, hi)
+        return np.where(np.isnan(exact), at, exact)
 
-class PolynomialKernel:
+
+class PolynomialKernel(_Kernel):
     """Constant, Affine, Polynomial and linear BPR costs as rows of one zero-padded coefficient matrix.
 
     Leading zero coefficients keep Horner's recurrence at exactly 0, so each
-    row gives the same bits as ``np.polyval`` on its own coefficients.
+    row gives the same bits as ``np.polyval`` on its own coefficients.  ``classes`` holds each
+    row's family, which picks its ``perturbed`` rule, and ``sizes`` its number of coefficients.
     """
 
     def __init__(self, costs):
@@ -376,11 +384,47 @@ class PolynomialKernel:
         coeffs = np.zeros((len(rows), width))
         for i, row in enumerate(rows):
             coeffs[i, width - len(row):] = row[::-1]
-        self.coeffs = coeffs
+        self._setup(coeffs, [type(c) for c in costs], [len(r) for r in rows])
+
+    def _setup(self, coeffs, classes, sizes):
+        self.coeffs, self.classes, self.sizes = coeffs, classes, sizes
+        width = coeffs.shape[1]
         self.slopes = coeffs[:, :-1] * np.arange(width - 1, 0, -1)
         # second derivatives; a zero column when every row is affine
         self.bends = (self.slopes[:, :-1] * np.arange(width - 2, 0, -1) if width > 2
-                      else np.zeros((len(rows), 1)))
+                      else np.zeros((len(coeffs), 1)))
+
+    def tiled(self, n):
+        return self._of(np.tile(self.coeffs, (n, 1)), self.classes * n, self.sizes * n)
+
+    def costs(self):
+        out = []
+        for cls, n, row in zip(self.classes, self.sizes, self.coeffs[:, ::-1].tolist()):
+            out.append(Polynomial(tuple(row[:n])) if cls is Polynomial
+                       else BPR(row[1], 1.0, row[0]) if cls is BPR
+                       else Affine(row[1], row[0]) if cls is Affine else Constant(row[0]))
+        return out
+
+    def perturbed(self, shift, stretch, horizon):
+        """Polynomial and BPR(., 1, .) scale their flow-dependent part by its ``_stretch`` at the
+        horizon; Affine moves its slope by stretch / horizon; a Constant grows the slope
+        |stretch| / horizon (no degenerate ball) and moves by shift, down by at most half; the
+        others' constant term moves by shift; each clipped at 0."""
+        c, h = self.coeffs, np.maximum(horizon, 1e-12)
+        rest = c.copy()
+        rest[:, -1] = 0.0
+        new = c * _stretch(stretch, _horner(rest, horizon))[:, None]
+        new[:, -1] = np.maximum(c[:, -1] + shift, 0.0)
+        affine, constant = ([cls is k for cls in self.classes] for k in (Affine, Constant))
+        new[:, -2] = np.where(affine, np.maximum(c[:, -2] + stretch / h, 0.0), new[:, -2])
+        new[:, -2] = np.where(constant, np.abs(stretch) / h, new[:, -2])
+        new[:, -1] = np.where(constant, np.maximum(c[:, -1] + shift, c[:, -1] * 0.5), new[:, -1])
+        classes = [Affine if cls is Constant and slope else cls  # a constant that grew a slope
+                   for cls, slope in zip(self.classes, new[:, -2].tolist())]
+        return self._of(new, classes, self.sizes)
+
+    def sup(self, other, hi):  # NaN in a row of degree > 3: dist's grid or other rules take it
+        return _poly_sups(self.coeffs - other.coeffs, hi)
 
     def values(self, x):
         return _horner(self.coeffs, x)
@@ -450,10 +494,6 @@ class BPR(CostFunction, family="bpr"):
             return (PolynomialKernel,)  # Horner's q * x + p is this cost's arithmetic
         return (BPRKernel, self.beta)
 
-    def perturbed(self, shift, stretch, horizon):
-        scale = _stretch(stretch, self.q * horizon**self.beta)
-        return BPR(self.q * scale, self.beta, max(self.p + shift, 0.0))
-
     def regular_variation(self):
         return self.beta, 0.0, self.q
 
@@ -474,13 +514,31 @@ class BPRKernel(_Kernel):
     """
 
     def __init__(self, costs):
-        self.beta = costs[0].beta
-        self.q = np.array([c.q for c in costs])
-        self.p = np.array([c.p for c in costs])
+        self._setup(costs[0].beta, np.array([c.q for c in costs]), np.array([c.p for c in costs]))
+
+    def _setup(self, beta, q, p):
+        self.beta, self.q, self.p = beta, q, p
         self.qb = self.q * self.beta
+        if beta == int(beta):  # as_polynomial's rows: p, then q added at x**beta
+            self.coeffs = np.zeros((len(q), int(beta) + 1))
+            self.coeffs[:, 0] = q
+            self.coeffs[:, -1] += p
         if 0.0 < self.beta < 1.0:  # tau'(0) is infinite, and _Kernel's derivs reads it as 0
             self.slope0 = np.where(self.q == 0.0, 0.0, np.inf)  # the right limit at 0
             self.derivs = super().derivs
+
+    def tiled(self, n):
+        return self._of(self.beta, np.tile(self.q, n), np.tile(self.p, n))
+
+    def costs(self):
+        return [BPR(q, self.beta, p) for q, p in zip(self.q.tolist(), self.p.tolist())]
+
+    def perturbed(self, shift, stretch, horizon):
+        """Scale q by ``_stretch`` of q horizon**beta and move p by shift, clipped at 0; by Python's
+        power, as numpy's differs in the last bit for some arguments."""
+        powers = [h**self.beta for h in np.broadcast_to(horizon, self.q.shape).tolist()]
+        return self._of(self.beta, self.q * _stretch(stretch, self.q * np.array(powers)),
+                        np.maximum(self.p + shift, 0.0))
 
     def values(self, x):
         return self.q * x**self.beta + self.p
@@ -541,10 +599,6 @@ class MonomialLog(CostFunction, family="monomial_log"):
     def kernel_key(self):
         return (MonomialLogKernel, self.beta, self.alpha)
 
-    def perturbed(self, shift, stretch, horizon):
-        scale = _stretch(shift + stretch, float(self(horizon)))
-        return MonomialLog(self.zeta * scale, self.beta, self.alpha)
-
     def regular_variation(self):
         return self.beta, self.alpha, self.zeta
 
@@ -564,15 +618,29 @@ class MonomialLogKernel(_Kernel):
     """MonomialLog costs with one (beta, alpha), kept Python floats, over an array of zeta."""
 
     def __init__(self, costs):
-        self.beta, self.alpha = costs[0].beta, costs[0].alpha
-        self.zeta = np.array([c.zeta for c in costs])
+        self._setup(costs[0].beta, costs[0].alpha, np.array([c.zeta for c in costs]))
+
+    def _setup(self, beta, alpha, zeta):
+        self.beta, self.alpha, self.zeta = beta, alpha, zeta
         if self.alpha == 0.0:  # zeta x**beta: BPR's tau' and marginal slope
-            bpr = BPRKernel([BPR(c.zeta, c.beta, 0.0) for c in costs])
+            bpr = BPRKernel._of(beta, zeta, np.zeros_like(zeta))
             self.derivative, self.marginal_derivs = bpr.derivative, bpr.marginal_derivs
         else:  # tau'(0) is the right limit: x**(b-1) ln(x+1)**a ~ x**(a+b-1)
             ab = self.alpha + self.beta
             self.slope0 = (0.0 if ab > 1.0 else self.zeta * ab if ab == 1.0
                            else np.where(self.zeta == 0.0, 0.0, np.inf))  # zeta = 0: flat
+
+    def tiled(self, n):
+        return self._of(self.beta, self.alpha, np.tile(self.zeta, n))
+
+    def costs(self):
+        return [MonomialLog(z, self.beta, self.alpha) for z in self.zeta.tolist()]
+
+    def perturbed(self, shift, stretch, horizon):
+        """Scale zeta by ``_stretch`` of the cost at the horizon, by shift + stretch."""
+        at = np.full(self.zeta.shape, horizon)
+        scale = _stretch(shift + stretch, self.values(at))
+        return self._of(self.beta, self.alpha, self.zeta * scale)
 
     def values(self, x):
         return self.zeta * x**self.beta * np.log1p(x) ** self.alpha
@@ -659,12 +727,6 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     def kernel_key(self):
         return (PiecewiseLinearKernel,)
 
-    def perturbed(self, shift, stretch, horizon):
-        vals = np.asarray(self.values, dtype=float)
-        scale = _stretch(stretch, float(vals[-1] - vals[0]))
-        new = max(vals[0] + shift, 0.0) + (vals - vals[0]) * scale
-        return PiecewiseLinear(self.breakpoints, tuple(new))
-
     def has_nondecreasing_marginal(self, hi):
         # the marginal rises 2 s in a piece and jumps by b (s_right - s_left) at a breakpoint b
         return not np.any((np.diff(self._slopes) < 0.0)[self._breakpoints[1:] <= hi])
@@ -692,13 +754,42 @@ class PiecewiseLinearKernel(_Kernel):
     counts its row's breakpoints <= x, and s (x - b) + v there has ``np.interp``'s bits."""
 
     def __init__(self, costs):
-        self.breakpoints = np.full((len(costs), max(len(c.breakpoints) for c in costs)), np.inf)
-        self.heights, self.rates = np.zeros_like(self.breakpoints), np.zeros_like(self.breakpoints)
+        breakpoints = np.full((len(costs), max(len(c.breakpoints) for c in costs)), np.inf)
+        heights = np.zeros_like(breakpoints)
         for i, c in enumerate(costs):
             k = len(c.breakpoints)
-            self.breakpoints[i, :k], self.heights[i, :k], self.rates[i, :k] = (
-                c._breakpoints, c.values, c._slopes)
-        self.rows = np.arange(len(costs))
+            breakpoints[i, :k], heights[i, :k] = c._breakpoints, c.values
+        self._setup(breakpoints, heights)
+
+    def _setup(self, breakpoints, heights):
+        self.breakpoints, self.heights = breakpoints, heights
+        self.sizes = (breakpoints < np.inf).sum(axis=1)
+        # each piece's slope, as PiecewiseLinear._slopes, then 0 for the constant extension
+        self.rates = np.zeros_like(heights)
+        with np.errstate(invalid="ignore"):  # inf - inf in the padding
+            rates = np.diff(heights, axis=1) / np.diff(breakpoints, axis=1)
+        self.rates[:, :-1] = np.where(breakpoints[:, 1:] < np.inf, rates, 0.0)
+        self.rows = np.arange(len(breakpoints))
+
+    def tiled(self, n):
+        return self._of(np.tile(self.breakpoints, (n, 1)), np.tile(self.heights, (n, 1)))
+
+    def costs(self):
+        return [PiecewiseLinear(tuple(b[:k]), tuple(v[:k])) for b, v, k in
+                zip(self.breakpoints.tolist(), self.heights.tolist(), self.sizes.tolist())]
+
+    def perturbed(self, shift, stretch, horizon):
+        """Move the first value by shift, clipped at 0, and scale the rises above it by
+        ``_stretch`` of the last one."""
+        first = self.heights[:, :1]
+        scale = _stretch(stretch, self.heights[self.rows, self.sizes - 1] - first[:, 0])
+        new = np.maximum(first + shift[:, None], 0.0) + (self.heights - first) * scale[:, None]
+        return self._of(self.breakpoints, np.where(self.breakpoints < np.inf, new, 0.0))
+
+    def sup(self, other, hi):  # |self - other| is linear between the breakpoints below hi and hi
+        gaps = np.abs(self.heights - other.heights)  # at a breakpoint a value is its height
+        below = np.max(gaps, axis=1, where=self.breakpoints < hi[:, None], initial=0.0)
+        return np.maximum(below, np.abs(self.values(hi) - other.values(hi)))
 
     def _segments(self, x):
         return self.rows, (self.breakpoints <= x[:, None]).sum(axis=1) - 1
@@ -762,10 +853,9 @@ class _Wrapper(CostFunction):
     def kernel_key(self):
         return (WrapperKernel, *self.inner.kernel_key())
 
-    def perturbed(self, shift, stretch, horizon):
-        # the inners' distance on [0, top] bounds the wrappers' below the anchor; beyond it a
-        # truncation is frozen at its value there (a tangent's slope would move: no rule)
-        return replace(self, inner=self.inner.perturbed(shift, stretch, self._top(horizon)))
+    @property
+    def perturbable(self):
+        return self.inner.perturbable
 
     def has_nondecreasing_marginal(self, hi):
         # the marginal of inner(factor x) is m(factor x); at the anchor a tangent takes the
@@ -785,7 +875,8 @@ class _Wrapper(CostFunction):
         if self.inner == other.inner:  # then they differ only past the anchor
             return [hi]
         top = self._top(hi)  # the bits self(min(hi, anchor)) evaluates the inner at
-        points = self.inner.sup_points(other.inner, top)
+        d = _poly_difference(self.inner, other.inner)  # sup_distance's first rule, on [0, top]
+        points = self.inner.sup_points(other.inner, top) if d is None else _poly_points(d, top)
         if points is None:
             return None
         ps = np.asarray(points, dtype=float).tolist()
@@ -843,7 +934,7 @@ class TruncatedCost(_Extension, family="truncated"):
 class TangentCost(_Extension, family="tangent"):
     """inner on [0, anchor], extended by its tangent line at the anchor beyond."""
 
-    perturbed = CostFunction.perturbed  # no sound rule: the slope beyond the anchor would move
+    perturbable = False  # no sound rule: the slope beyond the anchor would move
 
     @functools.cached_property
     def slope(self):
@@ -854,9 +945,29 @@ class WrapperKernel(_Kernel):
     """The wrapper map over arrays of factors, anchors and slopes, around the inners' kernel."""
 
     def __init__(self, costs):
-        self.inner = costs[0].kernel_key()[1]([c.inner for c in costs])  # key[1:] is the inner key
+        self._setup(costs[0].kernel_key()[1]([c.inner for c in costs]), costs)  # key[1:]: inner's
+
+    def _setup(self, inner, wrappers):
+        self.inner, self.wrappers = inner, wrappers  # the rows' costs, whose inners inner replaces
         self.factor, self.anchor, self.slope = np.array(
-            [(c.factor, c.anchor, c.slope) for c in costs], dtype=float).T
+            [(c.factor, c.anchor, c.slope) for c in wrappers], dtype=float).T
+
+    def tiled(self, n):
+        return self._of(self.inner.tiled(n), self.wrappers * n)
+
+    def costs(self):
+        return [replace(c, inner=inner) for c, inner in zip(self.wrappers, self.inner.costs())]
+
+    def perturbed(self, shift, stretch, horizon):
+        """The inners move on [0, factor min(horizon, anchor)]; past it a truncation is frozen."""
+        inner = self.inner.perturbed(shift, stretch, self.factor * np.minimum(horizon, self.anchor))
+        for c in self.wrappers:  # its inner's rule held, so a row's own class decides
+            if not c.perturbable:
+                raise ValueError(f"cannot perturb cost family {c.family!r}: it has no sound rule")
+        return self._of(inner, self.wrappers)
+
+    def sup(self, other, hi):  # wrapper rows take dist's rules
+        return np.full_like(hi, np.nan)
 
     def _inner_at(self, x):
         return np.minimum(x, self.anchor) * self.factor
@@ -905,22 +1016,55 @@ def _critical_points(d1=0.0, d2=0.0, d3=0.0) -> tuple[float, ...]:
     return q / a, c / q
 
 
-def _poly_sup(d: list[float], hi: float) -> float:
-    """Exact max of |p| on [0, hi] for p(x) = sum(d[k] x**k), d trimmed, of degree <= 3.
+def _poly_difference(f: CostFunction, g: CostFunction) -> list[float] | None:
+    """f - g as ascending coefficients, trimmed and led by a positive coefficient (exact, and
+    |p| = |-p|, so a pair gives the same bits in either order), if both are polynomials and
+    the difference has degree <= 3; else None."""
+    pg = g.as_polynomial()
+    pf = None if pg is None else f.as_polynomial()
+    if pf is None:
+        return None
+    d = [a - b for a, b in zip_longest(pf.tolist(), pg.tolist(), fillvalue=0.0)]
+    while len(d) > 1 and d[-1] == 0.0:
+        d.pop()
+    return None if len(d) > 4 else [-c for c in d] if d[-1] < 0.0 else d
 
-    p is made to lead with a positive coefficient (exact, and |p| = |-p|), so a
-    pair gives the same bits in either order; its interior critical points come
-    from ``_critical_points``.  Horner's rule evaluates |p| in np.polyval's order.
-    """
-    if d[-1] < 0.0:
-        d = [-c for c in d]
+
+def _poly_points(d: list[float], hi: float) -> tuple[float, ...]:
+    """0, hi and the critical points inside, where |p| peaks on [0, hi] (``_poly_difference``)."""
+    return (0.0, hi, *(r for r in _critical_points(*d[1:]) if 0.0 < r < hi))
+
+
+def _poly_sup(d: list[float], hi: float) -> float:
+    """Exact max of |p| on [0, hi] for p(x) = sum(d[k] x**k) of ``_poly_difference``, by
+    Horner's rule at ``_poly_points`` in np.polyval's order."""
     best = 0.0
-    for x in (0.0, hi, *(r for r in _critical_points(*d[1:]) if 0.0 < r < hi)):
+    for x in _poly_points(d, hi):
         y = d[-1]
         for coef in d[-2::-1]:
             y = y * x + coef
         best = max(best, abs(y))
     return best
+
+
+def _poly_sups(d: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_poly_sup`` over rows of descending coefficients d, one hi per row; NaN in a row of
+    degree > 3.  p' has ``_critical_points``' roots, a cubic led positive as there."""
+    d3, d2, d1 = (d[:, -k] if d.shape[1] >= k else np.zeros(len(d)) for k in (4, 3, 2))
+    with np.errstate(all="ignore"):  # a NaN, 0 or inf root lies outside (0, hi)
+        roots = [-d1 / (2.0 * d2)]  # where p' is linear
+        if ((d3 != 0.0) & ((d2 != 0.0) | (d1 != 0.0))).any():  # else p' = a x**2 or 0
+            a, b, c = (np.where(d3 < 0.0, -v, v) for v in (3.0 * d3, 2.0 * d2, d1))
+            disc = b * b - 4.0 * a * c
+            q = -0.5 * np.where(b >= 0.0, b + np.sqrt(disc), b - np.sqrt(disc))
+            quadratic = (a != 0.0) & (disc > 0.0)
+            roots = [np.where(quadratic, q / a, np.where(a == 0.0, roots[0], np.nan)),
+                     np.where(quadratic, c / q, np.nan)]
+        points = [hi, *(np.where((0.0 < r) & (r < hi), r, 0.0) for r in roots)]
+    best = np.abs(d[:, -1])  # at 0
+    for x in points:
+        best = np.maximum(best, np.abs(_horner(d, x)))
+    return np.where((d[:, :-4] != 0.0).any(axis=1), np.nan, best) if d.shape[1] > 4 else best
 
 
 @functools.lru_cache(maxsize=8)
@@ -940,8 +1084,9 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
     ``g.sup_points(f, hi)``, names the points of the max: piecewise-linear pairs, a
     piecewise-linear cost against a polynomial of degree <= 3 (its critical points in
     each piece), same-shape BPR and MonomialLog pairs, and two wrappers of one factor
-    and one anchor, whatever their classes, around equal inners or such a pair; and
-    where one side is flat on [0, hi] (Lipschitz bound 0), at 0 and hi.  Other pairs
+    and one anchor, whatever their classes, around equal inners, a polynomial pair of
+    difference degree <= 3 or such a pair; and where one side is flat on [0, hi]
+    (Lipschitz bound 0), at 0 and hi.  Other pairs
     take the GRID_N-point grid with a Lipschitz error bound.  The result does not
     depend on the order of f and g, bit for bit: the rules' points do not, and the
     polynomial one fixes the sign of f - g.
@@ -953,13 +1098,9 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
     if hi == 0:
         return float(abs(f(0.0) - g(0.0))), 0.0
 
-    pf, pg = f.as_polynomial(), g.as_polynomial()
-    if pf is not None and pg is not None:
-        d = [a - b for a, b in zip_longest(pf.tolist(), pg.tolist(), fillvalue=0.0)]
-        while len(d) > 1 and d[-1] == 0.0:
-            d.pop()
-        if len(d) <= 4:
-            return _poly_sup(d, hi), 0.0
+    d = _poly_difference(f, g)
+    if d is not None:
+        return _poly_sup(d, hi), 0.0
 
     points = f.sup_points(g, hi)
     if points is None:

@@ -185,6 +185,37 @@ class ArcCostTable:
         self.groups = tuple((np.array(idx), key[0]([costs[i] for i in idx]))
                             for key, idx in groups.items())
 
+    @classmethod
+    def _of(cls, groups) -> "ArcCostTable":
+        table = object.__new__(cls)
+        table.groups = tuple(groups)
+        return table
+
+    def tiled(self, n: int) -> "ArcCostTable":
+        """The table of n copies of these arcs, copy after copy."""
+        width = sum(len(idx) for idx, _ in self.groups)
+        return self._of(((np.arange(n)[:, None] * width + idx).ravel(), kernel.tiled(n))
+                        for idx, kernel in self.groups)
+
+    def perturbed(self, shift, stretch, horizon: float) -> "ArcCostTable":
+        """Every arc's cost moved by its family's rule (``CostFunction.perturbed``), with its
+        own shift and stretch."""
+        return self._of((idx, kernel.perturbed(shift[idx], stretch[idx], horizon))
+                        for idx, kernel in self.groups)
+
+    def costs(self) -> list[CostFunction]:
+        """The arcs' cost objects."""
+        at = {i: c for idx, kernel in self.groups for i, c in zip(idx.tolist(), kernel.costs())}
+        return [at[i] for i in range(len(at))]
+
+    def sups(self, moved: "ArcCostTable", hi: np.ndarray) -> np.ndarray:
+        """``sup_distance`` of every arc's cost against its moved cost on [0, hi], one hi per
+        arc, where the estimate is exact; NaN elsewhere.  moved is a ``perturbed`` table."""
+        out = np.empty_like(hi)
+        for (idx, kernel), (_, other) in zip(self.groups, moved.groups):
+            out[idx] = kernel.sup(other, hi[idx])
+        return out
+
     def values(self, x) -> np.ndarray:
         """Cost of every arc at the arc flows x."""
         return self._evaluate("values", _domain(x))
@@ -252,6 +283,28 @@ class Game:
         d.setflags(write=False)
         object.__setattr__(self, "costs", tuple(self.costs))
         object.__setattr__(self, "demands", d)
+
+    @staticmethod
+    def _valid_rows(structure: Structure, table: ArcCostTable, demands: np.ndarray) -> np.ndarray:
+        """Which rows of a (B, |K|) block of float demands pass ``__post_init__``'s demand and
+        cost checks, row b with the costs of arcs b |A| to (b + 1) |A| - 1 of table."""
+        totals = demands.sum(axis=1)
+        ok = ((demands >= 0.0) & (demands < np.inf)).all(axis=1) & (totals > 0.0)  # finite
+        at = np.repeat(np.where(ok, totals, 1.0) / (4.0 * structure.n_paths), len(structure.arcs))
+        return ok & ~(table._unchecked("values")(at).reshape(len(ok), -1) <= 0.0).any(axis=1)
+
+    @classmethod
+    def _rows(cls, structure: Structure, costs, demands: np.ndarray, rows) -> list["Game"]:
+        """The games of the given rows of a (B, |K|) block of float demands, row b with
+        costs[b |A|:(b + 1) |A|], rows that ``_valid_rows`` passed: no check is made again."""
+        n_a, games = len(structure.arcs), []
+        for b in rows:
+            game, d = object.__new__(cls), demands[b]
+            d.setflags(write=False)
+            vars(game).update(structure=structure, costs=tuple(costs[b * n_a:(b + 1) * n_a]),
+                              demands=d)
+            games.append(game)
+        return games
 
     @cached_property  # the demands are read-only
     def total_demand(self) -> float:

@@ -10,6 +10,10 @@ priced once (``Game.endpoint_costs``).  The module also provides the
 deliberately wrong variant that compares costs on the union interval (it
 violates the triangle inequality) and an epsilon-ball sampler used by the
 sensitivity sweeps.
+
+The sampler draws all samples around one base game in lockstep over the base's kernel
+parameter arrays (``_sample_balls``; ``sample_ball`` is its one-draw call), and builds a
+``Game`` once per accepted draw.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from .costs import sup_distance
 from .games import (
     EQUIVALENCE_TOL,
+    ArcCostTable,
     Game,
-    GameValidationError,
     StructureMismatchError,
     games_equivalent,
 )
@@ -156,12 +160,37 @@ _WEIGHTS = {
     "joint": (0.2, 0.16, 0.64),
 }
 
-_PROBES = 80  # the most dist calls one sample may make
+_PROBES = 80  # the most probe rounds one sample may take
 
 
 def sample_ball(base: Game, radius: float, kind: str = "joint",
                 seed: int = 0) -> Perturbation:
-    """Sample a game at certified metric distance in [radius/2, radius].
+    """Sample a game at certified metric distance in [radius/2, radius]: the one-draw call
+    of ``_sample_balls``, which describes the draw."""
+    return _sample_balls(base, [radius], [kind], [seed])[0][0]
+
+
+def _uniforms(seeds, n_k: int, n_a: int):
+    """Per seed, the draws uniform(-1, 1, n_k), uniform(0.5, 1, n_a) and uniform(0.5, 1, n_a) of
+    default_rng(SeedSequence((seed, 0xBA11))), as three arrays of rows.  uniform(lo, hi, m) is
+    lo + (hi - lo) random(m), so one random call gives all three, and an int seed in [0, 2**64)
+    enters SeedSequence as the uint32 words it makes of an int, which it takes as they are."""
+    u = []
+    for seed in seeds:
+        entropy = (seed, 0xBA11)
+        if isinstance(seed, int) and 0 <= seed < 2**64:  # low word first, no high word of 0
+            high = seed >> 32
+            entropy = np.array([seed & 0xFFFFFFFF, high, 0xBA11] if high else [seed, 0xBA11],
+                               dtype=np.uint32)
+        u.append(np.random.default_rng(np.random.SeedSequence(entropy)).random(n_k + 2 * n_a))
+    u = np.array(u)
+    return -1.0 + 2.0 * u[:, :n_k], 0.5 + 0.5 * u[:, n_k:n_k + n_a], 0.5 + 0.5 * u[:, n_k + n_a:]
+
+
+def _sample_balls(base: Game, radii, kinds,
+                  seeds) -> tuple[list[Perturbation], ArcCostTable | None]:
+    """Draws around one base game in lockstep, one per (radius, kind, seed), each with the bits
+    of its one-row call, and, when every one is a draw, the table of their costs (game after game).
 
     Demand draws are symmetric uniforms; cost draws, applied by each cost's
     ``perturbed`` rule, use per-arc alternating signs with magnitudes bounded
@@ -170,70 +199,104 @@ def sample_ball(base: Game, radius: float, kind: str = "joint",
     of [radius/2, 0.95 radius]: t = radius for ``cost`` and ``joint``, where
     dist(t)/t is near-constant; for ``demand``, dist(t) ~ t max(max|u|, |sum u|
     max tau'(T)), its demand and endpoint parts.  Then a safeguarded secant
-    search (Dekker and Brent) keeps a bracket [t_lo, t_hi]: t_lo is the largest
-    t with a valid game at certified distance <= radius, t_hi the least t that
-    overshoots or gives an invalid game.  A miss takes the secant step
+    search (Dekker and Brent) keeps a bracket [t_lo, t_hi] in Python floats per row:
+    t_lo is the largest t with a valid game at certified distance <= radius, t_hi the
+    least t that overshoots or gives an invalid game.  A miss takes the secant step
     t aim / dist(t) if it stays in the bracket, else doubles t while t_hi is
     inf and then bisects; the first distance in [radius/2, radius] ends it,
     within ``_PROBES`` probes, and so does a bracket that cannot shrink.  The
     sample is t_lo's draw, shrunk below radius/2 (a clipped demand or the grid
     error can keep the band out of reach), or the base game, shrunk, if no
     probe gave a valid draw.
+
+    A probe round moves all rows' demands and the base's cost table (``ArcCostTable.perturbed``),
+    checks them as ``Game`` would (``Game._valid_rows``), and takes each distance by the
+    kernels' exact sup rules (``ArcCostTable.sups``), or by ``dist`` for a row without one.
     """
-    if kind not in _WEIGHTS:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
-    if not 0.0 <= radius < np.inf:
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    for kind, radius in zip(kinds, radii):
+        if kind not in _WEIGHTS:
+            raise ValueError(f"unknown perturbation kind {kind!r}")
+        if not 0.0 <= radius < np.inf:
+            raise ValueError(f"radius must be finite and >= 0, got {radius}")
+    still = "demand" in kinds  # demand draws keep the costs
+    if still and set(kinds) != {"demand"}:
+        raise ValueError("the draws of one batch move the costs in every row or in none")
     zero = MetricValue(0.0, 0.0, 0.0, 0.0)
-    if radius == 0.0:
-        return Perturbation(kind, 0.0, seed, base, zero, False)
+    out = [None if radius > 0.0 else Perturbation(kind, 0.0, seed, base, zero, False)
+           for radius, kind, seed in zip(radii, kinds, seeds)]  # radius 0: the base game
+    rows = [i for i, pert in enumerate(out) if pert is None]
+    if not rows:
+        return out, None
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xBA11)))
-    n_k = len(base.structure.od_pairs)
-    n_a = len(base.structure.arcs)
-    u_dem = rng.uniform(-1.0, 1.0, size=n_k)
-    mag_int = rng.uniform(0.5, 1.0, size=n_a)
-    sign_int = np.where(np.arange(n_a) % 2 == 0, 1.0, -1.0)
-    mag_str = rng.uniform(0.5, 1.0, size=n_a)
-    w_dem, w_int, w_str = _WEIGHTS[kind]
+    st, n = base.structure, len(rows)
+    n_k, n_a = len(st.od_pairs), len(st.arcs)
+    u_dem, mag_int, mag_str = _uniforms([seeds[i] for i in rows], n_k, n_a)
+    mag_int *= np.where(np.arange(n_a) % 2 == 0, 1.0, -1.0)  # alternating signs
+    w_dem, w_int, w_str = np.array([_WEIGHTS[kinds[i]] for i in rows]).T
+    radius = [radii[i] for i in rows]
     horizon = base.total_demand
-
-    def realize(t: float) -> Game | None:
-        demands = base.demands + t * w_dem * u_dem
-        demands = np.maximum(demands, 0.0)
-        if demands.sum() <= MIN_TOTAL_DEMAND:
-            return None
-        costs = base.costs
-        if w_int or w_str:
-            costs = tuple(
-                c.perturbed(t * w_int * sign_int[i] * mag_int[i],
-                            t * w_str * mag_str[i], horizon)
-                for i, c in enumerate(base.costs))
-        try:
-            return Game(base.structure, costs, demands)
-        except GameValidationError:
-            return None
-
-    lo_band, aim = 0.5 * radius, 0.725 * radius  # aim: the middle of [radius/2, 0.95 radius]
-    t = radius
-    if kind == "demand":  # t max|u| for the demands, t |sum u| max tau'(T) at the endpoint
+    t = list(radius)
+    if still:  # t max|u| for the demands, t |sum u| max tau'(T) at the endpoint
         slope = base.cost_table.derivs(np.full(n_a, horizon)).max()
-        t = aim / max(np.abs(u_dem).max(), abs(u_dem.sum()) * slope)
-    t_lo, t_hi, best = 0.0, np.inf, (base, zero)  # no valid draw: the base game, shrunk
+        t = (0.725 * np.array(radius) / np.maximum(
+            np.abs(u_dem).max(axis=1), np.abs(u_dem.sum(axis=1)) * slope)).tolist()
+    tiled = base.cost_table.tiled(n)  # the arcs of row b are b n_a + a
+    base_ends = np.array(base.endpoint_costs)
+
+    def move(t):  # the rows' demands and cost table at knobs t
+        t = np.array(t)
+        demands = np.maximum(base.demands + (t * w_dem)[:, None] * u_dem, 0.0)
+        return demands, tiled if still else tiled.perturbed(
+            ((t * w_int)[:, None] * mag_int).ravel(), ((t * w_str)[:, None] * mag_str).ravel(),
+            horizon)
+
+    t_lo, t_hi, best = [0.0] * n, [np.inf] * n, [None] * n
+    live = set(range(n))
     for _ in range(_PROBES):
-        game = realize(t)
-        mv = None if game is None else dist(base, game)
-        if mv is not None and mv.upper() <= radius:
-            t_lo, best = t, (game, mv)
-            if mv.upper() >= lo_band:
-                break
-        else:
-            t_hi = t
-        step = t * (aim / mv.upper()) if mv is not None and mv.upper() > 0.0 else np.nan
-        if not t_lo < step < t_hi:  # the safeguard: double until a bound, then bisect
-            step = 2.0 * t if t_hi == np.inf else 0.5 * (t_lo + t_hi)
-        if step in (t_lo, t_hi):
-            break  # no float lies inside the bracket: each further probe would repeat an end
-        t = step
-    game, mv = best
-    return Perturbation(kind, radius, seed, game, mv, mv.upper() < lo_band)
+        if not live:
+            break
+        demands, table = move(t)
+        totals = demands.sum(axis=1)
+        ok = (totals > MIN_TOTAL_DEMAND) & Game._valid_rows(st, table, demands)
+        totals = np.where(ok, totals, horizon)
+        part = np.abs(demands - base.demands).max(axis=1)
+        tau = table._unchecked("values")(np.repeat(totals, n_a)).reshape(n, n_a)
+        ends = np.abs(base_ends - tau).max(axis=1)
+        sup = np.zeros(n) if still else tiled.sups(
+            table, np.repeat(np.minimum(horizon, totals), n_a)).reshape(n, n_a).max(axis=1)
+        cost = np.maximum(sup, ends)
+        value = np.maximum(part, cost)
+        rounds, costs = list(zip(*(v.tolist() for v in (ok, np.isnan(sup), value, part, cost)))), []
+        for b in list(live):
+            valid, no_rule, *parts = rounds[b]
+            mv, up = None, np.nan
+            if valid and no_rule:  # no exact sup rule for some cost: dist, as for any pair
+                costs = costs or table.costs()
+                mv = dist(base, Game._rows(st, costs, demands, [b])[0])
+            elif valid:
+                mv = MetricValue(*parts, 0.0)
+            if mv is not None and (up := mv.upper()) <= radius[b]:
+                t_lo[b], best[b] = t[b], mv
+                if up >= 0.5 * radius[b]:
+                    live.remove(b)
+                    continue
+            else:
+                t_hi[b] = t[b]
+            aim = 0.725 * radius[b]  # the middle of [radius/2, 0.95 radius]
+            step = t[b] * (aim / up) if up > 0.0 else np.nan
+            if not t_lo[b] < step < t_hi[b]:  # the safeguard: double until a bound, then bisect
+                step = 2.0 * t[b] if t_hi[b] == np.inf else 0.5 * (t_lo[b] + t_hi[b])
+            if step in (t_lo[b], t_hi[b]):
+                live.remove(b)  # no float lies inside the bracket: a further probe repeats an end
+                continue
+            t[b] = step
+
+    if t != t_lo:  # the draws are the last probes, unless a row's was not its t_lo
+        demands, table = move(t_lo)
+    drawn = [b for b in range(n) if best[b] is not None]
+    games = dict(zip(drawn, Game._rows(st, base.costs * n if still else table.costs(),
+                                       demands, drawn)))
+    for b, i in enumerate(rows):
+        game, mv = (games[b], best[b]) if b in games else (base, zero)  # no draw: the base, shrunk
+        out[i] = Perturbation(kinds[i], radii[i], seeds[i], game, mv, mv.upper() < 0.5 * radius[b])
+    return out, table if n == len(kinds) and len(drawn) == n else None

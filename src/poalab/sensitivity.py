@@ -20,14 +20,15 @@ whole demand on its first path.  Nearby games have nearby equilibria
 (Englert, Franke and Olbrich, "Sensitivity of Wardrop equilibria", 2010),
 so warm samples take fewer iterations; the base game itself is solved cold.
 
-A sweep first draws all its samples, then solves them together.  Each draw
-sets ``sample_ball``'s knob by one safeguarded secant search that starts from a
-first-order model of its distance, so it costs about one ``dist`` call, within
-a fixed cap (see ``poalab.metric``).  The paper's metric
+A sweep first draws all its samples in one lockstep call, then solves them together.
+Each draw sets its knob by one safeguarded secant search that starts from a
+first-order model of its distance, so it takes about one probe round, within a
+fixed cap (``_sample_balls``; see ``poalab.metric``).  The paper's metric
 compares games on one structure only, so every sample is the base structure
 with other costs and demands, and all the samples' WE and SO solves are one
-lockstep call each, whatever their cost families (``_solve_poas``; see
-``poalab.solvers``).
+lockstep call each, whatever their cost families, on the cost table the draws
+built (``_solve_poas``; see ``poalab.solvers``).  Their warm starts are one
+``_warm_start`` over the rows of their demands.
 
 ``fit_hoelder`` estimates the empirical exponent from the records.  Fitted exponents are
 lower-confidence estimates: the certificates are upper bounds, so a larger
@@ -36,6 +37,8 @@ fitted exponent is consistent.
 ``check_game``, the invariant suite of ``poalab check``, solves the game once, cold, and
 its six normalized copies as one batch, from the same warm start: a cost-normalized copy
 has the game's WE and SO flows, and a demand-normalized one has them divided by the factor.
+Its metric half draws its four samples as one batch: joint and cost balls, or demand
+balls when some cost has no perturbation rule (a tangent extension).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, PathFlow
-from .metric import MetricValue, check_metric_axioms, sample_ball
+from .metric import MetricValue, _sample_balls, check_metric_axioms
 # poa stays bound here for perfbench's tracer, which patches each binding of it
 from .solvers import UnconvergedError, _report, _solve_poa, _solve_poas, poa  # noqa: F401
 from .solvers import MAX_ITER, TOL, approximation_threshold, check_approximation_bounds
@@ -230,19 +233,17 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     cert = certificate(base, lambda: (base_poa, c_star))
     t_base = base.total_demand
 
-    draws = []  # (seed, radius, tol, sample)
-    for r_idx, radius in enumerate(radii):
-        for i in range(samples_per_radius):
-            sample_seed = seed * 1_000_000 + r_idx * 10_000 + i
-            draws.append((sample_seed, radius, _sweep_tol(radius),
-                          sample_ball(base, radius, kind=kind, seed=sample_seed)))
-    games = [pert.game for *_, pert in draws]
-    starts = [(_warm_start(base, base_we.flow, g), _warm_start(base, base_so.flow, g))
-              for g in games]
-    poas, _ = _solve_poas(games, [tol for _, _, tol, _ in draws], max_iter, starts)
+    draws = [(seed * 1_000_000 + r_idx * 10_000 + i, radius, _sweep_tol(radius))
+             for r_idx, radius in enumerate(radii) for i in range(samples_per_radius)]
+    perts, table = _sample_balls(base, [r for _, r, _ in draws], [kind] * len(draws),
+                                 [s for s, *_ in draws])
+    games = [pert.game for pert in perts]
+    demands = np.array([g.demands for g in games])
+    starts = list(zip(*(_warm_start(base, rep.flow, demands) for rep in (base_we, base_so))))
+    poas, _ = _solve_poas(games, [tol for *_, tol in draws], max_iter, starts, table)
 
     records: list[SweepRecord] = []
-    for (sample_seed, radius, tol, pert), pert_poa in zip(draws, poas):
+    for (sample_seed, radius, tol), pert, pert_poa in zip(draws, perts, poas):
         delta = abs(pert_poa - base_poa) if math.isfinite(pert_poa) else math.nan
         bound = None
         # the cost-slice certificate covers no demand above the base's
@@ -257,17 +258,18 @@ def sweep(base: Game, kind: str, radii, samples_per_radius: int,
     return records
 
 
-def _warm_start(base: Game, flow: PathFlow, game: Game) -> np.ndarray:
-    """Base path flow scaled per O/D pair to the demands of a game on the same structure.
+def _warm_start(base: Game, flow: PathFlow, demands: np.ndarray) -> np.ndarray:
+    """Base path flow scaled per O/D pair to demands on the same structure: one path flow
+    per row of demands, (B, |K|), or a vector for a vector.
 
     A pair with zero base demand has no flow split to scale; it starts cold,
     with its whole demand on its first path.
     """
     st = base.structure
     routed = base.demands > 0.0
-    scale = np.divide(game.demands, base.demands, out=np.zeros(len(routed)), where=routed)
-    f = flow.values * scale[st.path_owner]
-    f[st.pair_starts[~routed]] = game.demands[~routed]
+    scale = np.divide(demands, base.demands, out=np.zeros(demands.shape), where=routed)
+    f = flow.values * scale[..., st.path_owner]
+    f[..., st.pair_starts[~routed]] = demands[..., ~routed]
     return f
 
 
@@ -302,17 +304,19 @@ def check_game(game: Game, tol: float = TOL) -> tuple[float, list[str]]:
         if not report.all_ok:
             failures.append("approximation inequalities failed near the solved flow")
 
-    for seed in (1, 2):
-        pert_a = sample_ball(game, min(0.05, t / 4), kind="joint", seed=seed).game
-        pert_b = sample_ball(game, min(0.05, t / 4), kind="cost", seed=seed + 10).game
-        axioms = check_metric_axioms(game, pert_a, pert_b)
+    # a joint and a cost draw per seed; demand draws where a cost has no perturbation rule
+    kinds = ("joint", "cost") if all(c.perturbable for c in game.costs) else ("demand",) * 2
+    perts = _sample_balls(game, [min(0.05, t / 4)] * 4, kinds * 2, [1, 11, 2, 12])[0]
+    for seed, pert_a, pert_b in ((1, *perts[:2]), (2, *perts[2:])):
+        axioms = check_metric_axioms(game, pert_a.game, pert_b.game)
         if not axioms.all_ok:
             failures.append(f"metric axioms failed for sampled triple (seed {seed})")
 
     copies = [(f"{name} normalization {factor}", normalize(game, factor))
               for factor in (0.5, 2.0, 10.0)
               for name, normalize in (("cost", cost_normalize), ("demand", demand_normalize))]
-    starts = [(_warm_start(game, we.flow, c), _warm_start(game, so.flow, c)) for _, c in copies]
+    demands = np.array([copy.demands for _, copy in copies])
+    starts = list(zip(*(_warm_start(game, rep.flow, demands) for rep in (we, so))))
     poas, solved = _solve_poas([copy for _, copy in copies], [tol] * 6, MAX_ITER, starts)
     for b, ((name, copy), rho) in enumerate(zip(copies, poas)):
         if math.isnan(rho):  # the copy's WE or SO did not converge

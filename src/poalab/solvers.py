@@ -421,17 +421,18 @@ def _restarts(path_slices) -> np.ndarray:
     return out
 
 
-def _solve_poas(games, tols, max_iter: int, starts):
+def _solve_poas(games, tols, max_iter: int, starts, table: ArcCostTable | None = None):
     """(PoAs, solved) of several games on one structure; NaN where a solve does not converge.
 
     tols and starts hold, per game, its tolerance and its WE and SO start flows.  The
-    WE and the SO are one _solve_games call each on one table, which also prices the a
-    priori bounds; solved holds the two results, from whose row b _report makes the
-    reports of games[b].  Each PoA passes the checks of _solve_poa, and any game's
-    InvariantError propagates.
+    WE and the SO are one _solve_games call each on one table of the games' costs, game
+    after game (given, or built here), which also prices the a priori bounds; solved
+    holds the two results, from whose row b _report makes the reports of games[b].  Each
+    PoA passes the checks of _solve_poa, and any game's InvariantError propagates.
     """
     st = games[0].structure
-    table = ArcCostTable([c for game in games for c in game.costs])
+    if table is None:
+        table = ArcCostTable([c for game in games for c in game.costs])
     demands = np.array([game.demands for game in games])
     tol = np.array(tols)
     solved, done = [], np.ones(len(games), dtype=bool)

@@ -303,3 +303,49 @@ class TestWrapperConsistency:
             assert plain.converged and through.converged
             assert plain.optimality_certified and through.optimality_certified
             assert abs(plain.total_cost - through.total_cost) <= tol
+
+
+def _former_rule(cost, shift, stretch, horizon):
+    """The scalar perturbation rules of Constant, Affine, Polynomial and BPR before they moved
+    into PolynomialKernel, in Python floats."""
+    def stretch_by(height):
+        return max(1.0 + stretch / max(height, 1e-12), 0.0) if height > 0 else 1.0
+
+    if isinstance(cost, Constant):
+        slope, c = abs(stretch) / max(horizon, 1e-12), max(cost.c + shift, cost.c * 0.5)
+        return Constant(c) if slope == 0.0 else Affine(slope, c)
+    if isinstance(cost, Affine):
+        return Affine(max(cost.slope + stretch / max(horizon, 1e-12), 0.0),
+                      max(cost.intercept + shift, 0.0))
+    if isinstance(cost, BPR):
+        return BPR(cost.q * stretch_by(cost.q * horizon**cost.beta), cost.beta,
+                   max(cost.p + shift, 0.0))
+    coeffs = np.asarray(cost.coefficients, dtype=float)
+    rest = coeffs.copy()
+    rest[0] = 0.0
+    new = coeffs * stretch_by(float(np.polyval(rest[::-1], horizon)))
+    new[0] = max(coeffs[0] + shift, 0.0)
+    return Polynomial(tuple(new))
+
+
+POLYNOMIAL_KERNEL_COSTS = st.one_of(
+    st.builds(Constant, PARAM),
+    st.builds(Affine, PARAM, PARAM),
+    st.builds(lambda cs: Polynomial(tuple(cs)), st.lists(PARAM, min_size=1, max_size=5)),
+    st.builds(BPR, PARAM, st.just(1.0), PARAM),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), costs=st.lists(POLYNOMIAL_KERNEL_COSTS, min_size=1, max_size=6),
+       horizon=st.floats(0.0, 4.0))
+def test_polynomial_kernel_rules_are_the_families_rules(data, costs, horizon):
+    """One PolynomialKernel holds four rules whose bits differ; each row takes its family's,
+    alone (CostFunction.perturbed) and among the others."""
+    moves = st.floats(-2.0, 2.0) | st.just(0.0)
+    shift = np.array(data.draw(st.lists(moves, min_size=len(costs), max_size=len(costs))))
+    stretch = np.array(data.draw(st.lists(moves, min_size=len(costs), max_size=len(costs))))
+    want = [_former_rule(c, s, r, horizon) for c, s, r in zip(costs, shift, stretch)]
+    rows = costs[0].kernel_key()[0](costs).perturbed(shift, stretch, horizon).costs()
+    alone = [c.perturbed(s, r, horizon) for c, s, r in zip(costs, shift, stretch)]
+    assert repr(rows) == repr(alone) == repr(want)

@@ -556,6 +556,12 @@ class TestSupDistance:
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
         assert err > 0.0 and est <= true + 1e-12 and true <= est + err
 
+    def test_truncated_polynomials_of_one_anchor_are_exact(self):
+        # below the anchor the difference is x**2 - x, of degree <= 3: its ends and its
+        # critical point 1/2 hold |f - g|, and past the anchor both are frozen
+        f, g = TruncatedCost(Polynomial((0, 1, 1)), 1.0), TruncatedCost(Polynomial((0, 2)), 1.0)
+        assert sup_distance(f, g, 2.0) == sup_distance(g, f, 2.0) == (0.25, 0.0)
+
     def test_truncation_against_the_tangent_of_one_inner(self):
         # equal inners agree up to the anchor; past it the tangent's line 2 (x - 1) is the gap
         f, g = TruncatedCost(BPR(1, 2, 0.1), 1.0), TangentCost(BPR(1, 2, 0.1), 1.0)

@@ -23,6 +23,7 @@ from poalab import (
     fit_hoelder,
     games_equivalent,
     poa,
+    sample_ball,
     sweep,
 )
 from poalab import cli, sensitivity, solvers
@@ -422,7 +423,7 @@ class TestCheckGame:
             assert base is pigou and start is None
             for copy, copy_starts in zip(copies, starts, strict=True):
                 np.testing.assert_array_equal(
-                    copy_starts[i], sensitivity._warm_start(pigou, report.flow, copy))
+                    copy_starts[i], sensitivity._warm_start(pigou, report.flow, copy.demands))
 
     @staticmethod
     def _stall_copies(monkeypatch, stalled, we_too=False):
@@ -486,12 +487,21 @@ class TestCheckGame:
         assert cli.main(["check", "--game", str(DATA / "shared_arc_truncated.json")]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
 
-    def test_tangent_arc_game_is_an_input_error(self, tmp_path, capsys):
-        """The metric-axiom triples perturb every arc, and a tangent cost has no rule."""
-        doc = json.loads((DATA / "shared_arc_mixed.json").read_text())
-        doc["costs"]["d"] = cost_to_dict(TangentCost(BPR(1.0, 2.0, 0.1), 1.0))
+    def test_tangent_arc_game_checks_on_demand_draws(self, tmp_path, capsys):
+        """A tangent cost has no perturbation rule, so the metric-axiom triples draw demand
+        balls; a cost draw or a cost sweep of the game stays an input error."""
+        doc = json.loads((DATA / "pigou.json").read_text())
+        doc["costs"]["u"] = {"family": "tangent",
+                             "params": {"anchor": 0.5, "inner": doc["costs"]["u"]}}
         path = tmp_path / "tangent.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["check", "--game", str(path)]) == 2
+        assert cli.main(["check", "--game", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        with pytest.raises(ValueError, match="cannot perturb cost family 'tangent'"):
+            sample_ball(load_game(path), 0.01, kind="cost")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--game", str(path), "--kind", "cost", "--radii", "1e-2",
+                         "--samples", "2", "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "input" and "tangent" in err["message"]
+        assert err == {"code": "input", "message":
+                       "cannot perturb cost family 'tangent': it has no sound rule"}

@@ -21,10 +21,19 @@ from poalab import (
     sample_ball,
     sup_distance,
 )
-from poalab import metric
+from hypothesis import given, settings, strategies as st
+
+from poalab import Polynomial, ScaledCost, TruncatedCost, metric
+from poalab.costs import _Wrapper
 from poalab.io import load_game
 
 from conftest import MIXED_FAMILIES, criterion7_bases, random_game
+from test_cost_table import COSTS
+
+
+def _probe_rounds():
+    """A spy on the sampler's probe rounds: each round checks its draws once, by Game's rule."""
+    return mock.patch.object(Game, "_valid_rows", wraps=Game._valid_rows)
 
 
 def _loop_dist(g1, g2):
@@ -191,9 +200,10 @@ class TestSampleBall:
                     assert recomputed.upper() >= 0.025 - 1e-12
 
     def test_one_dist_per_sample(self, two_link, three_link, shared_arc):
-        # the knob's first-order probe, or its one secant step, lands in the band
+        # the knob's first-order probe, or its one secant step, lands in the band: about one
+        # probe round, and so one distance, per sample
         samples = 0
-        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+        with _probe_rounds() as spy:
             for base in criterion7_bases(two_link, three_link, shared_arc).values():
                 for kind in ("cost", "demand", "joint"):
                     for radius in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -209,7 +219,7 @@ class TestSampleBall:
         # perturbed self, so no grid error keeps a small ball's samples out of the band
         base = load_game(pathlib.Path(__file__).resolve().parents[1] / "data/shared_arc_mixed.json")
         samples = 0
-        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+        with _probe_rounds() as spy:
             for kind in ("cost", "joint"):
                 for radius in (1e-2, 1e-3):
                     for seed in range(8):
@@ -236,7 +246,7 @@ class TestSampleBall:
         for base in criterion7_bases(two_link, three_link, shared_arc).values():
             for kind in ("demand", "joint"):
                 for seed in range(10):
-                    with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+                    with _probe_rounds() as spy:
                         p = sample_ball(base, 5.0, kind=kind, seed=seed)
                     assert spy.call_count <= metric._PROBES
                     assert p.realized == dist(base, p.game)
@@ -249,9 +259,9 @@ class TestSampleBall:
     def test_search_stops_when_its_bracket_cannot_shrink(self, pigou, seed, demand, value):
         # the demand clip holds the distance under 1, out of the band [2.5, 5]: the search
         # bisects its bracket down to adjacent floats and stops there, with the draw it had
-        with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+        with _probe_rounds() as spy:
             p = sample_ball(pigou, 5.0, kind="demand", seed=seed)
-        assert spy.call_count <= 30  # re-probing the fixed bracket spends all 80 probes, 49 dists
+        assert spy.call_count <= 60  # 56 rounds; re-probing the fixed bracket spends all 80
         assert p.shrunk and p.game.demands.tolist() == [demand]
         assert p.realized == metric.MetricValue(value, value, value, 0.0)
 
@@ -266,3 +276,115 @@ class TestSampleBall:
         # keeping the demand non-negative
         p = sample_ball(pigou, 5.0, kind="demand", seed=4)
         assert p.shrunk or p.realized.upper() >= 2.5
+
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
+RADII = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0)
+
+
+def _no_tangent_games(two_link, three_link, shared_arc):
+    """The criterion-07 bases and every data game whose costs all have a perturbation rule."""
+    games = dict(criterion7_bases(two_link, three_link, shared_arc))
+    games.update((path.stem, load_game(path)) for path in sorted(DATA.glob("*.json")))
+    return {name: g for name, g in games.items() if all(c.perturbable for c in g.costs)}
+
+
+def _draw_bits(p):
+    return (p.kind, p.target, p.seed, repr(p.game.costs), p.game.demands.tobytes(),
+            _bits(p.realized), p.shrunk)
+
+
+class TestSampleBalls:
+    """``_sample_balls`` against its one-row calls, and its distances against ``dist``."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_every_row_is_its_one_row_call(self, two_link, three_link, shared_arc, data):
+        games = _no_tangent_games(two_link, three_link, shared_arc)
+        base = games[data.draw(st.sampled_from(sorted(games)))]
+        kind = data.draw(st.sampled_from(["demand", "cost", "joint"]))
+        draws = data.draw(st.lists(st.tuples(st.sampled_from(RADII), st.integers(0, 2**31)),
+                                   min_size=1, max_size=8))
+        radii, seeds = [r for r, _ in draws], [s for _, s in draws]
+        batch, table = metric._sample_balls(base, radii, [kind] * len(draws), seeds)
+        alone = [sample_ball(base, r, kind, s) for r, s in draws]
+        assert [_draw_bits(p) for p in batch] == [_draw_bits(p) for p in alone]
+        if table is not None:  # the table of the draws' costs, game after game
+            costs = [c for p in batch for c in p.game.costs]
+            assert repr(table.costs()) == repr(costs)
+
+    def test_one_batch_per_base_and_kind(self, two_link, three_link, shared_arc):
+        # every radius from 1e-4 to 5 and four seeds in one batch: rows that shrink, clip a
+        # demand to 0 or get no valid draw keep their one-row bits too
+        shrunk = clipped = 0
+        for base in _no_tangent_games(two_link, three_link, shared_arc).values():
+            for kind in ("demand", "cost", "joint"):
+                draws = [(r, s) for r in RADII for s in range(4)]
+                batch = metric._sample_balls(base, [r for r, _ in draws], [kind] * len(draws),
+                                             [s for _, s in draws])[0]
+                for p, (radius, seed) in zip(batch, draws, strict=True):
+                    assert _draw_bits(p) == _draw_bits(sample_ball(base, radius, kind, seed))
+                    shrunk += p.shrunk
+                    clipped += bool((p.game.demands == 0.0).any())
+        assert shrunk and clipped
+
+    def test_array_distance_is_dist(self, two_link, three_link, shared_arc):
+        # the kernels' exact sup rules give each draw the bits of dist against its base; a
+        # game without a wrapper arc has one for every row, so its search never calls dist
+        for base in _no_tangent_games(two_link, three_link, shared_arc).values():
+            wrapped = any(isinstance(c, _Wrapper) for c in base.costs)
+            for kind in ("demand", "cost", "joint"):
+                draws = [(r, s) for r in RADII for s in range(3)]
+                with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+                    batch = metric._sample_balls(base, [r for r, _ in draws],
+                                                 [kind] * len(draws), [s for _, s in draws])[0]
+                assert spy.call_count == 0 or (wrapped and kind != "demand")
+                for p in batch:
+                    assert _bits(p.realized) == _bits(dist(base, p.game))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cost=COSTS.filter(lambda c: c.perturbable), shift=st.floats(-0.5, 0.5),
+           stretch=st.floats(-0.5, 0.5), horizon=st.floats(0.05, 4.0), hi=st.floats(0.01, 4.0))
+    def test_kernel_sup_rules_are_sup_distance(self, cost, shift, stretch, horizon, hi):
+        # where a kernel rule answers, it is sup_distance's exact estimate, bit for bit
+        moved = cost.perturbed(shift, stretch, horizon)
+        base = cost._row
+        got = base.sup(base.perturbed(np.array([shift]), np.array([stretch]), horizon),
+                       np.array([hi]))[0]
+        est, err = sup_distance(cost, moved, hi)
+        assert np.isnan(got) or (got == est and err == 0.0)
+
+    @pytest.mark.parametrize("wrapper", [ScaledCost(Affine(1.0, 0.2), 2.0),
+                                         TruncatedCost(Polynomial((0.1, 1.0, 1.0)), 1.0)])
+    def test_rows_without_a_rule_take_dist(self, two_link, wrapper):
+        # a quartic's perturbed difference takes sup_distance's grid, and wrapper rows have no
+        # kernel rule: their rows call dist, with the same bits alone
+        base = Game(two_link, (Polynomial((0.1, 0.0, 0.0, 0.0, 1.0)), wrapper), np.array([1.0]))
+        for kind in ("cost", "joint"):
+            draws = [(r, s) for r in (1e-3, 0.1) for s in range(3)]
+            with mock.patch.object(metric, "dist", wraps=metric.dist) as spy:
+                batch = metric._sample_balls(base, [r for r, _ in draws], [kind] * len(draws),
+                                             [s for _, s in draws])[0]
+            assert spy.call_count >= len(draws)
+            for p, (radius, seed) in zip(batch, draws, strict=True):
+                assert _draw_bits(p) == _draw_bits(sample_ball(base, radius, kind, seed))
+                assert p.realized == dist(base, p.game)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 5 * 10**15 + 3,
+                                      2**64 + 7, np.int64(12), np.uint32(2**32 - 1)])
+    def test_uniforms_are_default_rngs(self, seed):
+        # one random call, and an int seed's uint32 words in place of SeedSequence's own
+        # conversion, give the three uniform draws of the seed's default_rng, bit for bit
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBA11)))
+        want = (rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.5, 1.0, size=3),
+                rng.uniform(0.5, 1.0, size=3))
+        got = metric._uniforms([seed, 7], 2, 3)
+        assert [g[0].tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_a_negative_seed_is_refused(self, pigou):
+        with pytest.raises(ValueError):
+            sample_ball(pigou, 0.1, seed=-3)
+
+    def test_mixed_batches_are_refused(self, pigou):
+        with pytest.raises(ValueError, match="every row or in none"):
+            metric._sample_balls(pigou, [0.1, 0.1], ["demand", "cost"], [1, 2])

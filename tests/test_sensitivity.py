@@ -147,7 +147,7 @@ class TestSweep:
                 assert abs(rec.pert_poa - cold) <= 2.0 * rec.solve_tol
 
 
-def _solve_alone(games, tols, max_iter, starts):
+def _solve_alone(games, tols, max_iter, starts, table=None):
     """_solve_poas game by game: (PoAs, None), each from its game's solve_we and solve_so.
 
     Each game is solved from its starts, with _solve_poa's checks; its PoA is NaN if
@@ -418,3 +418,16 @@ class TestContinuityAndDivergence:
             assert d_linear == pytest.approx(1.0 / n)
             assert abs(poa(flat, tol=TOL) - 1.0) < 1e-3
             assert abs(poa(linear, tol=TOL) - 4.0 / 3.0) < 1e-3
+
+
+def test_warm_starts_over_rows_are_each_rows_start(shared_arc):
+    """One _warm_start over (B, |K|) demands gives each row the bits of its own call, a
+    pair with zero base demand starting cold."""
+    base = Game(shared_arc, (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                np.array([0.0, 1.5]))
+    flow = solvers.solve_we(base).flow
+    demands = np.random.default_rng(3).uniform(0.0, 2.0, size=(5, 2))
+    rows = sensitivity._warm_start(base, flow, demands)
+    for row, d in zip(rows, demands, strict=True):
+        assert row.tobytes() == sensitivity._warm_start(base, flow, d).tobytes()
+        assert row[shared_arc.pair_starts[0]] == d[0]
