@@ -5,8 +5,8 @@ go to stdout as JSON (or to CSV files for sweeps and rate runs); errors are
 emitted as machine-readable JSON on stderr.  Exit codes: 0 ok, 2 input
 error, 3 solver unconverged, 4 invariant violation.
 
-``check`` runs ``sensitivity.check_game``: it solves the game once, cold, and then
-confirms the PoA on its six cost- and demand-normalized copies, solved as one batch,
+``check`` runs ``sensitivity.check_game``: it solves the game once (its SO from its WE),
+and then confirms the PoA on its six cost- and demand-normalized copies, solved as one batch,
 each from the game's WE and SO flows mapped onto the copy's demands.
 """
 

@@ -18,7 +18,8 @@ O/D pair k by the sample's demand over the base demand d'_k / d_k, which is
 feasible for any sample; a pair with zero base demand starts cold, with its
 whole demand on its first path.  Nearby games have nearby equilibria
 (Englert, Franke and Olbrich, "Sensitivity of Wardrop equilibria", 2010),
-so warm samples take fewer iterations; the base game itself is solved cold.
+so warm samples take fewer iterations.  The base game's own solve (``_solve_poa``) is
+kept with it, for its certificates and its other sweeps at that tolerance.
 
 A sweep first draws all its samples in one lockstep call, then solves them together.
 Each draw sets its knob by one safeguarded secant search that starts from a
@@ -34,7 +35,7 @@ built (``_solve_poas``; see ``poalab.solvers``).  Their warm starts are one
 lower-confidence estimates: the certificates are upper bounds, so a larger
 fitted exponent is consistent.
 
-``check_game``, the invariant suite of ``poalab check``, solves the game once, cold, and
+``check_game``, the invariant suite of ``poalab check``, solves the game once, then
 its six normalized copies as one batch, from the same warm start: a cost-normalized copy
 has the game's WE and SO flows, and a demand-normalized one has them divided by the factor.
 Its metric half draws its four samples as one batch: joint and cost balls, or demand
@@ -276,9 +277,9 @@ def _warm_start(base: Game, flow: PathFlow, demands: np.ndarray) -> np.ndarray:
 def check_game(game: Game, tol: float = TOL) -> tuple[float, list[str]]:
     """``poalab check``'s invariant suite on one solve: (PoA, the invariants that failed).
 
-    The game is solved once, cold, then its six normalized copies as one ``_solve_poas``
-    batch from its WE and SO flows mapped by ``_warm_start``, with a cold solve's gap
-    certificate at tol and checks.  The first unconverged copy raises UnconvergedError
+    The game is solved once (``_solve_poa``), then its six normalized copies as one
+    ``_solve_poas`` batch from its WE and SO flows mapped by ``_warm_start``, with the same
+    gap certificate at tol and checks.  The first unconverged copy raises UnconvergedError
     (its WE before its SO), but the batch raises any copy's InvariantError before that.
     """
     failures: list[str] = []

@@ -46,11 +46,15 @@ solve is its one-game call on the game's own table, and a sweep's samples or
 ``check``'s normalized copies are its rows in lockstep (``_solve_poas``).
 Every WE and certified SO is a row of one batch; each uncertified SO takes
 1 + 8 rows of a second batch, its start and its _MULTISTARTS = 8 seeded restarts.
+
+A game's PoA (``_solve_poa``) solves its WE cold and its SO from the WE flow, and keeps a
+checked result per (tol, max_iter) while the game object lives: one solve per tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,6 +95,7 @@ _MULTISTARTS = 8  # random restarts of an uncertified social optimum, seeded wit
 CHECK_SLACK = 1e-9  # absolute slack of the total-cost sandwich and the approximation checks
 TOL = 1e-10  # the default duality-gap tolerance of a solve, a check and the CLI
 MAX_ITER = 100_000  # the default cap on a solve's passes
+_SOLVED = weakref.WeakKeyDictionary()  # game -> {(tol, max_iter): its checked _solve_poa result}
 
 
 class UnconvergedError(RuntimeError):
@@ -458,9 +463,11 @@ def _report(game: Game, solved, b: int, tol: float) -> SolveReport:
     flow = PathFlow(f[b])
     check_feasible(game, flow)
     arc_f, tau, pc = _price(game.structure, game.arc_cost_values, flow.values)
+    user_costs = np.minimum.reduceat(pc, game.structure.pair_starts)
+    user_costs.setflags(write=False)  # like flow.values: a report may be shared
     return SolveReport(
         flow=flow, total_cost=_checked_total(flow.values, arc_f, tau, pc),
-        user_costs=np.minimum.reduceat(pc, game.structure.pair_starts),
+        user_costs=user_costs,
         duality_gap=float(gap[b]), iterations=int(passes[b]), converged=bool(gap[b] <= tol),
         optimality_certified=certified[b])
 
@@ -563,14 +570,19 @@ def poa(game: Game, tol: float = TOL) -> float:
 
 def _solve_poa(game: Game, tol: float,
                max_iter: int = MAX_ITER) -> tuple[float, SolveReport, SolveReport]:
-    """(PoA, WE report, SO report) of cold solves, with the checks ``poa`` documents."""
-    we = solve_we(game, tol=tol, max_iter=max_iter)
-    if not we.converged:
-        raise UnconvergedError(we)
-    so = solve_so(game, tol=tol, max_iter=max_iter)
-    if not so.converged:
-        raise UnconvergedError(so)
-    return _checked_poa(we.total_cost / so.total_cost, tol, poa_upper_bound(game)), we, so
+    """(PoA, WE report, SO report), with the checks ``poa`` documents; an unconverged solve
+    or a failed check is not kept, and raises again on the next call."""
+    solved = _SOLVED.setdefault(game, {})
+    if (tol, max_iter) not in solved:
+        we = solve_we(game, tol=tol, max_iter=max_iter)
+        if not we.converged:
+            raise UnconvergedError(we)
+        so = solve_so(game, tol=tol, max_iter=max_iter, start=we.flow)
+        if not so.converged:
+            raise UnconvergedError(so)
+        rho = _checked_poa(we.total_cost / so.total_cost, tol, poa_upper_bound(game))
+        solved[tol, max_iter] = rho, we, so
+    return solved[tol, max_iter]
 
 
 def _checked_poa(rho: float, tol: float, bound: float) -> float:

@@ -418,9 +418,11 @@ class TestCheckGame:
         check_game(pigou)
         [(copies, starts)] = batches
         assert len(copies) == len(starts) == 6
+        we = calls["we"][0][2]
         for i, log in enumerate(calls.values()):
-            [(base, start, report)] = log  # the game's own cold solve; the copies are the batch
-            assert base is pigou and start is None
+            [(base, start, report)] = log  # the game's own solve; the copies are the batch
+            # the WE starts cold and the SO at the WE flow
+            assert base is pigou and start is (None, we.flow)[i]
             for copy, copy_starts in zip(copies, starts, strict=True):
                 np.testing.assert_array_equal(
                     copy_starts[i], sensitivity._warm_start(pigou, report.flow, copy.demands))

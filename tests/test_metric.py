@@ -265,6 +265,21 @@ class TestSampleBall:
         assert p.shrunk and p.game.demands.tolist() == [demand]
         assert p.realized == metric.MetricValue(value, value, value, 0.0)
 
+    def test_a_search_longer_than_the_cap_stops_at_it(self, two_link):
+        # a base just above the demand floor: a lowered demand stays valid only for t below
+        # about 1e-15, so the bracket halves from t ~ 0.4 down to there and then bisects
+        # toward adjacent floats, 101 rounds in all; the cap stops it, with its last draw
+        base = Game(two_link, (BPR(1.0, 1.0, 0.0), Constant(1.0)),
+                    np.array([metric.MIN_TOTAL_DEMAND * (1.0 + 1e-9)]))
+        with mock.patch.object(metric, "_PROBES", 1000), _probe_rounds() as spy:
+            sample_ball(base, 0.5, kind="demand", seed=0)
+        assert spy.call_count > metric._PROBES
+        with _probe_rounds() as spy:
+            p = sample_ball(base, 0.5, kind="demand", seed=0)
+        assert spy.call_count == metric._PROBES
+        assert p.shrunk and p.game is not base
+        assert p.realized == dist(base, p.game) and 0.0 < p.realized.value < 1e-15
+
     def test_deterministic_given_seed(self, pigou):
         a = sample_ball(pigou, 0.03, kind="joint", seed=77)
         b = sample_ball(pigou, 0.03, kind="joint", seed=77)

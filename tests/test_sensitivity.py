@@ -166,8 +166,10 @@ def _solve_alone(games, tols, max_iter, starts, table=None):
 def _sweeps(base, kind, radii, samples, seed, **kwargs):
     """(records, lockstep rows, rows per lockstep call) of a sweep, and its records solved alone.
 
-    The rows and the calls leave out the base's own WE and SO solves, the first two calls.
+    The rows and the calls leave out the base's own WE and SO solves, the first two calls:
+    a fresh copy of base is swept, so a solve of base that _solve_poa kept is not reused.
     """
+    base = Game(base.structure, base.costs, base.demands)
     spy = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
     with spy as batch:
         records = sweep(base, kind, radii, samples, seed=seed, **kwargs)
@@ -208,11 +210,12 @@ class TestBatchedSweep:
         _assert_matches(records, alone)
 
     def test_unconverged_rows_as_per_sample(self, shared_arc):
-        # 2 iterations solve the base cold, but not every wide sample from its warm start
+        # 3 iterations solve the base (its SO from its WE), but not every wide sample
+        # from its warm start
         base = Game(shared_arc,
-                    (BPR(1.6, 3, 0.39), Affine(1.3, 0.43), BPR(1.5, 1, 0.34), Affine(0.7, 0.18)),
+                    (BPR(0.5, 2, 0.26), Affine(1.2, 0.18), BPR(1.6, 1, 0.31), Affine(2.0, 0.22)),
                     np.array([1.5, 1.5]))
-        records, rows, _, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=2)
+        records, rows, _, alone = _sweeps(base, "cost", [0.5, 0.3, 0.1], 4, 2, max_iter=3)
         assert rows == 2 * len(records)
         unconverged = [math.isnan(r.pert_poa) for r in records]
         assert 0 < sum(unconverged) < len(records)

@@ -1,10 +1,13 @@
 """Equilibrium and optimum solvers against oracles and approximation bounds."""
 
+import dataclasses
+import gc
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,6 +20,7 @@ from poalab import (
     Affine,
     Constant,
     Game,
+    InvariantError,
     MonomialLog,
     PathFlow,
     PiecewiseLinear,
@@ -24,6 +28,7 @@ from poalab import (
     Structure,
     TangentCost,
     TruncatedCost,
+    UnconvergedError,
     approximation_threshold,
     check_approximation_bounds,
     cost_normalize,
@@ -33,6 +38,7 @@ from poalab import (
     potential,
     solve_so,
     solve_we,
+    sweep,
     total_cost,
 )
 from poalab import cli, solvers
@@ -483,6 +489,103 @@ class TestPoA:
                              capture_output=True, text=True, env=child_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("raised 1 PoA ")
+
+
+def _shared_arc_game(structure):
+    return Game(structure, (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                np.array([1.0, 1.5]))
+
+
+class TestSolvePoaOnce:
+    """_solve_poa solves a game object once per (tol, max_iter) and keeps only checked results."""
+
+    def test_a_second_sweep_reuses_the_base_solve(self, shared_arc):
+        # the base's WE and SO are one-row descents, the samples' rows of 8
+        base, runs = _shared_arc_game(shared_arc), []
+        for game in (base, base, _shared_arc_game(shared_arc)):
+            with mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch) as spy:
+                records = sweep(game, "cost", [1e-1, 1e-2], 4, seed=3)
+            runs.append(([len(call.args[1]) for call in spy.call_args_list], records))
+        (first, records), (again, reused), (fresh, solved) = runs
+        assert first == fresh == [1, 1, 8, 8] and again == [8, 8]
+        assert records == reused == solved
+
+    def test_each_tolerance_and_cap_solves_once(self, shared_arc):
+        game = _shared_arc_game(shared_arc)
+        with mock.patch.object(solvers, "solve_we", wraps=solvers.solve_we) as spy:
+            first = solvers._solve_poa(game, 1e-10)
+            for _ in range(2):
+                assert solvers._solve_poa(game, 1e-10) is first
+                assert poa(game, 1e-10) == first[0]
+                solvers._solve_poa(game, 1e-11)
+                solvers._solve_poa(game, 1e-10, 50_000)
+        assert spy.call_count == 3
+
+    def test_an_unconverged_solve_raises_on_every_call(self, shared_arc):
+        game = _shared_arc_game(shared_arc)
+        with mock.patch.object(solvers, "solve_we", wraps=solvers.solve_we) as spy:
+            for _ in range(2):
+                with pytest.raises(UnconvergedError):
+                    solvers._solve_poa(game, 1e-12, max_iter=1)
+        assert spy.call_count == 2
+
+    def test_a_failed_check_raises_on_every_call(self, pigou):
+        real = solvers.solve_we
+
+        def halved(game, **kw):  # a WE cost below C* = 3/4: the PoA falls below 1
+            return dataclasses.replace(real(game, **kw), total_cost=0.5)
+
+        with mock.patch.object(solvers, "solve_we", side_effect=halved) as spy:
+            for _ in range(2):
+                with pytest.raises(InvariantError, match="fell below 1"):
+                    solvers._solve_poa(pigou, 1e-10)
+        assert spy.call_count == 2
+
+    def test_a_solved_game_is_not_kept_alive(self, two_link):
+        game = Game(two_link, (BPR(1.0, 1.0, 0.0), Constant(1.0)), np.array([1.0]))
+        poa(game)
+        ref = weakref.ref(game)
+        del game
+        gc.collect()
+        assert ref() is None
+
+    def test_shared_reports_are_read_only(self, pigou):
+        _, we, so = solvers._solve_poa(pigou, 1e-10)
+        for report in (we, so):
+            for values in (report.user_costs, report.flow.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.0
+
+    def test_under_optimize(self):
+        # python -O strips assert statements: the memo must not rest on any
+        script = (
+            "import gc, weakref\n"
+            "import numpy as np\n"
+            "from poalab import BPR, Affine, Game, Structure, UnconvergedError, solvers\n"
+            "st = Structure(('a', 'b', 'c', 'd'), ('k1', 'k2'),\n"
+            "               ((('a',), ('c', 'd')), (('b',), ('c',))))\n"
+            "g = Game(st, (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),\n"
+            "         np.array([1.0, 1.5]))\n"
+            "real, calls = solvers.solve_we, []\n"
+            "solvers.solve_we = lambda game, **kw: calls.append(kw['tol']) or real(game, **kw)\n"
+            "print(solvers._solve_poa(g, 1e-10) is solvers._solve_poa(g, 1e-10))\n"
+            "solvers._solve_poa(g, 1e-11)\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        solvers._solve_poa(g, 1e-12, max_iter=1)\n"
+            "    except UnconvergedError:\n"
+            "        print('unconverged')\n"
+            "print(calls)\n"
+            "ref = weakref.ref(g)\n"
+            "del g\n"
+            "gc.collect()\n"
+            "print(ref() is None)\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=child_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n") == [
+            "True", "unconverged", "unconverged", "[1e-10, 1e-11, 1e-12, 1e-12]", "True", ""]
 
 
 class TestApproximationThreshold:
