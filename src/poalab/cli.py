@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except GameValidationError as exc:
         _emit_error(exc.code, str(exc))
         return EXIT_INPUT
-    except ValueError as exc:  # StructureMismatchError among them
+    except (ValueError, OSError) as exc:  # StructureMismatchError, an unreadable path
         _emit_error("input", str(exc))
         return EXIT_INPUT
     except UnconvergedError as exc:

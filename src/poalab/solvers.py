@@ -13,8 +13,10 @@ found where the directional derivative of the convex slice vanishes.
 
 Every swap takes its step length from one safeguarded path-based Newton
 iteration on the slice (Jayakrishnan et al., TRR 1443, 1994), with the exact
-curvature the game's cost table gives for every family.  Where the social
-optimum's convexity is not certified, each step is checked against the total cost.
+curvature the game's cost table gives for every family, to a slope of 0.1 tol / |K| f_i /
+d_k; on a WE or certified SO of two or more O/D pairs, tol becomes max(tol, _FORCING gap),
+the gap at the pass's start (inexact Newton: Dembo, Eisenstat and Steihaug, 1982).  Where
+the SO's convexity is not certified, each step is checked against the total cost.
 
 WE and certified SO follow each pass that kept the set of used paths U with
 one projected Newton step on U (Bertsekas, SIAM J. Control Optim. 20, 1982;
@@ -156,6 +158,7 @@ def _flow_gap(st: Structure, path_costs: np.ndarray, f: np.ndarray):
 
 
 _NEWTON_MAX_STEPS = 50
+_FORCING = 0.1  # a multi-pair swap's search stops at max(tol, _FORCING gap at its pass's start)
 
 
 def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, live):
@@ -272,13 +275,15 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
     derivatives.  Each pass visits the O/D pairs in turn and, on every row,
     swaps mass from the pair's most expensive used path to its cheapest path
     with the step _newton_steps finds, and keeps the costs the step hands
-    back; a _used_path_newton step follows.  A row's path choice and flow
-    update are made on Python floats, so a row takes the same steps alone as
-    among others.  With `objective` (it maps (B, |A|) arc flows
-    to one value per row) the used-path Newton step is off, and a row's swap
-    step is the first best of the Newton step, 1, 1/2 and 2/(it + 2) on pass
-    `it`, taken only if it lowers the objective: the directional-derivative
-    root minimizes only a convex slice.
+    back; a _used_path_newton step follows.  Where |K| >= 2 and there is no `objective`,
+    the swap's search stops at max(tol, _FORCING gap), gap the row's at the pass's start;
+    only gap <= tol decides convergence, and while _FORCING < 10 some pair still moves.
+    A row's path choice and flow update are made on Python floats, so a row takes the
+    same steps alone as among others.  With `objective` (it maps (..., B, |A|) arc flows
+    to one value per row, and prices the four trial steps, then the flow itself, as (5, B,
+    |A|)) the used-path Newton step is off, and a row's swap step is the first best of the
+    Newton step, 1, 1/2 and 2/(it + 2) on pass `it`, taken only if it lowers the objective:
+    the directional-derivative root minimizes only a convex slice.
 
     Each row leaves the loop on its own rule: converged, stalled (no swap
     moved a flow) or out of iterations.  With discontinuous gradients
@@ -293,6 +298,7 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
     arc_f, tau, path_costs = _price(st, arc_eval, f)
     passes, live = [0] * n, list(range(n))
     newton = objective is None and _two_free(st.n_paths, demands.shape[1])
+    forcing = _FORCING if objective is None and demands.shape[1] > 1 else 0.0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)  # every row's: a row that left keeps its flow
         for b in live:
@@ -300,6 +306,7 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
         live = [b for b in live if gap[b] > tols[b]]
         if not live:
             break
+        forced = [max(t, forcing * g) for t, g in zip(tols, gap.tolist())]
         progressed, reshaped = set(), set()  # rows a swap moved, rows whose used paths changed
         for k, (lo, hi) in enumerate(st.path_slices):
             stop, swap = [0.0] * n, []
@@ -313,8 +320,8 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
                 for s in range(hi - lo):
                     if fb[s] > floors[b] and cb[s] > cb[j if i < 0 else i]:
                         i = s
-                if i >= 0:  # Newton stops at a cost difference of 0.1 tol over d_k and |K|
-                    stop[b] = 0.1 * tols[b] / demands.shape[1] * fb[i] / d_k
+                if i >= 0:  # Newton stops at a cost difference of 0.1 forced[b] over d_k and |K|
+                    stop[b] = 0.1 * forced[b] / demands.shape[1] * fb[i] / d_k
                     swap.append((b, lo + i, lo + j, fb[i], fb[j]))
             if not swap:
                 continue
@@ -330,12 +337,12 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
                 h[b] = mass * (rows[j] - rows[i])
             alpha, step_tau = _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop,
                                             [b for b, *_ in swap])
-            if objective is not None and max(alpha) > 0.0:
+            if objective is not None and max(alpha) > 0.0:  # the four steps, then no step:
                 a, every = np.array(alpha), np.arange(n)
-                cands = np.stack(np.broadcast_arrays(a, 1.0, 0.5, 2.0 / (it + 2.0)))
-                vals = np.array([objective(arc_f + c[:, None] * h) for c in cands])
-                best = vals.argmin(axis=0)
-                a = np.where((a > 0.0) & (vals[best, every] < objective(arc_f) - 1e-15),
+                cands = np.stack(np.broadcast_arrays(a, 1.0, 0.5, 2.0 / (it + 2.0), 0.0))
+                vals = objective(arc_f + cands[..., None] * h)
+                best = vals[:4].argmin(axis=0)
+                a = np.where((a > 0.0) & (vals[best, every] < vals[4] - 1e-15),
                              cands[best, every], 0.0)
                 alpha, step_tau = a.tolist(), arc_eval(arc_f + a[:, None] * h)
             stepped = []
@@ -365,12 +372,13 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
 
 
 def _by_row(table: ArcCostTable, name: str):
-    """The table's unchecked method `name` on (B, |A|) arc flows.
+    """The table's unchecked method `name` on (B, |A|) arc flows; on (n, B, |A|), tiled n times.
 
     The table's arcs are the arcs of B games on one structure, game after game.
     """
     fn = table._unchecked(name)
-    return lambda x: fn(x.ravel()).reshape(x.shape)
+    tiled = lru_cache(maxsize=None)(lambda n: table.tiled(n)._unchecked(name))
+    return lambda x: (fn if x.ndim == 2 else tiled(len(x)))(x.ravel()).reshape(x.shape)
 
 
 def _solve_games(games, so: bool, demands: np.ndarray, tol: np.ndarray, max_iter: int,

@@ -303,6 +303,22 @@ class TestCli:
         assert err["code"] == "input" and named in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["missing --in", "directory --game", "directory --in",
+                                      "--out in a missing directory"])
+    def test_an_unreadable_path_is_an_input_error(self, game_files, capsys, case):
+        # exit 2 with the JSON error line, not a traceback and exit 1
+        tmp, pigou = game_files["dir"], str(game_files["pigou"])
+        argv = {"missing --in": ["holder-fit", "--in", str(tmp / "missing.csv")],
+                "directory --game": ["poa", "--game", str(tmp)],
+                "directory --in": ["holder-fit", "--in", str(tmp)],
+                "--out in a missing directory": [
+                    "sweep", "--game", pigou, "--kind", "cost", "--radii", "1e-2",
+                    "--samples", "2", "--out", str(tmp / "missing" / "sweep.csv")]}[case]
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == "input"
+        assert not (tmp / "missing").exists()
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_is_an_input_error(self, game_files, capsys, tol):
         # an infinite tol would stop every solve at once as converged (Pigou's PoA read 1.0),

@@ -42,7 +42,7 @@ from poalab import (
     total_cost,
 )
 from poalab import cli, solvers
-from poalab.games import ArcCostTable, _dot
+from poalab.games import ArcCostTable, _dot, _price
 from poalab.io import game_from_dict, load_game
 
 from conftest import child_env, make_two_link_affine, random_game, unit_scale
@@ -432,6 +432,34 @@ class TestLockstepMultistart:
                 assert f[b].tolist() == f1[0].tolist()
                 assert (gap[b], passes[b]) == (gap1[0], passes1[0])
 
+    def test_one_objective_call_per_swap_never_raises_it(self, two_link):
+        # each swap prices its four trial steps and the flow itself, last, in one call; a row
+        # steps only below its flow's total cost, so the flows' costs never rise (on the last
+        # game every trial step of some swap raises it)
+        rising = Game(two_link, (PiecewiseLinear((0.0, 0.2995428785874795, 0.9925362788251205),
+                                                 (0.17204300724288468, 0.9342257963144116,
+                                                  1.0211398846262254)),
+                                 BPR(1.6432574945905816, 2.0, 0.8690479332809924)),
+                      np.array([0.63280463]))
+        for game in uncertified_games(two_link) + [rising]:
+            d = game.demands[0]
+            starts = np.array([[d, 0.0], [0.0, d], [0.3 * d, 0.7 * d], [0.6 * d, 0.4 * d]])
+            table = ArcCostTable(game.costs * len(starts))
+            values, seen = solvers._by_row(table, "values"), []
+
+            def objective(x):
+                seen.append(_dot(x, values(x)))
+                return seen[-1]
+
+            f, *_ = solvers._descend_batch(
+                game.structure, np.tile(game.demands, (4, 1)), solvers._by_row(table, "marginals"),
+                solvers._by_row(table, "marginal_derivs"), np.full(4, 1e-10), 3000, starts,
+                objective=objective)
+            assert f.tolist() == lockstep_search(game, starts)[0].tolist()
+            assert seen and all(v.shape == (5, 4) for v in seen)
+            own = np.array([v[4] for v in seen])
+            assert np.all(np.diff(own, axis=0) <= 1e-14 * own[:-1]), own
+
     def test_restarts_are_one_batch(self, two_link):
         # the start and every restart run as the rows of one _descend_batch
         batch = mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch)
@@ -441,6 +469,142 @@ class TestLockstepMultistart:
             assert not rep.optimality_certified
             assert lockstep.call_count == 1
             assert lockstep.call_args.args[6].shape == (1 + solvers._MULTISTARTS, 2)
+
+
+def _cold_gap(game, so):
+    """The gap a cold descent of the game's WE (so False) or SO starts its first pass at."""
+    f0 = solvers._initial_flow(game, None)[None]
+    grad = solvers._by_row(game.cost_table, "marginals" if so else "values")
+    return float(solvers._flow_gap(game.structure, _price(game.structure, grad, f0)[2], f0)[0])
+
+
+def _newton_calls(solve, game, **kw):
+    """The report of a solve and the (stop, h, live) of each of its _newton_steps calls."""
+    with mock.patch.object(solvers, "_newton_steps", wraps=solvers._newton_steps) as spy:
+        rep = solve(game, **kw)
+    return rep, [(call.args[5], call.args[3], call.args[6]) for call in spy.call_args_list]
+
+
+@st.composite
+def multi_pair_games(draw):
+    """A game of 2 to 4 O/D pairs, 2 or 3 paths each, on up to 8 BPR arcs, at unit scale."""
+    n_pairs = draw(st.integers(2, 4))
+    subsets = st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True).map(frozenset)
+    paths = draw(st.lists(subsets, min_size=2 * n_pairs, max_size=3 * n_pairs, unique=True))
+    arcs = sorted(set().union(*paths))
+    structure = Structure(tuple(f"a{i}" for i in arcs), tuple(f"k{k}" for k in range(n_pairs)),
+                          tuple(tuple(tuple(f"a{i}" for i in sorted(p)) for p in paths[k::n_pairs])
+                                for k in range(n_pairs)))
+    costs = draw(st.lists(st.builds(BPR, st.floats(0.1, 3.0), st.integers(0, 4).map(float),
+                                    st.floats(0.05, 3.0)), min_size=len(arcs), max_size=len(arcs)))
+    demands = draw(st.lists(st.floats(0.05, 5.0), min_size=n_pairs, max_size=n_pairs))
+    return unit_scale(Game(structure, tuple(costs), np.array(demands)))
+
+
+class TestForcedSwapStops:
+    """A swap's search on a WE or certified SO of two or more O/D pairs stops at a slope of
+    0.1 max(tol, _FORCING gap) / |K| f_i / d_k, the gap of its row at the start of the pass;
+    on one pair and in the uncertified multistart at 0.1 tol / |K| f_i / d_k."""
+
+    @pytest.mark.parametrize("solve, so", [(solve_we, False), (solve_so, True)])
+    def test_two_pairs_force_the_first_pass(self, shared_arc, solve, so):
+        # both pairs start on their dearer first path, so pass 1 swaps pair 0, then pair 1,
+        # each with all its demand: f_i = d_k
+        game, tol = _shared_arc_game(shared_arc), 1e-10
+        rep, calls = _newton_calls(solve, game, tol=tol)
+        gap = _cold_gap(game, so)
+        assert rep.converged and rep.optimality_certified and gap > 1.0
+        want = 0.1 * max(tol, solvers._FORCING * gap) / 2
+        assert [stop[0] for stop, *_ in calls[:2]] == pytest.approx([want] * 2, rel=1e-14)
+        assert want > 1e8 * 0.1 * tol / 2  # far from the stop of the tol alone
+
+    @pytest.mark.parametrize("solve, so", [(solve_we, False), (solve_so, True)])
+    def test_one_pair_keeps_the_tol_stop(self, three_link, solve, so):
+        game, tol = Game(three_link, (Affine(1, 0.1), Affine(0.5, 0.3),
+                                      Polynomial((0.05, 0.2, 1.0))), np.array([2.0])), 1e-10
+        rep, calls = _newton_calls(solve, game, tol=tol)
+        assert rep.converged and _cold_gap(game, so) > 1.0
+        assert calls[0][0] == pytest.approx([0.1 * tol], rel=1e-14)
+
+    def test_the_multistart_keeps_the_tol_stop(self, shared_arc):
+        # a kinked arc whose slope falls leaves the SO uncertified: each of the 1 + 8 rows of
+        # its first swap stops at 0.1 tol / |K| of the share f_i / d_0 its swap moves
+        game = Game(shared_arc, (PiecewiseLinear((0.0, 0.57, 2.34), (0.24, 0.55, 1.2)),
+                                 Affine(2, 0.2), BPR(1, 2, 0.1), Affine(0.5, 0.05)),
+                    np.array([0.95, 1.5]))
+        tol = 1e-10
+        rep, calls = _newton_calls(solve_so, game, tol=tol)
+        assert not rep.optimality_certified
+        stop, h, live = calls[0]
+        assert len(h) == 1 + solvers._MULTISTARTS and len(live) > 1
+        assert [stop[b] for b in live] == pytest.approx(
+            [0.1 * tol / 2 * np.abs(h[b]).max() / 0.95 for b in live], rel=1e-14)
+
+    @pytest.mark.parametrize("grad, slope", [("values", "derivs"),
+                                             ("marginals", "marginal_derivs")])
+    def test_rows_of_different_gaps_descend_as_alone(self, grad, slope):
+        # a cold row, a row started near its solution, a row whose costs are 1000 times larger
+        # and a row at a looser tol, on the benchmark ladder's 6-arc network: each row's
+        # flows, gap and pass count are those of its one-row call, bit for bit
+        st_ = Structure(tuple(f"a{i}" for i in range(6)), ("k0", "k1"), LADDER_PATHS)
+        game = Game(st_, tuple(BPR(q, 4.0, p) for q, p in zip(LADDER_Q, LADDER_P)),
+                    LADDER_DEMANDS)
+        solve = solve_so if grad == "marginals" else solve_we
+        games = [game, game, cost_normalize(game, 1e-3), game]
+        f0 = np.array([solvers._initial_flow(game, None), solve(game, tol=1e-5).flow.values,
+                       solvers._initial_flow(game, None), solvers._initial_flow(game, None)])
+        tol, demands = np.array([1e-10, 1e-10, 1e-10, 1e-6]), np.array([g.demands for g in games])
+        table = ArcCostTable([c for g in games for c in g.costs])
+        gaps = solvers._flow_gap(st_, _price(st_, solvers._by_row(table, grad), f0)[2], f0)
+        assert gaps.max() > 1e6 * gaps.min() and gaps.min() > tol[0]
+        f, gap, passes = solvers._descend_batch(
+            st_, demands, solvers._by_row(table, grad), solvers._by_row(table, slope), tol, 1000,
+            f0)
+        assert (gap <= tol).all()
+        for b, g in enumerate(games):
+            one = g.cost_table
+            f1, gap1, passes1 = solvers._descend_batch(
+                st_, demands[b:b + 1], solvers._by_row(one, grad), solvers._by_row(one, slope),
+                tol[b:b + 1], 1000, f0[b:b + 1])
+            assert f[b].tolist() == f1[0].tolist()
+            assert (gap[b], passes[b]) == (gap1[0], passes1[0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(game=multi_pair_games(), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_forced_solves_keep_their_bounds(self, game, tol):
+        # convexity: potential(f) - min potential <= the WE gap of f, and for a certified SO
+        # total_cost(f) - C* <= its gap, so neither may lie above a solve at 1e-13 by more
+        # than tol and rounding
+        we, we_ref = solve_we(game, tol=tol), solve_we(game, tol=1e-13)
+        assert we.converged
+        assert potential(game, we.flow) - potential(game, we_ref.flow) <= tol + 1e-12
+        so, so_ref = solve_so(game, tol=tol), solve_so(game, tol=1e-13)
+        assert so.converged and so.optimality_certified
+        assert so.total_cost - so_ref.total_cost <= tol + 1e-12
+
+    def test_under_optimize(self):
+        # python -O strips assert statements: the rule must not rest on any
+        script = (
+            "from unittest import mock\n"
+            "import numpy as np\n"
+            "from poalab import BPR, Affine, Game, Structure, solve_we, solvers\n"
+            "two = Structure(('a', 'b', 'c', 'd'), ('k1', 'k2'),\n"
+            "                ((('a',), ('c', 'd')), (('b',), ('c',))))\n"
+            "one = Structure(('u', 'l'), ('k',), ((('u',), ('l',)),))\n"
+            "for game in (Game(two, (Affine(1, 0.5), Affine(2, 0.2), BPR(1, 2, 0.1),\n"
+            "                        Affine(0.5, 0.05)), np.array([1.0, 1.5])),\n"
+            "             Game(one, (Affine(1, 0.5), Affine(2, 0.2)), np.array([1.0]))):\n"
+            "    with mock.patch.object(solvers, '_newton_steps',\n"
+            "                           wraps=solvers._newton_steps) as spy:\n"
+            "        solve_we(game, tol=1e-10)\n"
+            "    print(spy.call_args_list[0].args[5])\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=child_env())
+        assert res.returncode == 0, res.stderr
+        # pass 1's gap is 1 (1.5 - 0.15) + 1.5 (3.2 - 0.1) = 6 on two pairs: 0.1 * 0.1 * 6 / 2
+        forced, alone = (float(line.strip("[]")) for line in res.stdout.split())
+        assert forced == pytest.approx(0.03, rel=1e-12) and alone == pytest.approx(1e-11)
 
 
 class TestPoA:
