@@ -3,18 +3,20 @@
 Subcommands: solve, poa, dist, sweep, holder-fit, converge, check.  Results
 go to stdout as JSON (or to CSV files for sweeps and rate runs); errors are
 emitted as machine-readable JSON on stderr.  Exit codes: 0 ok, 2 input
-error, 3 solver unconverged, 4 invariant violation.
+error, 3 solver unconverged, 4 invariant violation; a missing ``--out`` directory exits 2 at once.
 
 ``check`` runs ``sensitivity.check_game``: it solves the game once (its SO from its WE),
-and then confirms the PoA on its six cost- and demand-normalized copies, solved as one batch,
-each from the game's WE and SO flows mapped onto the copy's demands.
+and then confirms the PoA on its six cost- and demand-normalized copies, their WEs and SOs
+one lockstep batch from the game's WE and SO flows mapped onto the copies' demands.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import shlex
 import sys
 
@@ -178,7 +180,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.invocation = "poalab " + shlex.join(argv)  # the command a run manifest records
-    try:
+    try:  # a command that writes --out fails before its run where opening it would
+        if "out" in args and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         return args.func(args)
     except GameValidationError as exc:
         _emit_error(exc.code, str(exc))

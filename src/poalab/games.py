@@ -168,6 +168,13 @@ class Structure:
         owner.setflags(write=False)
         return owner
 
+    @cached_property
+    def pair_paths(self) -> np.ndarray:
+        """Pair-path indicator, shape (|K|, |S|): row k is True on pair k's paths."""
+        paths = self.path_owner == np.arange(len(self.paths))[:, None]
+        paths.setflags(write=False)
+        return paths
+
 
 class ArcCostTable:
     """Arc costs grouped by ``kernel_key``: one vectorized kernel call per group, none per arc.

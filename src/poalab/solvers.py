@@ -43,9 +43,9 @@ There is one descent, ``_descend_batch``, over the rows of (B, |S|) and (B,
 arcs.  Each row keeps its path choices, flow updates and line-search bracket
 in Python floats, and only the table calls, the row dots and the pricing
 products span the rows, so a row takes the same steps alone as in a batch.
-Any number of games on one structure is one ``_solve_games`` call: a single
-solve is its one-game call on the game's own table, and a sweep's samples or
-``check``'s normalized copies are its rows in lockstep (``_solve_poas``).
+Any number of WEs and SOs on one structure is one ``_solve_games`` call, one kind per row:
+a single solve is its one-row call on the game's own table, and the WEs and then the SOs of
+a sweep's samples or ``check``'s copies are its 2B rows in lockstep (``_solve_poas``).
 Every WE and certified SO is a row of one batch; each uncertified SO takes
 1 + 8 rows of a second batch, its start and its _MULTISTARTS = 8 seeded restarts.
 
@@ -161,13 +161,13 @@ _NEWTON_MAX_STEPS = 50
 _FORCING = 0.1  # a multi-pair swap's search stops at max(tol, _FORCING gap at its pass's start)
 
 
-def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, live):
+def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, live, dtau=None):
     """(alpha, costs): each `live` row's step alpha in [0, 1] where its slice's slope vanishes.
 
-    Row b of arc_f, h and tau = arc_eval(arc_f) belongs to game b, and stop[b]
-    is its threshold.  Its slope is phi'(alpha) = h_b @ arc_eval(arc_f + alpha
-    h)_b and its curvature (h_b * h_b) @ arc_slope(arc_f + alpha h)_b.  Newton
-    steps, clipped to [0, 1], run until |phi'| <= stop[b] or alpha = 1 with
+    Row b of arc_f, h, tau = arc_eval(arc_f) and dtau = arc_slope(arc_f) (None: taken
+    here) belongs to game b, and stop[b] is its threshold.  Its slope is phi'(alpha) = h_b
+    @ arc_eval(arc_f + alpha h)_b and its curvature (h_b * h_b) @ arc_slope(arc_f + alpha
+    h)_b.  Newton steps, clipped to [0, 1], run until |phi'| <= stop[b] or alpha = 1 with
     phi' <= 0; at zero curvature with phi' < 0 the step goes to 1.  A step
     that leaves the bracket [lo, hi] known to hold the root (hi open until
     phi' > 0 is seen) is replaced by bisection, and a row stops when alpha
@@ -187,8 +187,8 @@ def _newton_steps(arc_eval, arc_slope, arc_f, h, tau, stop, live):
                 if abs(slope[b]) > stop[b] and (alpha[b] != 1.0 or slope[b] > 0.0)]
         if not live:
             break
-        curv = np.vecdot(hh, arc_slope(x)).tolist()
-        moving = []
+        curv = np.vecdot(hh, arc_slope(x) if dtau is None else dtau).tolist()
+        moving, dtau = [], None
         for b in live:
             a, s = alpha[b], slope[b]
             if s < 0.0:
@@ -221,27 +221,29 @@ def _two_free(n_used, n_pairs):
     return n_used - n_pairs >= 2
 
 
-def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
-                      floor, tol, run):
+def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_costs, shares,
+                      tol, run):
     """(f, arc_f, tau, path_costs) after a Newton step on their used paths U of the rows in `run`.
 
-    Rows are games; a row without two free directions or with its gap at most
-    its tol is left as it is.  The KKT system [R_U diag(tau') R_U^T, E^T; E, 0]
-    has identity rows for the paths outside U and the pairs without a used path.
+    Rows are games; a row without two free directions or with its gap at most its tol is
+    left as it is.  shares is _descend_batch's: per path, its pair's demand d, _ACTIVE_SHARE d
+    and 1 / d, and each row's used-flow floor.  The KKT system [R_U diag(tau') R_U^T, E^T; E,
+    0] has identity rows for the paths outside U and the pairs without a used path.
     """
     if not run:
         return f, arc_f, tau, path_costs
+    share, active, inverse, floor = shares
     owner, n_s, n = st.path_owner, st.n_paths, st.n_paths + len(st.pair_starts)
     excess = path_costs - np.minimum.reduceat(path_costs, st.pair_starts, axis=1)[:, owner]
-    share = demands.take(owner, axis=1)  # C order: each row's dot below has its one-row bits
-    used = (f > floor) & ((f > _ACTIVE_SHARE * share) | (excess <= 0.0))
+    used = (f > floor) & ((f > active) | (excess <= 0.0))
     pairs = np.logical_or.reduceat(used, st.pair_starts, axis=1)
     ok = (_two_free(used.sum(axis=1), pairs.sum(axis=1)) & (_dot(excess, f) > tol)).tolist()
     run = [b for b in run if ok[b]]  # _dot(excess, f) is the gap
     if not run:
         return f, arc_f, tau, path_costs
-    curv, u, rows = arc_slope(arc_f)[run], used[run], st.path_arcs
-    link = (owner == np.arange(n - n_s)[:, None]) & u[:, None, :]  # E on U
+    dtau = arc_slope(arc_f)
+    curv, u, rows = dtau[run], used[run], st.path_arcs
+    link = st.pair_paths & u[:, None, :]  # E on U
     kkt = np.zeros((len(u), n, n))
     kkt[:, :n_s, :n_s] = (rows * curv[:, None, :]) @ rows.T * (u[:, :, None] & u[:, None, :])
     kkt[:, n_s:, :n_s], kkt[:, :n_s, n_s:] = link, link.transpose(0, 2, 1)
@@ -253,13 +255,13 @@ def _used_path_newton(st: Structure, arc_eval, arc_slope, f, arc_f, tau, path_co
     block = -d > fr  # paths a full step would empty: the ratios there lie in [0, 1)
     s = np.zeros(f.shape)
     s[run] = d * np.min(np.where(block, fr / np.where(block, -d, 1.0), 1.0), axis=1)[:, None]
-    stop = 0.05 * tol / len(st.pair_starts) * _dot(np.abs(s), 1.0 / np.maximum(share, 1e-300))
+    stop = 0.05 * tol / len(st.pair_starts) * _dot(np.abs(s), inverse)
     h = (st.incidence @ s[..., None])[..., 0]  # trial arc flows along s may round below 0:
     alpha = np.array(_newton_steps(lambda x: arc_eval(np.maximum(x, 0.0)),
                                    lambda x: arc_slope(np.maximum(x, 0.0)), arc_f, h, tau,
-                                   stop.tolist(), run)[0])
+                                   stop.tolist(), run, dtau)[0])
     g = np.maximum(f + alpha[:, None] * s, 0.0)  # with each pair's sum set back to its demand:
-    g *= (demands / np.maximum(np.add.reduceat(g, st.pair_starts, axis=1), 1e-300))[:, owner]
+    g *= share / np.maximum(np.add.reduceat(g, st.pair_starts, axis=1), 1e-300)[:, owner]
     moved = (alpha > 0.0)[:, None]  # rows the step left keep their costs' bits
     f = np.where(moved, g, f)
     return (f, *_price(st, lambda x: np.where(moved, arc_eval(x), tau), f))
@@ -298,6 +300,8 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
     arc_f, tau, path_costs = _price(st, arc_eval, f)
     passes, live = [0] * n, list(range(n))
     newton = objective is None and _two_free(st.n_paths, demands.shape[1])
+    d = demands.take(st.path_owner, axis=1)  # C order: each row's dot has its one-row bits
+    shares = d, _ACTIVE_SHARE * d, 1.0 / np.maximum(d, 1e-300), np.array(floors)[:, None]
     forcing = _FORCING if objective is None and demands.shape[1] > 1 else 0.0
     for it in range(1, max_iter + 1):
         gap = _flow_gap(st, path_costs, f)  # every row's: a row that left keeps its flow
@@ -363,8 +367,8 @@ def _descend_batch(st: Structure, demands: np.ndarray, arc_eval, arc_slope,
                 path_costs = (st.path_arcs @ tau[..., None])[..., 0]
         if newton:  # a row no swap moved leaves with the gap of the flow the step left
             f, arc_f, tau, path_costs = _used_path_newton(
-                st, arc_eval, arc_slope, f, arc_f, tau, path_costs, demands,
-                np.array(floors)[:, None], tol, [b for b in live if b not in reshaped])
+                st, arc_eval, arc_slope, f, arc_f, tau, path_costs, shares, tol,
+                [b for b in live if b not in reshaped])
         live = [b for b in live if b in progressed]
     else:  # out of iterations
         gap = _flow_gap(st, path_costs, f)
@@ -381,44 +385,52 @@ def _by_row(table: ArcCostTable, name: str):
     return lambda x: (fn if x.ndim == 2 else tiled(len(x)))(x.ravel()).reshape(x.shape)
 
 
-def _solve_games(games, so: bool, demands: np.ndarray, tol: np.ndarray, max_iter: int,
-                 f0: np.ndarray, table: ArcCostTable):
-    """(flows, gaps, passes, certified) of the WE (so False) or SO of B games on one structure.
+def _by_kind(n_we: int, n_so: int, tables, names):
+    """The tables' methods `names` by _by_row, one on the first n_we rows, one on the last n_so."""
+    if not (n_we and n_so):
+        return _by_row(tables[n_we == 0], names[n_we == 0])
+    we, so = map(_by_row, tables, names)
+    return lambda x: np.concatenate([we(x[:n_we]), so(x[n_we:])])
 
-    Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) belongs to
-    games[b], and table holds the games' arcs, game after game.  Every WE and every SO
-    certified convex (_so_certified) is a row of one _descend_batch, on table when all
-    B are.  Each other SO descends from its start and _MULTISTARTS random start flows
-    (seed 0) as 1 + _MULTISTARTS rows of a second _descend_batch, each step checked
-    against the total cost, and its result is the first of those rows with the least
-    total cost.
+
+def _solve_games(games, so, demands: np.ndarray, tol: np.ndarray, max_iter: int,
+                 f0: np.ndarray, table: ArcCostTable):
+    """(flows, gaps, passes, certified) of B rows on one structure, the WE rows first.
+
+    Row b of demands (B, |K|), tol (B,) and the start flows f0 (B, |S|) is the SO of games[b]
+    where so[b] is True, else its WE.  table holds the arcs of the WE rows' games (without WE
+    rows, of the SO rows'), game after game; the SO rows repeat the WE rows' games.  Every WE
+    and every SO certified convex (_so_certified) is a row of one _descend_batch, with the
+    table's values and derivs on its WE rows and marginals and marginal_derivs on its SO rows.
+    Each other SO descends from its start and _MULTISTARTS random start flows (seed 0) as 1 +
+    _MULTISTARTS rows of a second _descend_batch, each step checked against the total cost,
+    and its result is the first of those rows with the least total cost.
     """
-    st = games[0].structure
-    certified = [not so or _so_certified(game) for game in games]
-    grad, slope = ("marginals", "marginal_derivs") if so else ("values", "derivs")
-    if all(certified):
-        return (*_descend_batch(st, demands, _by_row(table, grad), _by_row(table, slope),
-                                tol, max_iter, f0), certified)
+    st, n_we = games[0].structure, so.count(False)
+    certified = [not s or _so_certified(game) for game, s in zip(games, so)]
+    rest = [b for b, c in enumerate(certified) if not c]
+    lock = [b for b, c in enumerate(certified) if c] if rest else slice(None)  # all: no copies
     f, gap, passes = f0.copy(), np.zeros(len(games)), np.zeros(len(games), dtype=int)
-    convex = [b for b, c in enumerate(certified) if c]
-    if convex:
-        sub = ArcCostTable([c for b in convex for c in games[b].costs])
-        f[convex], gap[convex], passes[convex] = _descend_batch(
-            st, demands[convex], _by_row(sub, grad), _by_row(sub, slope), tol[convex], max_iter,
-            f0[convex])
-    rest, n = [b for b, c in enumerate(certified) if not c], 1 + _MULTISTARTS
-    rows = np.repeat(demands[rest], n, axis=0)
-    restarts = demands[rest][:, None, st.path_owner] * _restarts(st.path_slices)
-    starts = np.concatenate([f0[rest, None], restarts], axis=1).reshape(len(rows), -1)
-    sub = ArcCostTable([c for b in rest for c in games[b].costs * n])
-    values = _by_row(sub, "values")
-    g, g_gap, g_passes = _descend_batch(
-        st, rows, _by_row(sub, grad), _by_row(sub, slope), np.repeat(tol[rest], n), max_iter,
-        starts, objective=lambda x: _dot(x, values(x)))
-    _check_routed(st, rows, g)
-    total = _checked_total(g, *_price(st, values, g)).reshape(len(rest), n)
-    best = n * np.arange(len(rest)) + total.argmin(axis=1)
-    f[rest], gap[rest], passes[rest] = g[best], g_gap[best], g_passes[best]
+    if len(rest) < len(games):
+        sub = ArcCostTable([c for b in lock[n_we:] for c in games[b].costs]) if rest else table
+        grad, slope = (_by_kind(n_we, len(games) - len(rest) - n_we, (table, sub), names)
+                       for names in (("values", "marginals"), ("derivs", "marginal_derivs")))
+        f[lock], gap[lock], passes[lock] = _descend_batch(
+            st, demands[lock], grad, slope, tol[lock], max_iter, f0[lock])
+    if rest:
+        n = 1 + _MULTISTARTS
+        rows = np.repeat(demands[rest], n, axis=0)
+        restarts = demands[rest][:, None, st.path_owner] * _restarts(st.path_slices)
+        starts = np.concatenate([f0[rest, None], restarts], axis=1).reshape(len(rows), -1)
+        sub = ArcCostTable([c for b in rest for c in games[b].costs * n])
+        values = _by_row(sub, "values")
+        g, g_gap, g_passes = _descend_batch(
+            st, rows, _by_row(sub, "marginals"), _by_row(sub, "marginal_derivs"),
+            np.repeat(tol[rest], n), max_iter, starts, objective=lambda x: _dot(x, values(x)))
+        _check_routed(st, rows, g)
+        total = _checked_total(g, *_price(st, values, g)).reshape(len(rest), n)
+        best = n * np.arange(len(rest)) + total.argmin(axis=1)
+        f[rest], gap[rest], passes[rest] = g[best], g_gap[best], g_passes[best]
     return f, gap, passes, certified
 
 
@@ -437,29 +449,26 @@ def _restarts(path_slices) -> np.ndarray:
 def _solve_poas(games, tols, max_iter: int, starts, table: ArcCostTable | None = None):
     """(PoAs, solved) of several games on one structure; NaN where a solve does not converge.
 
-    tols and starts hold, per game, its tolerance and its WE and SO start flows.  The
-    WE and the SO are one _solve_games call each on one table of the games' costs, game
-    after game (given, or built here), which also prices the a priori bounds; solved
-    holds the two results, from whose row b _report makes the reports of games[b].  Each
-    PoA passes the checks of _solve_poa, and any game's InvariantError propagates.
+    tols and starts hold, per game, its tolerance and its WE and SO start flows.  The WEs,
+    then the SOs, are the 2B rows of one _solve_games call on one table of the games' costs,
+    game after game (given, or built here), which also prices the a priori bounds; solved
+    holds the WE and the SO rows as two results, whose row b _report makes into games[b]'s
+    reports.  Each PoA passes _solve_poa's checks; any game's InvariantError propagates.
     """
-    st = games[0].structure
+    st, n = games[0].structure, len(games)
     if table is None:
         table = ArcCostTable([c for game in games for c in game.costs])
-    demands = np.array([game.demands for game in games])
-    tol = np.array(tols)
-    solved, done = [], np.ones(len(games), dtype=bool)
-    for so in (False, True):
-        f0 = np.array([start[so] for start in starts])
-        _check_routed(st, demands, f0)
-        f, gap, *_ = result = _solve_games(games, so, demands, tol, max_iter, f0, table)
-        _check_routed(st, demands, f)
-        solved.append(result)
-        done &= gap <= tol
+    demands, tol = np.array([game.demands for game in games] * 2), np.array([*tols, *tols])
+    f0 = np.array([start[so] for so in (False, True) for start in starts])
+    _check_routed(st, demands, f0)
+    result = _solve_games(games * 2, [False] * n + [True] * n, demands, tol, max_iter, f0, table)
+    _check_routed(st, demands, result[0])
+    solved = [tuple(a[half] for a in result) for half in (slice(n), slice(n, None))]
+    done = (result[1] <= tol).reshape(2, n).all(axis=0)
     values = _by_row(table, "values")  # priced as _report prices, where both converged
     costs = [_checked_total(*(a[done] for a in (f, *_price(st, values, f)))) for f, *_ in solved]
     bounds = _poa_upper_bounds(st, table, [game.total_demand for game in games])
-    out = [math.nan] * len(games)
+    out = [math.nan] * n
     for i, we_cost, so_cost, bound in zip(done.nonzero()[0], *costs, bounds[done]):
         out[i] = _checked_poa(float(we_cost / so_cost), tols[i], bound)
     return out, solved
@@ -484,7 +493,7 @@ def _solve_game(game: Game, so: bool, tol: float, max_iter: int, start) -> Solve
     """The report of the one-game _solve_games on the game's own table."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    solved = _solve_games([game], so, game.demands[None], np.array([tol]), max_iter,
+    solved = _solve_games([game], [so], game.demands[None], np.array([tol]), max_iter,
                           _initial_flow(game, start)[None], game.cost_table)
     return _report(game, solved, 0, tol)
 

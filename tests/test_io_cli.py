@@ -319,6 +319,20 @@ class TestCli:
         assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == "input"
         assert not (tmp / "missing").exists()
 
+    @pytest.mark.parametrize("command, runner", [("sweep", "sweep"), ("converge", "converge_up")])
+    def test_out_in_a_missing_directory_fails_before_the_run(self, game_files, capsys,
+                                                             monkeypatch, command, runner):
+        calls = []
+        monkeypatch.setattr(cli, runner, lambda *args, **kw: calls.append(args))
+        out = str(game_files["dir"] / "missing" / "out.csv")
+        opts = {"sweep": ["--kind", "cost", "--radii", "1e-2", "--samples", "2"],
+                "converge": ["--direction", "up", "--totals", "10,100"]}[command]
+        argv = [command, "--game", str(game_files["pigou"]), *opts, "--out", out]
+        assert cli.main(argv) == 2
+        assert calls == []
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "input", "message": f"[Errno 2] No such file or directory: {out!r}"}
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_is_an_input_error(self, game_files, capsys, tol):
         # an infinite tol would stop every solve at once as converged (Pigou's PoA read 1.0),
@@ -488,9 +502,9 @@ class TestCheckGame:
                                                              capsys):
         real = solvers._solve_games
 
-        def stalled_so(games, so, *args):
+        def stalled_so(games, so, *args):  # so: each row's kind
             f, gap, passes, certified = real(games, so, *args)
-            return f, gap + 1e-3 * so, passes, certified
+            return f, gap + 1e-3 * np.array(so), passes, certified
 
         monkeypatch.setattr(solvers, "_solve_games", stalled_so)
         message = str(UnconvergedError(solvers.solve_so(pigou)))

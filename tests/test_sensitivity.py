@@ -282,10 +282,35 @@ class TestBatchedSweep:
         certified = sum(solvers._so_certified(sample_ball(base, r.radius, "demand", r.seed).game)
                         for r in records)
         assert 0 < certified < len(records) == 32
-        assert calls == [32, certified, (32 - certified) * (1 + solvers._MULTISTARTS)]
+        # the WEs and the certified SOs descend as one batch, the uncertified SOs as another
+        assert calls == [32 + certified, (32 - certified) * (1 + solvers._MULTISTARTS)]
         _assert_matches(records, alone)
         assert all(math.isfinite(r.pert_poa) for r in records)
         assert [r.pert_poa for r in records] == [r.pert_poa for r in alone]
+
+    def test_mixed_batch_rows_have_their_solves_bits(self, two_link):
+        # certified games around a kinked one whose SO is uncertified: the WEs and the
+        # certified SOs are one batch, the kinked SO its multistart, and each row has the
+        # bits of its game's solve_we or solve_so alone from the same start
+        kinked = load_game(DATA / "two_link_kinked.json")
+        games = [Game(two_link, (BPR(1, 2, 0.1), Affine(0.5, 0.4)), np.array([1.0])), kinked,
+                 Game(two_link, (Affine(1, 0.1), Constant(1.2)), np.array([2.0])),
+                 Game(two_link, (PiecewiseLinear((0.0, 0.5, 1.5), (0.2, 0.6, 1.8)),
+                                 Affine(1.0, 0.3)), np.array([1.0]))]
+        assert [solvers._so_certified(g) for g in games] == [True, False, True, True]
+        starts = [(np.array([0.3, 0.7]) * g.total_demand, np.array([0.6, 0.4]) * g.total_demand)
+                  for g in games]
+        tols = [1e-10, 1e-12, 1e-10, 1e-11]
+        with mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch) as spy:
+            _, solved = solvers._solve_poas(games, tols, 100_000, starts)
+        assert [len(call.args[1]) for call in spy.call_args_list] == [7, 1 + solvers._MULTISTARTS]
+        for kind, (f, gap, passes, certified) in enumerate(solved):
+            solve = (solvers.solve_we, solvers.solve_so)[kind]
+            for b, (game, tol, start) in enumerate(zip(games, tols, starts, strict=True)):
+                alone = solve(game, tol, 100_000, start[kind])
+                np.testing.assert_array_equal(f[b], alone.flow.values)
+                assert (gap[b], passes[b], certified[b]) == (
+                    alone.duality_gap, alone.iterations, alone.optimality_certified)
 
     def test_final_flows_are_checked(self, pigou):
         # a batch's final flows pass the feasibility check of a single solve's flow

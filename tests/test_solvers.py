@@ -664,14 +664,14 @@ class TestSolvePoaOnce:
     """_solve_poa solves a game object once per (tol, max_iter) and keeps only checked results."""
 
     def test_a_second_sweep_reuses_the_base_solve(self, shared_arc):
-        # the base's WE and SO are one-row descents, the samples' rows of 8
+        # the base's WE and SO are one-row descents, the 8 samples' WEs and SOs one of 16 rows
         base, runs = _shared_arc_game(shared_arc), []
         for game in (base, base, _shared_arc_game(shared_arc)):
             with mock.patch.object(solvers, "_descend_batch", wraps=solvers._descend_batch) as spy:
                 records = sweep(game, "cost", [1e-1, 1e-2], 4, seed=3)
             runs.append(([len(call.args[1]) for call in spy.call_args_list], records))
         (first, records), (again, reused), (fresh, solved) = runs
-        assert first == fresh == [1, 1, 8, 8] and again == [8, 8]
+        assert first == fresh == [1, 1, 16] and again == [16]
         assert records == reused == solved
 
     def test_each_tolerance_and_cap_solves_once(self, shared_arc):
