@@ -13,12 +13,12 @@ than test its type: its JSON name (``family``; the dataclass fields are the
 params), whether it can move inside a metric ball (``perturbable``; the move,
 ``perturbed``, is its kernel's), ``regular_variation``, ``has_kinks``, ``sup_points(other, hi)``,
 where |f - g| peaks against its own family (a piecewise-linear cost also against a
-cubic), and ``has_nondecreasing_marginal(hi)``,
-a closed-form proof, never a sample, that x f(x) is convex on [0, hi].  Two bases
-write rules once for several families: ``_PolynomialCost`` derives the Lipschitz
-bounds and kernel of Constant, Affine and Polynomial from ``as_polynomial()``, and
-``_Wrapper`` those of ScaledCost, TruncatedCost and TangentCost from their one map,
-inner(factor min(x, anchor)) + slope max(x - anchor, 0).
+cubic, a convex MonomialLog against any cost whose ``linear_pieces(hi)`` it can read),
+and ``has_nondecreasing_marginal(hi)``, a closed-form proof, never a sample, that x f(x) is
+convex on [0, hi].  Two bases write rules once for several families: ``_PolynomialCost``
+derives the Lipschitz bounds and kernel of Constant, Affine and Polynomial from
+``as_polynomial()``, and ``_Wrapper`` those of ScaledCost, TruncatedCost and TangentCost
+from their one map, inner(factor min(x, anchor)) + slope max(x - anchor, 0).
 
 Every cost method rejects a negative flow and maps a scalar to a Python float and
 an array to an array of its shape, through one decorator, ``_pointwise``; the
@@ -193,6 +193,14 @@ class CostFunction:
     def as_polynomial(self) -> np.ndarray | None:
         """Ascending coefficients if the cost is a polynomial, else None."""
         return None
+
+    def linear_pieces(self, hi: float):
+        """(knots, slopes) with 0 = knots[0] < ... < knots[-1] = hi and the cost linear of slope
+        slopes[i] on [knots[i], knots[i + 1]], if it is piecewise linear on [0, hi]; else None."""
+        c = self.as_polynomial()
+        if c is None or c[2:].any():
+            return None
+        return [0.0, hi], [float(c[1]) if len(c) > 1 else 0.0]
 
     def scaled_by(self, factor: float) -> "CostFunction":
         """The cost with all values multiplied by factor > 0."""
@@ -568,25 +576,31 @@ class BPRKernel(_Kernel):
 
 @dataclass(frozen=True)
 class MonomialLog(CostFunction, family="monomial_log"):
-    """zeta * x**beta * ln(x+1)**alpha, a regularly varying non-polynomial."""
+    """zeta * x**beta * ln(x+1)**alpha, a regularly varying non-polynomial; convex on [0, inf)
+    for beta >= 1 (proof at ``_slope``), so tau'(hi) bounds its slope on [0, hi], and against a
+    cost linear on pieces |tau - other| peaks at a knot or where tau' meets a slope there."""
 
     zeta: float
     beta: float
     alpha: float
 
-    def lipschitz_on(self, hi):
-        z, b, a = self.zeta, self.beta, self.alpha
-        if z == 0 or hi == 0:
-            return 0.0
-        if a == 0:
-            return BPR(z, b, 0.0).lipschitz_on(hi)
-        if b < 1:
+    def _slope(self, x):
+        """tau'(x) on Python floats in the kernel's order, read at 1e-300 at 0; non-decreasing for
+        beta >= 1: with L = ln(1+x) >= u = x/(1+x), tau'' = zeta x**(b-2) L**(a-2) [b (b-1) L**2
+        + a u L (2b - u) + a (a-1) u**2] for x > 0, and the bracket is >= 0: each term is for
+        a >= 1, and for a < 1, as 2b - u > 1 and a (a-1) >= -a, the last two are >= a u (L - u)."""
+        b, a, pos = self.beta, self.alpha, max(x, _TINY)
+        lg = math.log1p(pos)
+        try:
+            return self.zeta * (b * pos ** (b - 1.0) * lg**a
+                                + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
+        except OverflowError:  # a power past the float range, where numpy's gives inf
             return math.inf
-        lg = math.log1p(hi)
-        if a >= 1:
-            return float(self.derivative(hi))  # derivative is non-decreasing
-        # 0 < a < 1: ln(x+1)**(a-1) <= (x/(x+1))**(a-1) gives a sound bound
-        return float(z * (b * hi ** (b - 1.0) * lg**a + a * hi ** (b + a - 1.0)))
+
+    def lipschitz_on(self, hi):
+        if self.zeta == 0.0 or hi == 0.0 or self.beta == self.alpha == 0.0:
+            return 0.0
+        return self._slope(hi) if self.beta >= 1.0 else math.inf  # not convex; tau'(0+) may be inf
 
     def deriv_min_on(self, hi):
         if self.alpha == 0:
@@ -609,9 +623,17 @@ class MonomialLog(CostFunction, family="monomial_log"):
         return True
 
     def sup_points(self, other, hi):
-        same = (isinstance(other, MonomialLog)
-                and (other.beta, other.alpha) == (self.beta, self.alpha))
-        return (0.0, hi) if same else None  # then |dzeta| x**beta ln(x+1)**alpha is monotone
+        if isinstance(other, MonomialLog) and (other.beta, other.alpha) == (self.beta, self.alpha):
+            return (0.0, hi)  # then |dzeta| x**beta ln(x+1)**alpha is monotone
+        pieces = other.linear_pieces(hi) if self.beta >= 1.0 else None
+        if pieces is None:
+            return None
+        # tau - other is convex on a piece of slope s: it peaks at the ends, and its min is at an
+        # end or where tau' crosses s, which lies inside only if tau'(lo) < s < tau'(up)
+        knots, slopes = pieces
+        ds = [self._slope(x) for x in knots]
+        return knots + [x for lo, up, s, dlo, dup in zip(knots, knots[1:], slopes, ds, ds[1:])
+                        if dlo < s < dup for x in _crossing(self._slope, s, lo, up, dlo, dup)]
 
 
 class MonomialLogKernel(_Kernel):
@@ -734,6 +756,10 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
     def has_kinks(self):
         return True
 
+    def linear_pieces(self, hi):
+        knots = [*(b for b in self.breakpoints if b < hi), hi]
+        return knots, self._slopes[:len(knots) - 1].tolist()
+
     def sup_points(self, other, hi):
         if isinstance(other, PiecewiseLinear):
             knots = np.unique(np.concatenate([self._breakpoints, other._breakpoints, [0.0, hi]]))
@@ -743,10 +769,9 @@ class PiecewiseLinear(CostFunction, family="piecewise_linear"):
             return None
         # on a piece of slope s, other - self is a cubic: it peaks at an end or where other' = s
         c1, c2, c3 = [*c.tolist(), 0.0, 0.0, 0.0][1:4]
-        points = [*(b for b in self.breakpoints if b < hi), hi]
-        for lo, up, s in zip(self.breakpoints, (*self.breakpoints[1:], hi), self._slopes.tolist()):
-            points.extend(r for r in _critical_points(c1 - s, c2, c3) if lo < r < min(up, hi))
-        return points
+        knots, slopes = self.linear_pieces(hi)
+        return knots + [r for lo, up, s in zip(knots, knots[1:], slopes)
+                        for r in _critical_points(c1 - s, c2, c3) if lo < r < up]
 
 
 class PiecewiseLinearKernel(_Kernel):
@@ -1016,6 +1041,26 @@ def _critical_points(d1=0.0, d2=0.0, d3=0.0) -> tuple[float, ...]:
     return q / a, c / q
 
 
+def _crossing(slope, s, a, b, fa, fb) -> tuple[float, ...]:
+    """Where a non-decreasing ``slope`` crosses s, given fa = slope(a) < s < fb = slope(b): the
+    point, or a bracket no wider than 1e-9 b or with no float inside, by false position with the
+    Illinois rule (an end kept twice has its distance to s halved), bisecting where it rounds."""
+    ga, gb, kept, tol = fa - s, fb - s, 0, 1e-9 * b
+    while b - a > tol:
+        x = a - (b - a) * (ga / (gb - ga))
+        x = x if a < x < b else 0.5 * (a + b)
+        if not a < x < b:
+            break
+        gx = slope(x) - s
+        if gx == 0.0:
+            return (x,)
+        if gx < 0.0:
+            a, ga, gb, kept = x, gx, gb * (0.5 if kept < 0 else 1.0), -1  # b kept
+        else:
+            b, gb, ga, kept = x, gx, ga * (0.5 if kept > 0 else 1.0), 1
+    return a, b
+
+
 def _poly_difference(f: CostFunction, g: CostFunction) -> list[float] | None:
     """f - g as ascending coefficients, trimmed and led by a positive coefficient (exact, and
     |p| = |-p|, so a pair gives the same bits in either order), if both are polynomials and
@@ -1083,16 +1128,19 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
     of degree <= 3; where a family rule, ``f.sup_points(g, hi)`` or else
     ``g.sup_points(f, hi)``, names the points of the max: piecewise-linear pairs, a
     piecewise-linear cost against a polynomial of degree <= 3 (its critical points in
-    each piece), same-shape BPR and MonomialLog pairs, and two wrappers of one factor
-    and one anchor, whatever their classes, around equal inners, a polynomial pair of
-    difference degree <= 3 or such a pair; and where one side is flat on [0, hi]
-    (Lipschitz bound 0), at 0 and hi.  Other pairs
-    take the GRID_N-point grid with a Lipschitz error bound.  The result does not
-    depend on the order of f and g, bit for bit: the rules' points do not, and the
-    polynomial one fixes the sign of f - g.
+    each piece), same-shape BPR and MonomialLog pairs, a MonomialLog with beta >= 1 against
+    a cost linear on pieces of [0, hi] (piecewise-linear, or a polynomial of degree <= 1:
+    the knots and where its convex tau' crosses a piece's slope), and two wrappers of one
+    factor and one anchor, whatever their classes, around equal inners or inners that one of
+    these rules serves; and where one side is flat on [0, hi] (Lipschitz bound 0), at 0 and
+    hi.  Other pairs take the GRID_N-point grid with a Lipschitz error bound: a MonomialLog
+    against a curved polynomial, a BPR with beta > 1 or a MonomialLog of another shape, one
+    with beta < 1, and wrappers of different factors or anchors.  The result does not depend
+    on the order of f and g, bit for bit: the rules' points do not, and the polynomial one
+    fixes the sign of f - g.
     """
-    if hi < 0:
-        raise ValueError("hi must be >= 0")
+    if not 0.0 <= hi < math.inf:  # NaN fails both
+        raise ValueError(f"hi must be finite and >= 0, got {hi}")
     if f == g:
         return 0.0, 0.0
     if hi == 0:
@@ -1106,8 +1154,9 @@ def sup_distance(f: CostFunction, g: CostFunction, hi: float) -> tuple[float, fl
     if points is None:
         points = g.sup_points(f, hi)
     if points is None:
-        lf, lg = f.lipschitz_on(hi), g.lipschitz_on(hi)
-        if lf > 0.0 and lg > 0.0:
+        lf = f.lipschitz_on(hi)
+        lg = g.lipschitz_on(hi) if lf > 0.0 else 0.0
+        if lg > 0.0:
             xs = _grid(hi)
             est = float(np.max(np.abs(f(xs) - g(xs))))
             return est, float((lf + lg) * hi / (2.0 * (GRID_N - 1)))

@@ -54,9 +54,24 @@ _RULE_PAIRS = st.one_of(
               st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(
         lambda t: (BPR(t[0], t[2], t[3]), BPR(t[1], t[2], t[4]))),
 )
+# a convex MonomialLog (beta >= 1) against a cost linear on pieces of [0, hi]
+_LINEAR_PIECES = st.one_of(
+    PWL_STRATEGY,
+    st.builds(Constant, st.floats(0.0, 5.0)),
+    st.builds(Affine, st.floats(0.0, 4.0), st.floats(0.0, 3.0)),
+    st.builds(lambda q, p: BPR(q, 1.0, p), st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
+    st.builds(lambda a, b: Polynomial((a, b)), st.floats(0.0, 2.0), st.floats(0.0, 4.0)),
+    st.builds(ScaledCost, st.builds(Affine, st.floats(0.0, 4.0), st.floats(0.0, 3.0)),
+              st.floats(0.25, 3.0)),
+)
+MONOMIAL_LOG_LINEAR_PAIRS = st.tuples(
+    st.builds(MonomialLog, st.floats(0.0, 2.0), st.floats(1.0, 4.0), st.floats(0.0, 3.0)),
+    _LINEAR_PIECES)
+
 SUP_PAIRS = st.one_of(
     st.tuples(FAMILY_STRATEGIES, FAMILY_STRATEGIES),
     _RULE_PAIRS,
+    MONOMIAL_LOG_LINEAR_PAIRS,
     st.tuples(_RULE_PAIRS, st.sampled_from([0.5, 0.7, 3.0])).map(
         lambda t: (ScaledCost(t[0][0], t[1]), ScaledCost(t[0][1], t[1]))),
 )
@@ -355,9 +370,19 @@ class TestLipschitz:
 
     def test_non_lipschitz_families_report_inf(self):
         assert BPR(1.0, 0.5, 0.0).lipschitz_on(1.0) == math.inf
+        assert MonomialLog(1.0, 2.0, 1.0).lipschitz_on(1e200) == math.inf  # past the float range
 
-    @settings(max_examples=40, deadline=None)
-    @given(cost=FAMILY_STRATEGIES, hi=st.floats(0.5, 4.0), data=st.data())
+    @given(cost=st.builds(MonomialLog, st.floats(0.0, 2.0), st.floats(1.0, 4.0),
+                          st.floats(0.0, 3.0)), hi=st.floats(1e-3, 5.0))
+    def test_monomial_log_bound_is_the_slope_at_hi(self, cost, hi):
+        # convex for beta >= 1: the bound is tau'(hi), on floats within a few ulps of the kernel's
+        slope = float(cost.derivative(hi))
+        assert abs(cost.lipschitz_on(hi) - slope) <= 8 * math.ulp(slope)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cost=st.one_of(FAMILY_STRATEGIES, st.builds(
+        MonomialLog, st.floats(0.1, 2.0), st.floats(1.0, 4.0), st.floats(0.01, 0.99))),
+        hi=st.floats(0.5, 4.0), data=st.data())
     def test_lipschitz_dominates_slopes(self, cost, hi, data):
         m = cost.lipschitz_on(hi)
         xs = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=20))
@@ -457,11 +482,44 @@ class TestSupDistance:
         assert [x.hex() for x in forward] == [x.hex() for x in backward]
 
     def test_grid_path_certifies(self):
-        f, g = MonomialLog(1.0, 1.0, 1.0), BPR(0.8, 1.0, 0.1)
+        f, g = MonomialLog(1.0, 1.0, 1.0), BPR(0.8, 2.0, 0.1)
         est, err = sup_distance(f, g, 2.0)
         xs = np.linspace(0, 2, 1_000_001)
         true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        assert err > 0.0
         assert est <= true <= est + err
+
+    @pytest.mark.parametrize("f, g", [
+        (MonomialLog(1.0, 1.0, 1.0), Polynomial((0.1, 0.3, 0.8))),
+        # x**0.5 ln(1 + x) is concave near 2: no convexity rule for beta < 1
+        (MonomialLog(1.0, 0.5, 1.0), Affine(1.0, 0.5)),
+    ])
+    def test_other_monomial_log_pairs_take_the_grid(self, f, g):
+        est, err = sup_distance(f, g, 2.0)
+        xs = np.linspace(0, 2, 1_000_001)
+        true = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
+        assert err > 0.0 and est <= true <= est + err
+
+    @pytest.mark.parametrize("hi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("f, g", [
+        (Affine(1.0, 0.5), Polynomial((0.5, 0.2, 0.3))),  # the polynomial rule
+        (MonomialLog(1.0, 2.0, 1.0), Affine(1.0, 0.5)),  # a family rule
+        (MonomialLog(1.0, 2.0, 1.0), Polynomial((0.5, 0.2, 0.3))),  # the grid
+    ])
+    def test_non_finite_hi_rejected(self, f, g, hi):
+        with pytest.raises(ValueError, match="finite"):
+            sup_distance(f, g, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=MONOMIAL_LOG_LINEAR_PAIRS, hi=st.floats(0.0, 5.0))
+    def test_monomial_log_against_linear_pieces_is_exact(self, pair, hi):
+        f, g = pair
+        est, err = sup_distance(f, g, hi)
+        assert err == 0.0
+        xs = np.linspace(0.0, hi, 2_000_001)
+        m = float(np.max(np.abs(f(xs) - g(xs))))
+        slack = (f.lipschitz_on(hi) + g.lipschitz_on(hi)) * hi / 4e6  # the dense grid's own
+        assert m - 1e-12 * max(1.0, m) <= est <= m + slack
 
     @pytest.mark.parametrize("f, g", [
         (BPR(1.0, 1.5, 0.3), BPR(2.0, 1.5, 0.1)),
@@ -580,6 +638,17 @@ class TestSupDistance:
         # x**2 against slopes 3 then 2: the critical point of the second piece is its breakpoint
         (PiecewiseLinear((0.0, 1.0, 2.0), (0.0, 3.0, 5.0)), Polynomial((0.0, 0.0, 1.0)), 2.0,
          2.0),
+        # a convex MonomialLog against linear pieces: x**2 - 2x, where tau' = 2 at x = 1 ...
+        (MonomialLog(1.0, 2.0, 0.0), Affine(2.0, 0.0), 2.0, 1.0),
+        (MonomialLog(1.0, 2.0, 0.0), PiecewiseLinear((0.0, 3.0), (0.0, 6.0)), 2.0, 1.0),
+        # ... and x ln(1 + x) - (2 - 1/e) x, where tau' = 2 - 1/e at e - 1: |tau - g| is
+        # (e - 1)**2 / e there, above its 1.067 at hi; as Affine, linear BPR and ScaledCost
+        (MonomialLog(1.0, 1.0, 1.0), Affine(2.0 - 1.0 / math.e, 0.0), 2.0,
+         (math.e - 1.0) ** 2 / math.e),
+        (MonomialLog(1.0, 1.0, 1.0), BPR(2.0 - 1.0 / math.e, 1.0, 0.0), 2.0,
+         (math.e - 1.0) ** 2 / math.e),
+        (MonomialLog(1.0, 1.0, 1.0), ScaledCost(Affine(4.0 - 2.0 / math.e, 0.0), 0.5), 2.0,
+         (math.e - 1.0) ** 2 / math.e),
     ])
     def test_flat_and_piecewise_polynomial_closed_forms(self, f, g, hi, sup):
         for pair in ((f, g), (g, f)):
