@@ -470,9 +470,12 @@ class BPR(CostFunction, family="bpr"):
         b = self.beta
         if b == 0 or self.q == 0:
             return 0.0
-        if b >= 1:
+        if b < 1:
+            return math.inf
+        try:
             return float(self.q * b * hi ** (b - 1.0))
-        return math.inf
+        except OverflowError:  # a power past the float range, as MonomialLog._slope
+            return math.inf
 
     def deriv_min_on(self, hi):
         b = self.beta
@@ -598,9 +601,22 @@ class MonomialLog(CostFunction, family="monomial_log"):
             return math.inf
 
     def lipschitz_on(self, hi):
+        """tau'(hi) for beta >= 1 (convex); else zeta (a+b) hi**(a+b-1) if a + b >= 1: as
+        L = ln(1+x) <= x, b x**(b-1) L**a <= b x**(a+b-1); for a >= 1, L**(a-1) <= x**(a-1), and
+        for a < 1, L >= x/(1+x) gives a x**b L**(a-1)/(1+x) <= a x**(a+b-1) (1+x)**-a.  fsum takes
+        the sign of e = a + b - 1 exactly; 1 + 2**-50 (1 + e |ln hi|) covers the roundings, the
+        exponent's magnified by ln hi.  If a + b < 1, tau'(0+) is infinite."""
         if self.zeta == 0.0 or hi == 0.0 or self.beta == self.alpha == 0.0:
             return 0.0
-        return self._slope(hi) if self.beta >= 1.0 else math.inf  # not convex; tau'(0+) may be inf
+        if self.beta >= 1.0:
+            return self._slope(hi)
+        e = math.fsum((self.alpha, self.beta, -1.0))
+        if e < 0.0:
+            return math.inf
+        try:
+            return self.zeta * (e + 1.0) * hi**e * (1.0 + 2.0**-50 * (1.0 + e * abs(math.log(hi))))
+        except OverflowError:
+            return math.inf
 
     def deriv_min_on(self, hi):
         if self.alpha == 0:
@@ -634,6 +650,18 @@ class MonomialLog(CostFunction, family="monomial_log"):
         ds = [self._slope(x) for x in knots]
         return knots + [x for lo, up, s, dlo, dup in zip(knots, knots[1:], slopes, ds, ds[1:])
                         if dlo < s < dup for x in _crossing(self._slope, s, lo, up, dlo, dup)]
+
+
+@functools.cache
+def _geometric_rule():
+    """Nodes t and weights w, sum w f(t) ~ the integral of f over (0, 1]: 12-node Gauss-Legendre on
+    each panel [2**-(k+1), 2**-k], k < 64.  f(t) = (x t)**b ln(1 + x t)**a is analytic on a panel,
+    its singularities (t = 0, -1/x) a panel length away, at -3 mapped to [-1, 1]: the error falls
+    like (3 + 8**0.5)**-24, 1e-18 (Trefethen, SIAM Rev. 50, 2008).  The geometric panels take
+    t**(a+b) at 0 (Davis and Rabinowitz, 1984); f grows, so the dropped (0, 2**-64] is < 2**-64."""
+    u, v = np.polynomial.legendre.leggauss(12)
+    half = 2.0 ** -np.arange(2, 66)[:, None]  # panel k's half length; its midpoint is 3 half
+    return (half * (3.0 + u)).ravel(), (half * v).ravel()
 
 
 class MonomialLogKernel(_Kernel):
@@ -674,6 +702,18 @@ class MonomialLogKernel(_Kernel):
         out = self.zeta * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
         return np.where(x > 0.0, out, self.slope0)
 
+    def marginals(self, x):
+        """The bits of ``_marginal(x, values(x), derivative(x))``, taking log1p and the powers once:
+        at x >= _TINY, x is derivative's max(x, _TINY); a subnormal flow takes the two calls."""
+        if self.alpha == 0.0 or ((x > 0.0) & (x < _TINY)).any():
+            return super().marginals(x)
+        b, a = self.beta, self.alpha
+        pos = np.maximum(x, _TINY)
+        lg = np.log1p(pos)
+        xb, la = pos**b, lg**a
+        slope = self.zeta * (b * pos ** (b - 1.0) * la + a * xb * lg ** (a - 1.0) / (pos + 1.0))
+        return np.where(x > 0.0, x * slope + self.zeta * xb * la, 0.0)  # tau(0) = 0 as a > 0
+
     def marginal_derivs(self, x):
         """(2 + s - (b + a w**2 (1 + L)) / s) tau' = 2 tau' + x tau'', from the log-derivative
         s = x (ln tau)' = b + a w, where L = ln(x + 1) and w = x / ((x + 1) L) lies in (0, 1]."""
@@ -684,16 +724,15 @@ class MonomialLogKernel(_Kernel):
         s = b + a * w
         return (2.0 + s - (b + a * w * w * (1.0 + lg)) / s) * self.derivs(x)
 
-    def antiderivs(self, x):  # no elementary antiderivative for real alpha: adaptive quadrature
-        from scipy import integrate  # here, not at module level: only the potential needs it
-        b, a = self.beta, self.alpha
-        out = np.zeros_like(x)
-        # a one-row kernel integrates its cost at any number of flows
-        for i, (z, xi) in enumerate(zip(np.broadcast_to(self.zeta, x.shape).tolist(), x.tolist())):
-            if xi != 0.0 and z != 0.0:
-                out[i] = integrate.quad(lambda t: z * t**b * math.log1p(t) ** a, 0.0, xi,
-                                        epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-        return out
+    def antiderivs(self, x):
+        """x times the integral over (0, 1] of tau(x t), by ``_geometric_rule``, 1024 flows at a
+        time; each row is one ``np.vecdot``, so a table's row has its one-row call's bits."""
+        t, w = _geometric_rule()
+        out = np.empty_like(x)
+        for i in range(0, x.size, 1024):  # bounds the (flows, nodes) temporaries at 6 MB each
+            s = x[i:i + 1024, None] * t
+            out[i:i + 1024] = np.vecdot(s**self.beta * np.log1p(s) ** self.alpha, w)
+        return self.zeta * x * out
 
 
 @dataclass(frozen=True)

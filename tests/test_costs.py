@@ -21,7 +21,7 @@ from poalab import (
     TruncatedCost,
     sup_distance,
 )
-from poalab.costs import GRID_N, MarginalCost, _marginal
+from poalab.costs import GRID_N, MarginalCost, MonomialLogKernel, _marginal
 
 FAMILY_STRATEGIES = st.one_of(
     st.builds(Constant, st.floats(0.1, 5.0)),
@@ -265,6 +265,35 @@ class TestIntegralAndDerivative:
         exact = cost.antiderivative(hi)
         assert exact == pytest.approx(simpson, rel=1e-5, abs=1e-8)
 
+    def test_monomial_log_integral_closed_forms(self):
+        assert MonomialLog(1.0, 1.0, 1.0).antiderivative(1.0) == pytest.approx(0.25, rel=1e-15)
+        assert MonomialLog(1.0, 0.0, 1.0).antiderivative(1.0) == pytest.approx(
+            2.0 * math.log(2.0) - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("beta, alpha", [(3.0, 2.5), (0.0, 0.3), (1.0, 1.0), (2.0, 3.0)])
+    def test_monomial_log_integral_near_zero_is_the_series(self, beta, alpha):
+        # ln(1 + t)**a = t**a (1 - a t / 2 + O(t**2)): two terms, relative error O(x**2)
+        e = alpha + beta + 1.0
+        for x in (1e-4, 1e-6, 1e-8):
+            series = x**e / e - 0.5 * alpha * x ** (e + 1.0) / (e + 1.0)
+            got = MonomialLog(1.0, beta, alpha).antiderivative(x)
+            assert got == pytest.approx(series, rel=2.0 * x * x + 1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost=st.builds(MonomialLog, st.floats(0.0, 3.0), st.floats(0.0, 4.0),
+                          st.floats(0.0, 3.0)), log_x=st.floats(-3.0, 3.0))
+    def test_monomial_log_integral_matches_adaptive_quadrature(self, cost, log_x):
+        # the adaptive rule is a test-only reference, stopped on a relative error near its floor
+        # of 50 eps: at epsrel 1e-12 quad's own error reached 5e-11 relative on this domain
+        from scipy.integrate import IntegrationWarning, quad
+        x, (z, b, a) = 10.0**log_x, (cost.zeta, cost.beta, cost.alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)  # roundoff at that floor
+            ref = quad(lambda t: z * t**b * math.log1p(t) ** a, 0.0, x,
+                       epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        # abs: below 1e-300 (a subnormal zeta) neither side keeps relative precision
+        assert cost.antiderivative(x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
     def test_integral_simpson_tight_on_smooth_families(self):
         from scipy.integrate import simpson
         for cost in (Polynomial((0.2, 0.3, 1.0)), BPR(1.0, 3.0, 0.5),
@@ -295,6 +324,17 @@ class TestMarginal:
             m = MarginalCost(cost)
             assert m(0.0) == cost(0.0)
             assert np.array_equal(m(np.array([0.0, 0.0])), cost(np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0, 2.7])
+    def test_monomial_log_marginals_have_the_rule_bits(self, beta, alpha):
+        # log1p and the powers of x are taken once, with the bits of the values and tau' calls
+        kernel = MonomialLogKernel([MonomialLog(z, beta, alpha) for z in (0.0, -0.0, 0.7, 1.9)])
+        for x in ([0.0, -0.0, 5e-324, 1e-300], [0.0, 1e-200, 0.3, 1e5], [0.4, 0.9, 2.5, 7.0]):
+            x = np.array(x)
+            with np.errstate(all="ignore"):
+                want = _marginal(x, kernel.values(x), kernel.derivative(x))
+            assert kernel.marginals(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slope", [math.inf, math.nan, 0.0, -1.5, -math.inf, 2.0])
     def test_marginal_rule_without_errstate(self, slope):
@@ -370,7 +410,23 @@ class TestLipschitz:
 
     def test_non_lipschitz_families_report_inf(self):
         assert BPR(1.0, 0.5, 0.0).lipschitz_on(1.0) == math.inf
-        assert MonomialLog(1.0, 2.0, 1.0).lipschitz_on(1e200) == math.inf  # past the float range
+        assert MonomialLog(1.0, 0.5, 0.3).lipschitz_on(1.0) == math.inf  # tau'(0+) is infinite
+        # past the float range
+        assert MonomialLog(1.0, 2.0, 1.0).lipschitz_on(1e200) == math.inf
+        assert BPR(1.0, 4.0, 0.0).lipschitz_on(1e200) == math.inf
+        assert MonomialLog(1.0, 0.9, 3.0).lipschitz_on(1e200) == math.inf
+
+    def test_monomial_log_below_beta_one_is_lipschitz(self):
+        # x**0.5 ln(1 + x): tau' peaks at 0.864 on [0, 2]; the bound is 1.5 * 2**0.5
+        assert MonomialLog(1.0, 0.5, 1.0).lipschitz_on(2.0) == pytest.approx(1.5 * 2.0**0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(zeta=st.floats(0.1, 3.0), beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           hi=st.floats(0.01, 10.0), data=st.data())
+    def test_monomial_log_bound_below_beta_one_dominates_slopes(self, zeta, beta, hi, data):
+        cost = MonomialLog(zeta, beta, data.draw(st.floats(1.0 - beta, 3.0)))
+        slopes = cost.derivative(np.linspace(0.0, hi, 100_001))
+        assert cost.lipschitz_on(hi) >= slopes.max()
 
     @given(cost=st.builds(MonomialLog, st.floats(0.0, 2.0), st.floats(1.0, 4.0),
                           st.floats(0.0, 3.0)), hi=st.floats(1e-3, 5.0))

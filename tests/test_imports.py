@@ -63,8 +63,16 @@ def test_check_sees_an_unused_import():
 
 
 def test_import_leaves_scipy_quadrature_unloaded():
-    # only the MonomialLog potential integrates, so importing poalab stays cheap
+    # the MonomialLog potential integrates by its own rule, so neither importing poalab nor
+    # checking a game with a MonomialLog arc (whose potential it integrates) loads scipy.integrate
     code = "import sys, poalab; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env(), check=True).stdout
     assert out.strip() == "False"
+    game = pathlib.Path(__file__).parents[1] / "data" / "shared_arc_mixed.json"
+    code = ("import sys; from poalab.cli import main; "
+            "code = main(['check', '--game', sys.argv[1]]); "
+            "print(code, 'scipy.integrate' in sys.modules, file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", code, str(game)], capture_output=True, text=True,
+                         env=child_env(), check=True).stderr
+    assert err.splitlines()[-1] == "0 False"
