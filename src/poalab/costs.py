@@ -702,18 +702,6 @@ class MonomialLogKernel(_Kernel):
         out = self.zeta * (b * pos ** (b - 1.0) * lg**a + a * pos**b * lg ** (a - 1.0) / (pos + 1.0))
         return np.where(x > 0.0, out, self.slope0)
 
-    def marginals(self, x):
-        """The bits of ``_marginal(x, values(x), derivative(x))``, taking log1p and the powers once:
-        at x >= _TINY, x is derivative's max(x, _TINY); a subnormal flow takes the two calls."""
-        if self.alpha == 0.0 or ((x > 0.0) & (x < _TINY)).any():
-            return super().marginals(x)
-        b, a = self.beta, self.alpha
-        pos = np.maximum(x, _TINY)
-        lg = np.log1p(pos)
-        xb, la = pos**b, lg**a
-        slope = self.zeta * (b * pos ** (b - 1.0) * la + a * xb * lg ** (a - 1.0) / (pos + 1.0))
-        return np.where(x > 0.0, x * slope + self.zeta * xb * la, 0.0)  # tau(0) = 0 as a > 0
-
     def marginal_derivs(self, x):
         """(2 + s - (b + a w**2 (1 + L)) / s) tau' = 2 tau' + x tau'', from the log-derivative
         s = x (ln tau)' = b + a w, where L = ln(x + 1) and w = x / ((x + 1) L) lies in (0, 1]."""
@@ -725,14 +713,11 @@ class MonomialLogKernel(_Kernel):
         return (2.0 + s - (b + a * w * w * (1.0 + lg)) / s) * self.derivs(x)
 
     def antiderivs(self, x):
-        """x times the integral over (0, 1] of tau(x t), by ``_geometric_rule``, 1024 flows at a
-        time; each row is one ``np.vecdot``, so a table's row has its one-row call's bits."""
+        """x times the integral over (0, 1] of tau(x t), by ``_geometric_rule``; each row is one
+        ``np.vecdot``, so a table's row has its one-row call's bits."""
         t, w = _geometric_rule()
-        out = np.empty_like(x)
-        for i in range(0, x.size, 1024):  # bounds the (flows, nodes) temporaries at 6 MB each
-            s = x[i:i + 1024, None] * t
-            out[i:i + 1024] = np.vecdot(s**self.beta * np.log1p(s) ** self.alpha, w)
-        return self.zeta * x * out
+        s = x[:, None] * t
+        return self.zeta * x * np.vecdot(s**self.beta * np.log1p(s) ** self.alpha, w)
 
 
 @dataclass(frozen=True)

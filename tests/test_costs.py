@@ -21,7 +21,7 @@ from poalab import (
     TruncatedCost,
     sup_distance,
 )
-from poalab.costs import GRID_N, MarginalCost, MonomialLogKernel, _marginal
+from poalab.costs import GRID_N, MarginalCost, _marginal
 
 FAMILY_STRATEGIES = st.one_of(
     st.builds(Constant, st.floats(0.1, 5.0)),
@@ -324,17 +324,6 @@ class TestMarginal:
             m = MarginalCost(cost)
             assert m(0.0) == cost(0.0)
             assert np.array_equal(m(np.array([0.0, 0.0])), cost(np.array([0.0, 0.0])))
-
-    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0, 3.7])
-    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0, 2.7])
-    def test_monomial_log_marginals_have_the_rule_bits(self, beta, alpha):
-        # log1p and the powers of x are taken once, with the bits of the values and tau' calls
-        kernel = MonomialLogKernel([MonomialLog(z, beta, alpha) for z in (0.0, -0.0, 0.7, 1.9)])
-        for x in ([0.0, -0.0, 5e-324, 1e-300], [0.0, 1e-200, 0.3, 1e5], [0.4, 0.9, 2.5, 7.0]):
-            x = np.array(x)
-            with np.errstate(all="ignore"):
-                want = _marginal(x, kernel.values(x), kernel.derivative(x))
-            assert kernel.marginals(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slope", [math.inf, math.nan, 0.0, -1.5, -math.inf, 2.0])
     def test_marginal_rule_without_errstate(self, slope):
